@@ -13,6 +13,9 @@ Submodules:
   cli          command-line entry point (also `python -m udlab.cli`)
 """
 
+# defined before the submodule imports: lab reads it for provenance
+__version__ = "0.1.0"
+
 from .expr import (DomainError, ExprSyntaxError, IndependenceReport, TaylorJet,
                    check_linear_independence, eval_jet, eval_jet_many, evaluate,
                    parse_expr, to_text)
@@ -32,5 +35,3 @@ from .oscillatory import (OscillatoryDecayFit, OscillatoryEstimate, decay_fit,
                           osc_integral, vdc_bound_first, vdc_bound_high)
 from .lab import (ExperimentConfig, ExperimentReport, emit_csv, emit_svg,
                   run_experiment)
-
-__version__ = "0.1.0"

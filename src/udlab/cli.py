@@ -73,7 +73,7 @@ def _cmd_weylsum(args) -> int:
     v = [int(c) for c in args.v.split(",")]
     grid = lab.parse_grid(args.grid)
     family = lab.parse_index_family(args.sets) if args.sets else sq.prefixes()
-    series = wy.weyl_sum_over_sets(gen, v, family, grid, workers=args.workers)
+    series = wy.weyl_sum_over_sets(gen, v, family, grid)
     print(f"# generator: {gen.describe()}  v={v}")
     print(f"# sum 1/|S_N| at final N: {series.inverse_size_partial_sums[-1]:.6g}")
     header, rows = lab.weyl_csv_rows(series)
@@ -209,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True, help='frequency vector, e.g. "1,-1"')
     p.add_argument("--grid", required=True)
     p.add_argument("--sets", help='e.g. "geometric:rho=2" (default prefixes)')
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_weylsum)
 

@@ -61,17 +61,6 @@ def _exact_2d(points: np.ndarray) -> float:
     return best
 
 
-def _exact_1d_corners(points: np.ndarray) -> float:
-    # same critical-corner evaluation as 2-d, specialized to k=1; agrees
-    # with star_discrepancy_1d exactly, float for float
-    x = np.sort(points[:, 0])
-    n = len(x)
-    corners = np.unique(np.concatenate([x, [1.0]]))
-    closed = np.searchsorted(x, corners, side="right") / n
-    opened = np.searchsorted(x, corners, side="left") / n
-    return float(max(np.max(closed - corners), np.max(corners - opened)))
-
-
 def _grid_counts(points: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """Cumulative open/closed counts at the lattice corners (i_1..i_k)/m,
     i in 1..m. Index j of the histogram axis collects points whose
@@ -125,7 +114,7 @@ def star_discrepancy_kd(points, method: str = "exact",
             raise ValueError("exact method supports k <= 2 only")
         if n > EXACT_KD_MAX_N:
             raise ValueError(f"exact method capped at N = {EXACT_KD_MAX_N}")
-        value = _exact_1d_corners(points) if k == 1 else _exact_2d(points)
+        value = star_discrepancy_1d(points[:, 0]) if k == 1 else _exact_2d(points)
         return value, 0.0
     if method == "grid":
         if m is None:

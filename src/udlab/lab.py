@@ -15,21 +15,21 @@ report is reproducible byte for byte from (config, seed).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import __version__
 from . import discrepancy as dc
 from . import expr as ex
 from . import sequences as sq
 from . import weyl as wy
 from .numerics import TOWER_GUARD_BITS, derive_seed
-
-__version__ = "0.1.0"
+from .weyl import max_weyl_series
 
 EXPERIMENT_KINDS = (
     "curve-product",            # (a_1(n) f_1(x), ..., a_k(n) f_k(x))
@@ -268,20 +268,20 @@ def _run_sample(config: ExperimentConfig, grid: List[int], index: int) -> Sample
         return SampleResult(index, x, None, [], [], None, error=str(err))
 
 
-def max_weyl_series(points: np.ndarray, V: int, grid: Sequence[int]):
-    """max |F_N| over the nonzero frequency box, per grid N, with the
-    lexicographically first maximizer."""
-    grid = [int(N) for N in grid]
-    best = np.full(len(grid), -1.0)
-    best_v: List[Optional[np.ndarray]] = [None] * len(grid)
-    for v in wy.frequency_box(points.shape[1], V):
-        series = wy.prefix_weyl_series(points, v, grid)
-        for i, f in enumerate(series):
-            mag = abs(f)
-            if mag > best[i]:
-                best[i] = mag
-                best_v[i] = v
-    return list(best), best_v
+def _threshold_verdict(config: ExperimentConfig, samples: Sequence[SampleResult],
+                       dstar_median: Sequence[float]
+                       ) -> Tuple[Optional[float], Optional[str]]:
+    """Pass fraction and verdict: "pass" needs min_pass_fraction of all
+    samples, and the median, at final D* <= dstar_final_max. (None, None)
+    when no threshold is set or no sample succeeded."""
+    limit = config.dstar_final_max
+    if limit is None or not dstar_median:
+        return None, None
+    passed = sum(1 for s in samples
+                 if s.error is None and s.discrepancy.final_value() <= limit)
+    fraction = passed / len(samples)
+    ok = fraction >= config.min_pass_fraction and dstar_median[-1] <= limit
+    return fraction, "pass" if ok else "fail"
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -290,12 +290,20 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     Per-sample errors are recorded on the sample and the run continues
     with partial coverage marked. Threshold evaluation is pure: it can be
     recomputed from the stored report.
+
+    workers > 1 runs the samples in that many processes (at most one per
+    sample). Each sample draws from its own hashed seed, and each process
+    has its own mpmath working precision, so the report is the same at
+    any worker count.
     """
     grid = parse_grid(config.n_grid)
     indices = list(range(config.x_samples))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(lambda i: _run_sample(config, grid, i), indices))
+    if workers > 1 and len(indices) > 1:
+        # imported here so serial runs skip its import time
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(workers, len(indices))) as pool:
+            samples = list(pool.map(functools.partial(_run_sample, config, grid),
+                                    indices))
     else:
         samples = [_run_sample(config, grid, i) for i in indices]
     good = [s for s in samples if s.error is None]
@@ -307,15 +315,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         q90 = [float(v) for v in np.percentile(matrix, 90, axis=0)]
     else:
         med = q10 = q90 = []
-    pass_fraction = None
-    verdict = None
+    pass_fraction, verdict = _threshold_verdict(config, samples, med)
     exceptional = [s.index for s in samples if s.passed is False or s.error is not None]
-    if config.dstar_final_max is not None and good:
-        passed = [s for s in good if s.passed]
-        pass_fraction = len(passed) / len(samples)
-        ok = (pass_fraction >= config.min_pass_fraction
-              and med[-1] <= config.dstar_final_max)
-        verdict = "pass" if ok else "fail"
     provenance = {
         "config": config.to_dict(),
         "seed": config.seed,
@@ -333,16 +334,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
 
 def evaluate_thresholds(report: ExperimentReport) -> Optional[str]:
     """Recompute the verdict from a stored report (pure)."""
-    config = report.config
-    if config.dstar_final_max is None or not report.dstar_median:
-        return None
-    good = [s for s in report.samples if s.error is None]
-    passed = [s for s in good
-              if s.discrepancy.final_value() <= config.dstar_final_max]
-    frac = len(passed) / len(report.samples)
-    ok = (frac >= config.min_pass_fraction
-          and report.dstar_median[-1] <= config.dstar_final_max)
-    return "pass" if ok else "fail"
+    return _threshold_verdict(report.config, report.samples, report.dstar_median)[1]
 
 
 # ---------------------------------------------------------------------------

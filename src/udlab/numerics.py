@@ -1,24 +1,25 @@
-"""Shared numerical kernels: reproducible reductions and precision-safe
-fractional parts.
+"""Shared numerical kernels: reproducible reductions, precision-safe
+fractional parts and seeded direction sampling.
 
 Everything here is deterministic for a fixed input array. The tree
 reduction uses a fixed splitting shape that depends only on the length of
-the data, never on how the caller chunked the work, so parallel drivers
-that sum per-block partials in index order reproduce the serial result
-bit for bit.
+the data, and prefix means reduce fixed-size blocks in index order, so a
+mean over the first N values is the same float whichever grid of N it is
+computed along.
 """
 
 from __future__ import annotations
 
 import math
+from typing import List, Sequence
 
 import numpy as np
 import mpmath
 
 TWO_PI = 2.0 * math.pi
 
-# Fixed block size for chunked pipelines. Workers may split at these
-# boundaries only; the reduction shape is then independent of worker count.
+# Fixed block size of prefix_means. Block boundaries never move with N, so
+# a full block's partial sum is shared by every prefix that covers it.
 BLOCK = 4096
 
 # Extra mantissa bits for power-tower fractional parts beyond the integer
@@ -46,17 +47,28 @@ def tree_sum(values: np.ndarray):
     return buf[0]
 
 
-def tree_mean(values: np.ndarray):
-    n = len(values)
-    if n == 0:
-        raise ValueError("tree_mean of empty array")
-    return tree_sum(values) / n
+def prefix_means(values: np.ndarray, grid: Sequence[int]) -> np.ndarray:
+    """(1/N) * sum(values[:N]) for each N in the grid.
 
-
-def block_partials(values: np.ndarray, block: int = BLOCK) -> np.ndarray:
-    """Per-block tree sums at fixed boundaries; combine with tree_sum."""
-    return np.array([tree_sum(values[i:i + block])
-                     for i in range(0, len(values), block)])
+    Each prefix is reduced in two levels: tree_sum over every BLOCK-sized
+    block in index order, then tree_sum over those partials. Full blocks
+    are summed once and shared by every N that covers them, so the result
+    for a given N does not depend on the rest of the grid."""
+    values = np.asarray(values)
+    grid = [int(N) for N in grid]
+    if any(not 1 <= N <= len(values) for N in grid):
+        raise ValueError(f"prefix lengths must lie in [1, {len(values)}]")
+    full = max(grid, default=0) // BLOCK
+    blocks = np.array([tree_sum(values[lo:lo + BLOCK])
+                       for lo in range(0, full * BLOCK, BLOCK)], dtype=values.dtype)
+    out = np.empty(len(grid), dtype=values.dtype)
+    for i, N in enumerate(grid):
+        q, r = divmod(N, BLOCK)
+        partials = blocks[:q]
+        if r:
+            partials = np.append(partials, tree_sum(values[q * BLOCK:N]))
+        out[i] = tree_sum(partials) / N
+    return out
 
 
 def e_phase(t):
@@ -121,6 +133,19 @@ def chebyshev_nodes(lo: float, hi: float, m: int) -> np.ndarray:
     j = np.arange(1, m + 1)
     t = np.cos((2 * j - 1) * math.pi / (2 * m))
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+
+
+def unit_directions(seed: int, k: int, count: int) -> List[np.ndarray]:
+    """The k axis directions of R^k, then seeded uniform unit vectors up to
+    count directions in all. The stream depends only on (seed, k, count)."""
+    directions = [np.eye(k)[i] for i in range(k)]
+    rng = np.random.default_rng(derive_seed(seed, k, count))
+    while len(directions) < count:
+        v = rng.standard_normal(k)
+        norm = np.linalg.norm(v)
+        if norm > 1e-9:
+            directions.append(v / norm)
+    return directions
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .numerics import derive_seed, e_phase, tree_sum
+from .numerics import e_phase, tree_sum, unit_directions
 
 PANEL_CAP = 1 << 20
 R_MAX = 1 << 16
@@ -299,13 +299,7 @@ def decay_fit(fs: Sequence[ex.Node], interval, radii: Sequence[float],
         raise ValueError(f"max radius capped at {R_MAX}")
     if n_directions < k:
         raise ValueError("need at least k directions")
-    directions: List[np.ndarray] = [np.eye(k)[i] for i in range(k)]
-    rng = np.random.default_rng(derive_seed(seed, k, n_directions))
-    while len(directions) < n_directions:
-        v = rng.standard_normal(k)
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            directions.append(v / norm)
+    directions = unit_directions(seed, k, n_directions)
 
     mags = np.zeros((len(directions), len(radii)))
     errors = np.zeros_like(mags)

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import sequences as sq
-from .numerics import derive_seed
+from .numerics import derive_seed, unit_directions
 
 EXACT_CUTOFF = 1 << 13  # beyond this many terms, auto mode switches to buckets
 BUCKET_ETA_DEFAULT = 0.01
@@ -282,9 +282,6 @@ class JointScatterReport:
     evidence_jointly_scattered: bool
     label: str = "sampled directions only; evidence, not proof"
 
-    def per_direction(self):
-        return list(zip(self.directions, self.reports))
-
 
 def joint_scatter_check(specs: Sequence[sq.SequenceSpec], delta: float,
                         grid: Sequence[int], directions: int, seed: int = 0,
@@ -296,21 +293,11 @@ def joint_scatter_check(specs: Sequence[sq.SequenceSpec], delta: float,
         raise ValueError("need at least two sequences")
     if directions < k:
         raise ValueError("need at least k directions")
-    dirs: List[np.ndarray] = [np.eye(k)[i] for i in range(k)]
-    rng = np.random.default_rng(derive_seed(seed, k, directions))
-    while len(dirs) < directions:
-        v = rng.standard_normal(k)
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            dirs.append(v / norm)
+    dirs = unit_directions(seed, k, directions)
     reports = []
     for v in dirs:
         combo = sq.linear_combination(
             [(float(w), s) for w, s in zip(v, specs) if w != 0.0])
-        reports.append(fit_scatter(make_eval(combo), delta, grid, mode=mode))
+        reports.append(fit_scatter(sq.make_sequence(combo), delta, grid, mode=mode))
     min_eps = min(r.eps_hat for r in reports)
     return JointScatterReport(dirs, reports, min_eps, min_eps > 0.0)
-
-
-def make_eval(spec: sq.SequenceSpec):
-    return sq.make_sequence(spec)

@@ -12,16 +12,15 @@ Point coordinates come in three recipes:
               none of the signal
   raw         caller-supplied vectors
 
-All averages use the fixed-block pairwise reduction from numerics, so
-results are bit-identical no matter how many workers split the index
-range.
+Every average goes through numerics.prefix_means, one fixed-block pairwise
+reduction: F_N is the same float whether it is computed alone or along a
+grid of prefixes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -29,8 +28,8 @@ import numpy as np
 
 from . import expr as ex
 from . import sequences as sq
-from .numerics import (BLOCK, TOWER_GUARD_BITS, e_phase, frac_product,
-                       power_tower_frac, tree_sum)
+from .numerics import (TOWER_GUARD_BITS, e_phase, frac_product,
+                       power_tower_frac, prefix_means)
 
 
 # ---------------------------------------------------------------------------
@@ -139,34 +138,20 @@ def _check_frequency(v, dim: int) -> np.ndarray:
     return v
 
 
-def _phase_values(points: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _prefix_weyl_means(points: np.ndarray, v: np.ndarray,
+                       grid: Sequence[int]) -> np.ndarray:
+    """F_N over the first N points, for each N in the grid."""
     phase = points @ v.astype(float)
-    return phase - np.floor(phase)
+    return prefix_means(e_phase(phase - np.floor(phase)), grid)
 
 
-def _mean_e(points: np.ndarray, v: np.ndarray, workers: int = 1) -> complex:
-    n = len(points)
-    blocks = range(0, n, BLOCK)
-
-    def partial(lo: int) -> complex:
-        z = e_phase(_phase_values(points[lo:lo + BLOCK], v))
-        return tree_sum(z)
-
-    if workers > 1 and n > BLOCK:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(partial, blocks))
-    else:
-        partials = [partial(lo) for lo in blocks]
-    return complex(tree_sum(np.asarray(partials, dtype=complex)) / n)
-
-
-def weyl_sum(gen: PointGenerator, v, N: int, workers: int = 1) -> complex:
+def weyl_sum(gen: PointGenerator, v, N: int) -> complex:
     """(1/N) sum_{n<=N} e(v . x_n) with v a nonzero integer vector."""
     if N < 1:
         raise ValueError("need N >= 1")
     v = _check_frequency(v, gen.dim)
     points = gen.fracs(np.arange(1, N + 1))
-    return _mean_e(points, v, workers)
+    return complex(_prefix_weyl_means(points, v, [N])[0])
 
 
 @dataclass
@@ -182,7 +167,7 @@ class WeylSumSeries:
 
 
 def weyl_sum_over_sets(gen: PointGenerator, v, family: sq.IndexSetFamily,
-                       grid: Sequence[int], workers: int = 1) -> WeylSumSeries:
+                       grid: Sequence[int]) -> WeylSumSeries:
     """F_N over the index sets S_N of the family, for each N in the grid,
     with the divergence diagnostic sum of 1/|S_M|."""
     v = _check_frequency(v, gen.dim)
@@ -190,7 +175,7 @@ def weyl_sum_over_sets(gen: PointGenerator, v, family: sq.IndexSetFamily,
     for N in grid:
         view = sq.index_sets(family, int(N))
         points = gen.fracs(view.members())
-        f = _mean_e(points, v, workers)
+        f = complex(_prefix_weyl_means(points, v, [len(points)])[0])
         averages.append(f)
         mags.append(abs(f))
         sizes.append(view.size)
@@ -201,15 +186,9 @@ def weyl_sum_over_sets(gen: PointGenerator, v, family: sq.IndexSetFamily,
 
 def prefix_weyl_series(points: np.ndarray, v, grid: Sequence[int]) -> List[complex]:
     """F_N along prefixes {1..N} for each N in the grid, reusing one point
-    array. Reduction shape per N matches weyl_sum exactly."""
+    array. Each F_N equals weyl_sum at that N bit for bit."""
     v = _check_frequency(v, points.shape[1])
-    z = e_phase(_phase_values(points, v))
-    out = []
-    for N in grid:
-        zn = z[:int(N)]
-        partials = [tree_sum(zn[lo:lo + BLOCK]) for lo in range(0, len(zn), BLOCK)]
-        out.append(complex(tree_sum(np.asarray(partials, dtype=complex)) / int(N)))
-    return out
+    return [complex(f) for f in _prefix_weyl_means(points, v, grid)]
 
 
 def frequency_box(dim: int, V: int):
@@ -219,25 +198,33 @@ def frequency_box(dim: int, V: int):
             yield np.asarray(v, dtype=np.int64)
 
 
-def max_weyl_sum(gen: PointGenerator, V: int, N: int,
-                 points: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
-    """Maximum of |F_N| over the frequency box ||v||_inf <= V, v != 0.
+def max_weyl_series(points: np.ndarray, V: int, grid: Sequence[int]
+                    ) -> Tuple[List[float], List[np.ndarray]]:
+    """max |F_N| over the frequency box ||v||_inf <= V, v != 0, per grid N,
+    with its maximizer.
 
     Ties keep the lexicographically first maximizer (strict improvement
     comparison over the lexicographic enumeration).
     """
     if V < 1:
         raise ValueError("need V >= 1")
-    if points is None:
-        points = gen.fracs(np.arange(1, N + 1))
-    else:
-        points = points[:N]
-    best_mag, best_v = -1.0, None
-    for v in frequency_box(gen.dim, V):
-        mag = abs(_mean_e(points, v))
-        if mag > best_mag:
-            best_mag, best_v = mag, v
-    return best_mag, best_v
+    grid = [int(N) for N in grid]
+    best = [-1.0] * len(grid)
+    best_v: List[Optional[np.ndarray]] = [None] * len(grid)
+    for v in frequency_box(points.shape[1], V):
+        for i, f in enumerate(_prefix_weyl_means(points, v, grid)):
+            mag = abs(complex(f))
+            if mag > best[i]:
+                best[i], best_v[i] = mag, v
+    return best, best_v
+
+
+def max_weyl_sum(gen: PointGenerator, V: int, N: int,
+                 points: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
+    """Maximum of |F_N| over the frequency box, as max_weyl_series at N."""
+    points = gen.fracs(np.arange(1, N + 1)) if points is None else points[:N]
+    mags, argmax = max_weyl_series(points, V, [N])
+    return mags[0], argmax[0]
 
 
 # ---------------------------------------------------------------------------

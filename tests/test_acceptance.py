@@ -352,8 +352,8 @@ def test_criterion_7_prefix_average_gap():
 
 def test_criterion_8_precision_policy():
     """{1.5^n} for n <= 200 matches a 512-bit reference to 1e-20 under the
-    working-precision policy; tower-based sums are bit-stable across 1, 2
-    and 8 workers. Budget 20 s."""
+    working-precision policy; a power-tower experiment gives bit-identical
+    per-sample x, D* and max |F_N| at 1, 2 and 8 workers. Budget 20 s."""
     t0 = time.time()
     worst = mpmath.mpf(0)
     with mpmath.workprec(512):
@@ -361,17 +361,21 @@ def test_criterion_8_precision_policy():
             ref = mpmath.frac(mpmath.mpf(1.5) ** n)
             got = power_tower_frac_mp(1.5, float(n))
             worst = max(worst, abs(ref - got))
-    gen = wy.PointGenerator([wy.TowerCoord(ex.parse_expr("x"),
-                                           sq.identity(), 1.5)])
-    sums = [wy.weyl_sum(gen, [1], 300, workers=w) for w in (1, 2, 8)]
+    config = lab.ExperimentConfig(
+        kind="power-tower-curve", tower_base="1+x",
+        tower_sequences=["identity"], functions=["x"], sequences=["identity"],
+        x_samples=8, n_grid="pow2:6..9", frequency_bound=1,
+        discrepancy_method="grid", grid_m=64)
+    runs = [[(s.x, s.discrepancy.values, s.weyl_max)
+             for s in lab.run_experiment(config, workers=w).samples]
+            for w in (1, 2, 8)]
+    same = runs[0] == runs[1] == runs[2]
     elapsed = time.time() - t0
-    ok = (worst <= mpmath.mpf("1e-20") and sums[0] == sums[1] == sums[2]
-          and elapsed <= 20)
+    ok = worst <= mpmath.mpf("1e-20") and same and elapsed <= 20
     report("criterion 8: precision policy", ok, elapsed,
-           f"worst |frac err| {mpmath.nstr(worst, 3)}; workers bit-equal "
-           f"{sums[0] == sums[1] == sums[2]}")
+           f"worst |frac err| {mpmath.nstr(worst, 3)}; workers bit-equal {same}")
     assert worst <= mpmath.mpf("1e-20")
-    assert sums[0] == sums[1] == sums[2]
+    assert same
     assert elapsed <= 20
 
 

@@ -118,12 +118,21 @@ class TestRunExperiment:
             assert all(m == 1.0 for m in s.weyl_max)
 
     def test_worker_counts_agree(self):
-        r1 = lab.run_experiment(small_config(), workers=1)
-        r2 = lab.run_experiment(small_config(), workers=3)
-        for a, b in zip(r1.samples, r2.samples):
-            assert a.x == b.x
-            assert a.discrepancy.values == b.discrepancy.values
-            assert a.weyl_max == b.weyl_max
+        # the tower config sets mpmath's working precision per term
+        tower = lab.ExperimentConfig(
+            kind="power-tower-curve", tower_base="1+x",
+            tower_sequences=["identity"], functions=["x"],
+            sequences=["identity"], x_interval=(0.2, 0.8), x_samples=6,
+            seed=5, n_grid="pow2:6..9", frequency_bound=1,
+            discrepancy_method="grid", grid_m=64)
+        for config in (small_config(), tower):
+            r1 = lab.run_experiment(config, workers=1)
+            r2 = lab.run_experiment(config, workers=3)
+            assert len(r1.samples) == len(r2.samples)
+            for a, b in zip(r1.samples, r2.samples):
+                assert a.x == b.x
+                assert a.discrepancy.values == b.discrepancy.values
+                assert a.weyl_max == b.weyl_max
 
     def test_power_tower_pair_exploratory(self):
         config = lab.ExperimentConfig(

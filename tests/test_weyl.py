@@ -7,7 +7,8 @@ import pytest
 from udlab import expr as ex
 from udlab import sequences as sq
 from udlab import weyl as wy
-from udlab.numerics import frac_product, power_tower_frac_mp, tree_sum
+from udlab.numerics import (frac_product, power_tower_frac_mp, prefix_means,
+                            tree_sum)
 
 PHI = (1 + math.sqrt(5)) / 2
 X = ex.parse_expr("x")
@@ -83,8 +84,9 @@ class TestOverIndexSets:
 
     def test_prefix_series_equals_direct_sums(self):
         gen = linear_gen(PHI)
-        grid = [3, 17, 250, 999]
-        points = gen.fracs(np.arange(1, 1000))
+        # past BLOCK = 4096 the full-block partials are shared across N
+        grid = [3, 17, 250, 999, 4095, 4096, 4097, 12289]
+        points = gen.fracs(np.arange(1, 12290))
         series = wy.prefix_weyl_series(points, [1], grid)
         for N, f in zip(grid, series):
             assert f == wy.weyl_sum(gen, [1], N)
@@ -116,8 +118,12 @@ class TestMaxWeylSum:
         assert list(v) == [-2, -2]  # lexicographically first among ties
 
     def test_golden_ratio_small(self):
-        mag, _ = wy.max_weyl_sum(linear_gen(PHI), 3, 10 ** 4)
+        gen = linear_gen(PHI)
+        mag, v = wy.max_weyl_sum(gen, 3, 10 ** 4)
         assert mag <= 0.02
+        points = gen.fracs(np.arange(1, 10 ** 4 + 1))
+        mags, argmax = wy.max_weyl_series(points, 3, [100, 5000, 10 ** 4])
+        assert mags[-1] == mag and np.array_equal(argmax[-1], v)
 
     def test_diagonal_obstruction(self):
         gen = linear_gen(PHI, dim=2)
@@ -202,10 +208,16 @@ class TestPrecisionPolicy:
                 ref = mpmath.frac(mpmath.mpf(int(n)) * mpmath.mpf(x))
                 assert abs(float(ref) - g) < 1e-15
 
-    def test_worker_count_bit_stability(self):
-        gen = wy.PointGenerator([wy.TowerCoord(X, sq.identity(), 1.5)])
-        results = [wy.weyl_sum(gen, [1], 300, workers=w) for w in (1, 2, 8)]
-        assert results[0] == results[1] == results[2]
+    def test_prefix_means_match_exact_for_integers(self):
+        # integer values make every partial sum exact, so each mean is
+        # the correctly rounded N-th prefix mean
+        rng = np.random.default_rng(3)
+        vals = rng.integers(-1000, 1000, size=9000).astype(float)
+        grid = [1, 4095, 4096, 4097, 8192, 9000]
+        exact = [sum(int(v) for v in vals[:N]) / N for N in grid]
+        assert list(prefix_means(vals, grid)) == exact
+        with pytest.raises(ValueError):
+            prefix_means(vals, [0])
 
     def test_tree_sum_matches_exact_for_integers(self):
         rng = np.random.default_rng(2)
