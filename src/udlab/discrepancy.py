@@ -14,6 +14,7 @@ limit at one of the two.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -70,10 +71,10 @@ def _grid_counts(points: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
     open_bins = np.minimum(np.floor(scaled), m - 1).astype(np.int64)  # counted open above this corner
     closed_bins = np.minimum(np.ceil(scaled), m).astype(np.int64)     # counted closed from this corner on
     shape = (m + 1,) * k
-    open_hist = np.zeros(shape, dtype=np.int64)
-    closed_hist = np.zeros(shape, dtype=np.int64)
-    np.add.at(open_hist, tuple(open_bins.T), 1)
-    np.add.at(closed_hist, tuple(closed_bins.T), 1)
+    open_hist, closed_hist = (
+        np.bincount(np.ravel_multi_index(tuple(bins.T), shape),
+                    minlength=(m + 1) ** k).reshape(shape)
+        for bins in (open_bins, closed_bins))
     for axis in range(k):
         open_hist = np.cumsum(open_hist, axis=axis)
         closed_hist = np.cumsum(closed_hist, axis=axis)
@@ -87,18 +88,16 @@ def _grid_value(points: np.ndarray, m: int) -> float:
     n, k = points.shape
     open_cum, closed_cum = _grid_counts(points, m)
     axes = np.arange(1, m + 1) / m
-    vol = axes
-    for _ in range(k - 1):
-        vol = np.multiply.outer(vol, axes)
-    open_cum_aligned = open_cum  # open corner i uses bins < i, i.e. index i-1
-    return float(max(np.max(closed_cum / n - vol), np.max(vol - open_cum_aligned / n)))
+    vol = functools.reduce(np.multiply.outer, [axes] * k)
+    return float(max(np.max(closed_cum / n - vol), np.max(vol - open_cum / n)))
 
 
 def star_discrepancy_kd(points, method: str = "exact",
                         m: Optional[int] = None) -> Tuple[float, float]:
     """Star discrepancy of a k-dimensional point set.
 
-    method "exact" (k <= 2, N <= 4096) enumerates critical anchored boxes
+    method "exact" (k = 1; or k = 2 and N <= 4096) uses the sorted formula
+    in one dimension and in two enumerates critical anchored boxes
     whose corners come from the point coordinates plus 1, with both open
     and closed counts. method "grid" evaluates the defect on the m^k corner
     lattice; the returned value never exceeds the exact one and the error
@@ -112,8 +111,8 @@ def star_discrepancy_kd(points, method: str = "exact",
     if method == "exact":
         if k > 2:
             raise ValueError("exact method supports k <= 2 only")
-        if n > EXACT_KD_MAX_N:
-            raise ValueError(f"exact method capped at N = {EXACT_KD_MAX_N}")
+        if k == 2 and n > EXACT_KD_MAX_N:
+            raise ValueError(f"exact 2-d method capped at N = {EXACT_KD_MAX_N}")
         value = star_discrepancy_1d(points[:, 0]) if k == 1 else _exact_2d(points)
         return value, 0.0
     if method == "grid":
@@ -141,10 +140,10 @@ class DiscrepancyReport:
         return self.values[-1]
 
 
-def ud_trend(gen, grid: Sequence[int], method: str = "auto",
-             m: Optional[int] = None) -> DiscrepancyReport:
-    """D*_N along prefixes of a point generator, with the log-log trend
-    slope as an equidistribution diagnostic.
+def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
+                m: Optional[int] = None, source: str = "") -> DiscrepancyReport:
+    """D*_N of the prefixes points[:N] for each N in the grid, with the
+    log-log trend slope as an equidistribution diagnostic.
 
     method "auto" uses the exact formula in one dimension and the corner
     lattice elsewhere.
@@ -152,15 +151,14 @@ def ud_trend(gen, grid: Sequence[int], method: str = "auto",
     grid = [int(N) for N in grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be nonempty and strictly increasing")
-    points = gen.fracs(np.arange(1, grid[-1] + 1))
+    if grid[-1] > len(points):
+        raise ValueError(f"grid reaches N = {grid[-1]} but only {len(points)} points given")
     k = points.shape[1]
     values, errs, methods = [], [], []
     for N in grid:
         prefix = points[:N]
         if method == "exact" or (method == "auto" and k == 1):
-            v = star_discrepancy_1d(prefix[:, 0]) if k == 1 else \
-                star_discrepancy_kd(prefix, "exact")[0]
-            values.append(v)
+            values.append(star_discrepancy_kd(prefix, "exact")[0])
             errs.append(0.0)
             methods.append("exact-1d" if k == 1 else "exact-kd")
         else:
@@ -171,4 +169,11 @@ def ud_trend(gen, grid: Sequence[int], method: str = "auto",
             methods.append(f"grid({mm})")
     slope = float(np.polyfit(np.log(grid), np.log(np.maximum(values, 1e-300)), 1)[0]) \
         if len(grid) >= 2 else 0.0
-    return DiscrepancyReport(k, grid, values, errs, methods, gen.describe(), slope)
+    return DiscrepancyReport(k, grid, values, errs, methods, source, slope)
+
+
+def ud_trend(gen, grid: Sequence[int], method: str = "auto",
+             m: Optional[int] = None) -> DiscrepancyReport:
+    """D*_N along prefixes of a point generator; see dstar_trend."""
+    points = gen.fracs(np.arange(1, max(grid, default=0) + 1))
+    return dstar_trend(points, grid, method, m, gen.describe())

@@ -249,11 +249,9 @@ def _run_sample(config: ExperimentConfig, grid: List[int], index: int) -> Sample
     x = sample_x(config, index)
     try:
         gen = build_generator(config, x)
-        method = config.discrepancy_method
-        if method == "auto":
-            method = "exact" if gen.dim == 1 else "grid"
-        rep = dc.ud_trend(gen, grid, method=method, m=config.grid_m)
-        points = gen.fracs(np.arange(1, grid[-1] + 1))
+        points = gen.fracs(np.arange(1, max(grid, default=0) + 1))
+        rep = dc.dstar_trend(points, grid, config.discrepancy_method,
+                             config.grid_m, gen.describe())
         if config.kind == "diagonal-counterexample":
             series = wy.prefix_weyl_series(points, [1, -1], grid)
             mags = [abs(f) for f in series]

@@ -12,9 +12,9 @@ Point coordinates come in three recipes:
               none of the signal
   raw         caller-supplied vectors
 
-Every average goes through numerics.prefix_means, one fixed-block pairwise
-reduction: F_N is the same float whether it is computed alone or along a
-grid of prefixes.
+Every average goes through numerics.prefix_means, one running sum in
+index order: F_N is the same float whether it is computed alone or along
+a grid of prefixes.
 """
 
 from __future__ import annotations
@@ -208,22 +208,22 @@ def max_weyl_series(points: np.ndarray, V: int, grid: Sequence[int]
     """
     if V < 1:
         raise ValueError("need V >= 1")
-    grid = [int(N) for N in grid]
-    best = [-1.0] * len(grid)
-    best_v: List[Optional[np.ndarray]] = [None] * len(grid)
-    for v in frequency_box(points.shape[1], V):
-        for i, f in enumerate(_prefix_weyl_means(points, v, grid)):
-            mag = abs(complex(f))
-            if mag > best[i]:
-                best[i], best_v[i] = mag, v
-    return best, best_v
+    box = list(frequency_box(points.shape[1], V))
+    best = np.full(len(grid), -1.0)
+    best_k = np.zeros(len(grid), dtype=np.int64)
+    for k, v in enumerate(box):
+        f = _prefix_weyl_means(points, v, grid)
+        # hypot rounds as abs(complex) does; np.abs of complex128 may not
+        mags = np.hypot(f.real, f.imag)
+        better = mags > best
+        best[better] = mags[better]
+        best_k[better] = k
+    return [float(m) for m in best], [box[k] for k in best_k]
 
 
-def max_weyl_sum(gen: PointGenerator, V: int, N: int,
-                 points: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
+def max_weyl_sum(gen: PointGenerator, V: int, N: int) -> Tuple[float, np.ndarray]:
     """Maximum of |F_N| over the frequency box, as max_weyl_series at N."""
-    points = gen.fracs(np.arange(1, N + 1)) if points is None else points[:N]
-    mags, argmax = max_weyl_series(points, V, [N])
+    mags, argmax = max_weyl_series(gen.fracs(np.arange(1, N + 1)), V, [N])
     return mags[0], argmax[0]
 
 

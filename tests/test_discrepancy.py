@@ -6,8 +6,8 @@ import pytest
 from udlab import expr as ex
 from udlab import sequences as sq
 from udlab import weyl as wy
-from udlab.discrepancy import (star_discrepancy_1d, star_discrepancy_kd,
-                               ud_trend)
+from udlab.discrepancy import (dstar_trend, star_discrepancy_1d,
+                               star_discrepancy_kd, ud_trend)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -97,6 +97,10 @@ class TestTwoDimensional:
             pts = rng.random(int(rng.integers(1, 250)))
             assert star_discrepancy_kd(pts.reshape(-1, 1), "exact")[0] == \
                 star_discrepancy_1d(pts)
+        # past the 2-d size cap: the O(N log N) sorted formula has none
+        pts = rng.random(5000)
+        assert star_discrepancy_kd(pts.reshape(-1, 1), "exact") == \
+            (star_discrepancy_1d(pts), 0.0)
 
     def test_method_caps(self):
         rng = np.random.default_rng(8)
@@ -149,3 +153,13 @@ class TestTrend:
                                                  ex.parse_expr("x"), PHI)])
         with pytest.raises(ValueError):
             ud_trend(gen, [100, 100])
+
+    def test_trend_of_given_points_matches_generator_trend(self):
+        gen = wy.PointGenerator([wy.ProductCoord(sq.identity(), ex.parse_expr("x"), PHI),
+                                 wy.ProductCoord(sq.identity(), ex.parse_expr("x^2"), PHI)])
+        grid = [16, 64, 256]
+        points = gen.fracs(np.arange(1, 257))
+        assert dstar_trend(points, grid, "grid", 64, gen.describe()) == \
+            ud_trend(gen, grid, "grid", 64)
+        with pytest.raises(ValueError):
+            dstar_trend(points[:255], grid)

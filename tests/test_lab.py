@@ -134,6 +134,21 @@ class TestRunExperiment:
                 assert a.discrepancy.values == b.discrepancy.values
                 assert a.weyl_max == b.weyl_max
 
+    def test_each_sample_generates_its_points_once(self, monkeypatch):
+        calls = []
+        build = lab.build_generator
+
+        def counting_build(config, x):
+            gen = build(config, x)
+            fracs = gen.fracs
+            gen.fracs = lambda indices: calls.append(len(indices)) or fracs(indices)
+            return gen
+
+        monkeypatch.setattr(lab, "build_generator", counting_build)
+        report = lab.run_experiment(small_config())
+        assert calls == [512] * 4
+        assert report.verdict == "pass"
+
     def test_power_tower_pair_exploratory(self):
         config = lab.ExperimentConfig(
             kind="power-tower-pair", tower_base="x",

@@ -7,8 +7,8 @@ import pytest
 from udlab import expr as ex
 from udlab import sequences as sq
 from udlab import weyl as wy
-from udlab.numerics import (frac_product, power_tower_frac_mp, prefix_means,
-                            tree_sum)
+from udlab.numerics import (e_phase, frac_product, power_tower_frac_mp,
+                            prefix_means, tree_sum)
 
 PHI = (1 + math.sqrt(5)) / 2
 X = ex.parse_expr("x")
@@ -84,7 +84,8 @@ class TestOverIndexSets:
 
     def test_prefix_series_equals_direct_sums(self):
         gen = linear_gen(PHI)
-        # past BLOCK = 4096 the full-block partials are shared across N
+        # small and large prefixes of one running sum: entry N-1 does not
+        # depend on how many values follow it
         grid = [3, 17, 250, 999, 4095, 4096, 4097, 12289]
         points = gen.fracs(np.arange(1, 12290))
         series = wy.prefix_weyl_series(points, [1], grid)
@@ -124,6 +125,16 @@ class TestMaxWeylSum:
         points = gen.fracs(np.arange(1, 10 ** 4 + 1))
         mags, argmax = wy.max_weyl_series(points, 3, [100, 5000, 10 ** 4])
         assert mags[-1] == mag and np.array_equal(argmax[-1], v)
+
+    def test_series_is_first_maximum_of_abs_over_box(self):
+        points = np.random.default_rng(4).random((1000, 2))
+        grid = list(range(1, 1001))
+        box = list(wy.frequency_box(2, 2))
+        rows = [[abs(f) for f in wy.prefix_weyl_series(points, v, grid)] for v in box]
+        mags, argmax = wy.max_weyl_series(points, 2, grid)
+        for i, column in enumerate(zip(*rows)):
+            assert mags[i] == max(column)
+            assert np.array_equal(argmax[i], box[column.index(max(column))])
 
     def test_diagonal_obstruction(self):
         gen = linear_gen(PHI, dim=2)
@@ -218,6 +229,20 @@ class TestPrecisionPolicy:
         assert list(prefix_means(vals, grid)) == exact
         with pytest.raises(ValueError):
             prefix_means(vals, [0])
+
+    def test_prefix_means_within_recursive_summation_bound(self):
+        # a running sum of N unit phases errs by at most (N-1) 2^-53 N per
+        # component, so each mean is within N 2^-52 of the exact mean
+        n = 2 ** 17
+        grid = [1, 2, 100, 4097, 10 ** 4, 65536, n]
+        phases = {"random": np.random.default_rng(5).random(n),
+                  "golden ratio": linear_gen(PHI).fracs(np.arange(1, n + 1))[:, 0]}
+        for name, t in phases.items():
+            vals = e_phase(t)
+            for N, f in zip(grid, prefix_means(vals, grid)):
+                for part, got in ((vals.real, f.real), (vals.imag, f.imag)):
+                    assert abs(got - math.fsum(part[:N]) / N) <= N * 2.0 ** -52, \
+                        (name, N)
 
     def test_tree_sum_matches_exact_for_integers(self):
         rng = np.random.default_rng(2)
