@@ -10,6 +10,10 @@ reports the additive bound k/m.
 Atoms are handled by evaluating both the open and the closed count at
 every critical corner; the sup over half-open boxes is attained in the
 limit at one of the two.
+
+Lattice values along a grid of prefixes come from running histograms, to
+which each grid point adds only the points since the previous one; a
+single value is the one-point-grid case. Non-finite points are refused.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ GRID_M_DEFAULT_3D = 64
 
 
 def _check_unit(points: np.ndarray):
-    if np.any(points < 0.0) or np.any(points >= 1.0):
-        raise ValueError("points must lie in [0, 1)")
+    if not np.all((points >= 0.0) & (points < 1.0)):  # NaN fails both
+        raise ValueError("points must be finite and lie in [0, 1)")
 
 
 def star_discrepancy_1d(points) -> float:
@@ -62,34 +66,37 @@ def _exact_2d(points: np.ndarray) -> float:
     return best
 
 
-def _grid_counts(points: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Cumulative open/closed counts at the lattice corners (i_1..i_k)/m,
-    i in 1..m. Index j of the histogram axis collects points whose
-    coordinate lies in bin j."""
-    n, k = points.shape
-    scaled = points * m
-    open_bins = np.minimum(np.floor(scaled), m - 1).astype(np.int64)  # counted open above this corner
-    closed_bins = np.minimum(np.ceil(scaled), m).astype(np.int64)     # counted closed from this corner on
-    shape = (m + 1,) * k
-    open_hist, closed_hist = (
-        np.bincount(np.ravel_multi_index(tuple(bins.T), shape),
-                    minlength=(m + 1) ** k).reshape(shape)
-        for bins in (open_bins, closed_bins))
-    for axis in range(k):
-        open_hist = np.cumsum(open_hist, axis=axis)
-        closed_hist = np.cumsum(closed_hist, axis=axis)
-    # corner (i_1..i_k)/m, i >= 1: open count excludes bin i and beyond
-    open_cum = open_hist[(slice(0, m),) * k]
-    closed_cum = closed_hist[(slice(1, m + 1),) * k]
-    return open_cum, closed_cum
+def _lattice_dstar(points: np.ndarray, grid: Sequence[int], m: int) -> List[float]:
+    """Lattice D* of points[:N] at the corners (i_1..i_k)/m, i in 1..m, for
+    each N in the grid, from running histograms of the open bins floor(m x)
+    and the closed bins ceil(m x) - 1. The two agree off the lattice lines,
+    so closed counts are summed only once some point lies on a line."""
+    k = points.shape[1]
+    shape = (m,) * k
+    scaled = points[:grid[-1]] * m
+    open_idx, closed_idx = (
+        np.ravel_multi_index(tuple(bins.astype(np.int64).T), shape, mode="clip")
+        for bins in (np.floor(scaled), np.ceil(scaled) - 1))
+    on_line = np.cumsum(open_idx != closed_idx) > 0
+    vol = functools.reduce(np.multiply.outer, [np.arange(1, m + 1) / m] * k)
+    opened, closed = np.zeros(m ** k, np.int64), np.zeros(m ** k, np.int64)
+    cum, dev = np.empty(shape, np.int64), np.empty(shape)
 
+    def deviation(counts, N):  # cumulative count / N - volume at each corner
+        np.cumsum(counts.reshape(shape), axis=0, out=cum)
+        for axis in range(1, k):
+            np.cumsum(cum, axis=axis, out=cum)
+        return np.subtract(np.divide(cum, N, out=dev), vol, out=dev)
 
-def _grid_value(points: np.ndarray, m: int) -> float:
-    n, k = points.shape
-    open_cum, closed_cum = _grid_counts(points, m)
-    axes = np.arange(1, m + 1) / m
-    vol = functools.reduce(np.multiply.outer, [axes] * k)
-    return float(max(np.max(closed_cum / n - vol), np.max(vol - open_cum / n)))
+    values, start = [], 0
+    for N in grid:
+        np.add.at(opened, open_idx[start:N], 1)
+        np.add.at(closed, closed_idx[start:N], 1)
+        start = N
+        below = -float(np.min(deviation(opened, N)))
+        above = float(np.max(deviation(closed, N) if on_line[N - 1] else dev))
+        values.append(max(above, below))
+    return values
 
 
 def star_discrepancy_kd(points, method: str = "exact",
@@ -116,11 +123,8 @@ def star_discrepancy_kd(points, method: str = "exact",
         value = star_discrepancy_1d(points[:, 0]) if k == 1 else _exact_2d(points)
         return value, 0.0
     if method == "grid":
-        if m is None:
-            m = GRID_M_DEFAULT_2D if k <= 2 else GRID_M_DEFAULT_3D
-        if m < 2:
-            raise ValueError("need m >= 2 grid cells per axis")
-        return _grid_value(points, m), k / m
+        rep = dstar_trend(points, [n], "grid", m)
+        return rep.values[0], rep.error_bounds[0]
     raise ValueError(f"unknown method '{method}'")
 
 
@@ -149,27 +153,26 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
     lattice elsewhere.
     """
     grid = [int(N) for N in grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be nonempty and strictly increasing")
+    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be nonempty, positive and strictly increasing")
     if grid[-1] > len(points):
         raise ValueError(f"grid reaches N = {grid[-1]} but only {len(points)} points given")
     k = points.shape[1]
-    values, errs, methods = [], [], []
-    for N in grid:
-        prefix = points[:N]
-        if method == "exact" or (method == "auto" and k == 1):
-            values.append(star_discrepancy_kd(prefix, "exact")[0])
-            errs.append(0.0)
-            methods.append("exact-1d" if k == 1 else "exact-kd")
-        else:
-            mm = m or (GRID_M_DEFAULT_2D if k <= 2 else GRID_M_DEFAULT_3D)
-            v, e = star_discrepancy_kd(prefix, "grid", mm)
-            values.append(v)
-            errs.append(e)
-            methods.append(f"grid({mm})")
+    if method == "exact" or (method == "auto" and k == 1):
+        values = [star_discrepancy_kd(points[:N], "exact")[0] for N in grid]
+        err, label = 0.0, "exact-1d" if k == 1 else "exact-kd"
+    elif method in ("auto", "grid"):
+        _check_unit(points[:grid[-1]])
+        m = (GRID_M_DEFAULT_2D if k <= 2 else GRID_M_DEFAULT_3D) if m is None else m
+        if m < 2:
+            raise ValueError("need m >= 2 grid cells per axis")
+        values, err, label = _lattice_dstar(points, grid, m), k / m, f"grid({m})"
+    else:
+        raise ValueError(f"unknown method '{method}'")
     slope = float(np.polyfit(np.log(grid), np.log(np.maximum(values, 1e-300)), 1)[0]) \
         if len(grid) >= 2 else 0.0
-    return DiscrepancyReport(k, grid, values, errs, methods, source, slope)
+    return DiscrepancyReport(k, grid, values, [err] * len(grid), [label] * len(grid),
+                             source, slope)
 
 
 def ud_trend(gen, grid: Sequence[int], method: str = "auto",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -406,7 +406,17 @@ class IndexSetView:
         return iter(self.members())
 
 
+def index_set_views(family: IndexSetFamily, grid: Sequence[int]) -> List[IndexSetView]:
+    """index_sets(family, N) for each N in the grid. The sums of 1/|S_M|
+    come from one running sum over M = 1..max(grid), in index order."""
+    grid = [int(N) for N in grid]
+    stops, partial, total = set(grid), {}, 0.0
+    for M in range(1, max(grid, default=0) + 1):
+        total += 1.0 / index_set_size(family, M)
+        if M in stops:
+            partial[M] = total
+    return [IndexSetView(N, index_set_size(family, N), partial[N], family) for N in grid]
+
+
 def index_sets(family: IndexSetFamily, N: int) -> IndexSetView:
-    size = index_set_size(family, N)
-    partial = sum(1.0 / index_set_size(family, M) for M in range(1, N + 1))
-    return IndexSetView(N, size, partial, family)
+    return index_set_views(family, [N])[0]

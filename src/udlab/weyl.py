@@ -14,7 +14,9 @@ Point coordinates come in three recipes:
 
 Every average goes through numerics.prefix_means, one running sum in
 index order: F_N is the same float whether it is computed alone or along
-a grid of prefixes.
+a grid of prefixes. A frequency whose first nonzero entry is positive is
+summed as the conjugate of its negation, so F_N(-v) == conj F_N(v) bit for
+bit and the box maximum scans one of each pair v, -v. Non-finite points raise.
 """
 
 from __future__ import annotations
@@ -140,8 +142,14 @@ def _check_frequency(v, dim: int) -> np.ndarray:
 
 def _prefix_weyl_means(points: np.ndarray, v: np.ndarray,
                        grid: Sequence[int]) -> np.ndarray:
-    """F_N over the first N points, for each N in the grid."""
+    """F_N over the first N points, for each N in the grid. A frequency whose
+    first nonzero entry is positive is summed as the conjugate of its
+    negation, so F_N(-v) == conj F_N(v) exactly."""
+    if v[np.flatnonzero(v)[0]] > 0:
+        return np.conj(_prefix_weyl_means(points, -v, grid))
     phase = points @ v.astype(float)
+    if not np.all(np.isfinite(phase)):
+        raise ValueError("point coordinates must be finite")
     return prefix_means(e_phase(phase - np.floor(phase)), grid)
 
 
@@ -171,17 +179,12 @@ def weyl_sum_over_sets(gen: PointGenerator, v, family: sq.IndexSetFamily,
     """F_N over the index sets S_N of the family, for each N in the grid,
     with the divergence diagnostic sum of 1/|S_M|."""
     v = _check_frequency(v, gen.dim)
-    averages, mags, sizes, partials = [], [], [], []
-    for N in grid:
-        view = sq.index_sets(family, int(N))
-        points = gen.fracs(view.members())
-        f = complex(_prefix_weyl_means(points, v, [len(points)])[0])
-        averages.append(f)
-        mags.append(abs(f))
-        sizes.append(view.size)
-        partials.append(view.partial_inverse_sum)
-    return WeylSumSeries(v, [int(N) for N in grid], averages, mags, sizes,
-                         partials, gen.precision_bits, family)
+    views = sq.index_set_views(family, grid)
+    averages = [complex(_prefix_weyl_means(gen.fracs(w.members()), v, [w.size])[0])
+                for w in views]
+    return WeylSumSeries(v, [w.N for w in views], averages, [abs(f) for f in averages],
+                         [w.size for w in views], [w.partial_inverse_sum for w in views],
+                         gen.precision_bits, family)
 
 
 def prefix_weyl_series(points: np.ndarray, v, grid: Sequence[int]) -> List[complex]:
@@ -204,11 +207,15 @@ def max_weyl_series(points: np.ndarray, V: int, grid: Sequence[int]
     with its maximizer.
 
     Ties keep the lexicographically first maximizer (strict improvement
-    comparison over the lexicographic enumeration).
+    comparison over the lexicographic enumeration). Only the first half of
+    the box, whose first nonzero entries are negative, is scanned: the
+    second half holds their negations, and |F_N(-v)| == |F_N(v)| exactly,
+    so none of it can improve strictly on its earlier partner.
     """
     if V < 1:
         raise ValueError("need V >= 1")
     box = list(frequency_box(points.shape[1], V))
+    box = box[:len(box) // 2]
     best = np.full(len(grid), -1.0)
     best_k = np.zeros(len(grid), dtype=np.int64)
     for k, v in enumerate(box):

@@ -29,6 +29,23 @@ def brute_force_2d(points, extra_resolution=64):
     return best
 
 
+def lattice_oracle(points, m):
+    """Independent lattice oracle: at every corner (i_1..i_k)/m count the
+    points with ceil(m x) <= i (closed) and floor(m x) < i (open) in every
+    coordinate by direct comparison."""
+    n, k = points.shape
+    scaled = points * m
+    corners = np.arange(1, m + 1)
+    closed = [(np.ceil(scaled[:, j, None]) <= corners).astype(np.int64) for j in range(k)]
+    opened = [(np.floor(scaled[:, j, None]) < corners).astype(np.int64) for j in range(k)]
+    spec = ",".join("n" + "abc"[j] for j in range(k)) + "->" + "abc"[:k]
+    vol = np.ones((m,) * k)
+    for j in range(k):
+        vol = vol * (corners / m).reshape((m,) + (1,) * (k - 1 - j))
+    return max(np.max(np.einsum(spec, *closed) / n - vol),
+               np.max(vol - np.einsum(spec, *opened) / n))
+
+
 class TestOneDimensional:
     def test_single_point(self):
         assert star_discrepancy_1d([0.5]) == 0.5
@@ -124,6 +141,21 @@ class TestThreeDimensionalGrid:
         assert value > 0.95
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_entry_point_raises(self, bad):
+        points = np.random.default_rng(13).random((20, 2))
+        points[7, 1] = bad
+        calls = [lambda: star_discrepancy_1d(points[:, 1]),
+                 lambda: star_discrepancy_kd(points, "exact"),
+                 lambda: star_discrepancy_kd(points, "grid", 16),
+                 lambda: dstar_trend(points, [5, 20], "grid", 16),
+                 lambda: dstar_trend(points[:, 1:], [5, 20])]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+
 class TestTrend:
     def test_golden_ratio_low_discrepancy(self):
         gen = wy.PointGenerator([wy.ProductCoord(sq.identity(),
@@ -153,6 +185,24 @@ class TestTrend:
                                                  ex.parse_expr("x"), PHI)])
         with pytest.raises(ValueError):
             ud_trend(gen, [100, 100])
+
+    def test_lattice_trend_equals_value_of_each_prefix(self):
+        # the incremental trend and the one-prefix value agree bit for bit,
+        # also with atoms on the lattice lines (multiples of 1/m, and 0)
+        rng = np.random.default_rng(10)
+        for k, ms in ((1, (16, 10)), (2, (64, 24)), (3, (16, 12))):
+            for m in ms:
+                points = rng.random((700, k))
+                on_line = rng.random((700, k)) < 0.2
+                points[on_line] = rng.integers(0, m, on_line.sum()) / m
+                points[650:] = points[3]
+                grid = [1, 2, 5, 40, 300, 649, 650, 700]
+                rep = dstar_trend(points, grid, "grid", m)
+                assert rep.values == [star_discrepancy_kd(points[:N], "grid", m)[0]
+                                      for N in grid]
+                for N, value in zip(grid, rep.values):
+                    assert value == lattice_oracle(points[:N], m)
+                assert rep.methods == [f"grid({m})"] * len(grid)
 
     def test_trend_of_given_points_matches_generator_trend(self):
         gen = wy.PointGenerator([wy.ProductCoord(sq.identity(), ex.parse_expr("x"), PHI),

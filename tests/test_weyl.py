@@ -93,6 +93,22 @@ class TestOverIndexSets:
             assert f == wy.weyl_sum(gen, [1], N)
             assert abs(f) <= 1.0 + 1e-12
 
+    def test_partial_inverse_sums_are_one_running_sum(self):
+        # one pass up to max(grid), adding 1/|S_M| in index order, gives the
+        # per-N diagnostic of index_sets bit for bit
+        gen = linear_gen(PHI)
+        for family, grid in ((sq.prefixes(), [1, 2, 7, 100, 2500]),
+                             (sq.geometric(1.5), [1, 3, 4, 12]),
+                             (sq.strided(3), [2, 5, 300])):
+            series = wy.weyl_sum_over_sets(gen, [1], family, grid)
+            assert series.inverse_size_partial_sums == \
+                [sq.index_sets(family, N).partial_inverse_sum for N in grid]
+            for N, partial in zip(grid, series.inverse_size_partial_sums):
+                running = 0.0
+                for M in range(1, N + 1):
+                    running += 1.0 / sq.index_set_size(family, M)
+                assert partial == running
+
     def test_raw_coordinate_recipe(self):
         gen = wy.PointGenerator([wy.RawCoord(lambda n: n * math.sqrt(2)),
                                  wy.RawCoord(lambda n: n * math.sqrt(3))])
@@ -136,12 +152,45 @@ class TestMaxWeylSum:
             assert mags[i] == max(column)
             assert np.array_equal(argmax[i], box[column.index(max(column))])
 
+    def test_negated_frequency_is_exact_conjugate(self):
+        rng = np.random.default_rng(11)
+        grid = [1, 2, 9, 400, 1500]
+        for dim in (1, 2, 3):
+            points = rng.random((1500, dim))
+            for _ in range(4):
+                v = rng.integers(-4, 5, dim)
+                if not v.any():
+                    continue
+                plus = wy.prefix_weyl_series(points, v, grid)
+                minus = wy.prefix_weyl_series(points, -v, grid)
+                assert minus == [np.conj(f) for f in plus]
+
+    def test_maximizer_has_negative_leading_entry(self):
+        points = np.random.default_rng(12).random((3000, 2))
+        for V in (1, 3):
+            _, argmax = wy.max_weyl_series(points, V, [10, 100, 3000])
+            for v in argmax:
+                assert v[np.flatnonzero(v)[0]] < 0
+
     def test_diagonal_obstruction(self):
         gen = linear_gen(PHI, dim=2)
         assert wy.weyl_sum(gen, [1, -1], 10 ** 4) == 1.0
         mag, v = wy.max_weyl_sum(gen, 1, 10 ** 4)
         assert mag == 1.0
         assert abs(v[0]) == 1 and v[1] == -v[0]
+
+
+class TestNonFinite:
+    def test_non_finite_coordinates_raise(self):
+        gen = wy.PointGenerator([wy.RawCoord(lambda n: n * PHI),
+                                 wy.RawCoord(lambda n: np.where(n == 5, np.inf, n * 0.3))])
+        points = gen.fracs(np.arange(1, 11))
+        with pytest.raises(ValueError, match="finite"):
+            wy.weyl_sum(gen, [1, 1], 10)
+        with pytest.raises(ValueError, match="finite"):
+            wy.prefix_weyl_series(points, [0, -1], [4, 10])
+        with pytest.raises(ValueError, match="finite"):
+            wy.max_weyl_series(points, 1, [10])
 
 
 class TestSublacunaryGrid:
