@@ -64,11 +64,11 @@ print(f"\nsublacunary grid (eps' = 0.5): head {grid[:6]}, tail ratios {ratios}")
 
 # ---------------------------------------------------------------------------
 # Power towers g(x)^b(n) overflow doubles long before the fractional
-# part stops mattering; phases are extracted in arbitrary precision
-# sized to the integer part plus guard bits.
+# part stops mattering; for integer b(n) >= 0 phases are extracted in
+# exact integer fixed point, 96 guard bits past what the integer part needs.
 
 tower = PointGenerator([TowerCoord(X, identity(), 1.5)])
 print("\nx_n = {1.5^n}: first six fracs:",
       np.round(tower.fracs(np.arange(1, 7))[:, 0], 6))
 print(f"  |F_N(v=1)| at N = 300: {abs(weyl_sum(tower, [1], 300)):.4f}"
-      f"  (working precision {tower.precision_bits} bits at the top)")
+      f"  (fixed point with {tower.precision_bits} fractional bits)")

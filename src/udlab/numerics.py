@@ -11,16 +11,18 @@ grid of N it is computed along.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import mpmath
 
 TWO_PI = 2.0 * math.pi
 
-# Extra mantissa bits for power-tower fractional parts beyond the integer
-# part of the phase. 64 left worst-case errors a shade above 1e-20; 96
-# gives two orders of margin at negligible cost.
+# Fractional bits kept for power-tower fractional parts beyond what the
+# integer part of the phase needs: mantissa bits of the mpmath route, and
+# the margin over the truncation error of the fixed-point route, whose
+# error is then at most 2**-96. 64 left worst-case errors a shade above
+# 1e-20; 96 gives two orders of margin at negligible cost.
 TOWER_GUARD_BITS = 96
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
@@ -112,6 +114,44 @@ def power_tower_frac(g: float, b: float, guard_bits: int = TOWER_GUARD_BITS) -> 
     """Double-precision fractional part of g**b under the working-precision
     policy of power_tower_frac_mp."""
     return float(power_tower_frac_mp(g, b, guard_bits))
+
+
+def power_tower_fracs_fixed(g: float, exponents, guard_bits: int = TOWER_GUARD_BITS
+                            ) -> Tuple[np.ndarray, int]:
+    """Fractional parts of g**e for non-negative integer exponents e, in
+    exact integer fixed point, with the number F of fractional bits used.
+
+    A double g > 1 is exactly M / 2**k. Along the sorted distinct
+    exponents, X = floor-truncated g**e * 2**F steps to the next exponent
+    by X = (X * M**d) >> (k*d). Each step truncates by less than one unit
+    and later steps scale that by g per exponent, so X errs by less than
+    g**e_max / (g - 1) units; F = ceil(e_max*log2 g + log2(1/(g-1))) +
+    guard_bits keeps the fractional part within 2**-guard_bits. It is read
+    from the low F bits by Python's correctly rounded int division, and a
+    value that rounds to 1.0 is returned as 0.0."""
+    g = float(g)
+    if not (math.isfinite(g) and g > 1.0):
+        raise ValueError(f"power tower base must be finite and exceed 1, got {g}")
+    distinct, inverse = np.unique(np.asarray(exponents, dtype=np.int64),
+                                  return_inverse=True)
+    if len(distinct) and distinct[0] < 0:
+        raise ValueError("exponents must be non-negative")
+    M, den = g.as_integer_ratio()
+    k = den.bit_length() - 1
+    e_max = int(distinct[-1]) if len(distinct) else 0
+    F = math.ceil(e_max * math.log2(g) - math.log2(g - 1.0)) + guard_bits
+    one = 1 << F
+    mask = one - 1
+    X, e = one, 0
+    fracs = np.empty(len(distinct))
+    for i, target in enumerate(distinct.tolist()):
+        if target > e:
+            d = target - e
+            X = (X * M ** d) >> (k * d)
+            e = target
+        f = (X & mask) / one
+        fracs[i] = f if f < 1.0 else 0.0
+    return fracs[inverse], F
 
 
 def chebyshev_nodes(lo: float, hi: float, m: int) -> np.ndarray:

@@ -47,11 +47,21 @@ def _check_args(N: int, delta: float):
         raise ValueError("delta must lie in (0, 1]")
 
 
+def _finite_values(a, ns: np.ndarray) -> np.ndarray:
+    vals = np.asarray(a(ns), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("sequence values must be finite")
+    return vals
+
+
 def _exact_sum(a, N: int, delta: float) -> float:
+    """Direct pair sum. Values from an evaluator without the abs_diff hook
+    must be finite; hook differences may be inf (contributing 0) but not
+    NaN."""
     has_hook = hasattr(a, "abs_diff")
     vals = None
     if not has_hook:
-        vals = np.asarray(a(np.arange(1, N + 1)), dtype=float)
+        vals = _finite_values(a, np.arange(1, N + 1))
     chunk_sums = []
     for lo in range(2, N + 1, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, N + 1)
@@ -64,7 +74,10 @@ def _exact_sum(a, N: int, delta: float) -> float:
         c = _contrib(diffs, delta)
         c = np.where(ms[None, :] < ns[:, None], c, 0.0)
         chunk_sums.append(float(np.sum(c)))
-    return math.fsum(chunk_sums) / (N * N)
+    total = math.fsum(chunk_sums)
+    if math.isnan(total):
+        raise ValueError("sequence differences must not be NaN")
+    return total / (N * N)
 
 
 def _count_pairs_within(vals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -83,9 +96,7 @@ def _count_pairs_within(vals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 
 def _bucketed_sum(a, N: int, delta: float, eta: float) -> Tuple[float, float]:
-    vals = np.sort(np.asarray(a(np.arange(1, N + 1)), dtype=float))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("bucketed mode requires finite sequence values")
+    vals = np.sort(_finite_values(a, np.arange(1, N + 1)))
     span = float(vals[-1] - vals[0])
     within_one = _count_pairs_within(vals, np.array([1.0]))[0]
     exact_part = float(within_one)  # each such pair contributes exactly 1
@@ -206,6 +217,8 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
     All constrained pairs are scanned when their count fits the budget;
     otherwise every boundary pair m = ceil(n + n/(log n)^(1+eps)) is
     scanned plus budget-many seeded uniform pairs beyond the threshold.
+    Values from an evaluator without the abs_diff hook must be finite,
+    and a NaN difference raises.
     """
     if N < 8:
         raise ValueError("need N >= 8")
@@ -216,14 +229,19 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
     m0 = np.where(np.isfinite(m0), m0, np.inf)
     counts = np.maximum(0, N - m0 + 1)
     total = int(np.sum(counts[np.isfinite(counts)]))
+    if not hasattr(a, "abs_diff"):
+        _finite_values(a, ns_all)
 
-    def scan(ns: np.ndarray, ms: np.ndarray) -> Optional[Tuple[int, int]]:
+    def scan(ns: np.ndarray, ms: np.ndarray, mask=True) -> Optional[Tuple[int, int]]:
         diffs = sq.abs_difference(a, ns, ms)
-        bad = np.nonzero(diffs <= g)[0]
-        if len(bad):
-            i = int(bad[0])
-            return int(ns.flat[i]), int(ms.flat[i])
-        return None
+        # ~(d > g) also flags NaN, so a NaN difference costs no extra pass
+        hits = np.flatnonzero(~(diffs > g) & mask)
+        if not len(hits):
+            return None
+        i = int(hits[0])
+        if np.isnan(diffs.flat[i]):
+            raise ValueError("sequence differences must not be NaN")
+        return int(ns.flat[i]), int(ms.flat[i])
 
     if total <= budget:
         checked = 0
@@ -237,13 +255,10 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
             nmat = np.broadcast_to(rows[:, None], (len(rows), len(cols)))
             mmat = np.broadcast_to(cols[None, :], (len(rows), len(cols)))
             mask = mmat >= row_m0[:, None]
-            diffs = sq.abs_difference(a, nmat, mmat)
-            viol = (diffs <= g) & mask
+            wit = scan(nmat, mmat, mask)
             checked += int(np.count_nonzero(mask))
-            if np.any(viol):
-                i, j = np.argwhere(viol)[0]
-                return GrowthReport(eps, g, N, "fail", (int(nmat[i, j]), int(mmat[i, j])),
-                                    "exhaustive", checked)
+            if wit is not None:
+                return GrowthReport(eps, g, N, "fail", wit, "exhaustive", checked)
         return GrowthReport(eps, g, N, "pass", None, "exhaustive", checked)
 
     # boundary pairs first

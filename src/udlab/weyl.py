@@ -6,10 +6,11 @@ Point coordinates come in three recipes:
               double-double arithmetic, since for large a(n) the fractional
               part lives entirely below the rounding error of a plain
               double product
-  power-tower g(x)**b(n) at a fixed x with g(x) > 1; reduced mod 1 in
-              arbitrary precision sized to ceil(b * log2 g) plus guard
-              bits, because the integer part grows with n and doubles keep
-              none of the signal
+  power-tower g(x)**b(n) at a fixed x with g(x) > 1; the integer part
+              grows with n and doubles keep none of the signal, so
+              integer exponents b(n) >= 0 are reduced mod 1 in exact
+              integer fixed point, within 2**-96, and any other exponent
+              in mpmath at ceil(b * log2 g) plus guard bits
   raw         caller-supplied vectors
 
 Every average goes through numerics.prefix_means, one running sum in
@@ -31,7 +32,7 @@ import numpy as np
 from . import expr as ex
 from . import sequences as sq
 from .numerics import (TOWER_GUARD_BITS, e_phase, frac_product,
-                       power_tower_frac, prefix_means)
+                       power_tower_frac, power_tower_fracs_fixed, prefix_means)
 
 
 # ---------------------------------------------------------------------------
@@ -68,19 +69,28 @@ class TowerCoord:
         self.guard_bits = guard_bits
         self._b = sq.make_sequence(b_spec)
         self._gx = float(ex.evaluate(g, self.x))
-        if not self._gx > 1.0:
-            raise ValueError(f"power-tower base g(x) = {self._gx} must exceed 1")
+        if not (math.isfinite(self._gx) and self._gx > 1.0):
+            raise ValueError(f"power-tower base g(x) = {self._gx} must be finite and exceed 1")
         self.precision_bits = guard_bits  # grows with n; updated as used
 
     def fracs(self, indices: np.ndarray) -> np.ndarray:
+        """Non-negative integer exponents go through exact fixed point,
+        any other exponent through mpmath, point by point."""
         b = np.asarray(self._b(indices), dtype=float)
         out = np.empty(len(b))
-        for i, bn in enumerate(b):
-            out[i] = power_tower_frac(self._gx, float(bn), self.guard_bits)
-        max_b = float(np.max(b, initial=0.0))
-        self.precision_bits = max(
-            self.precision_bits,
-            int(math.ceil(max(max_b, 0.0) * math.log2(self._gx))) + self.guard_bits)
+        whole = np.isfinite(b) & (b >= 0) & (b == np.floor(b))
+        if np.any(whole):
+            out[whole], bits = power_tower_fracs_fixed(
+                self._gx, b[whole].astype(np.int64), self.guard_bits)
+            self.precision_bits = max(self.precision_bits, bits)
+        rest = np.flatnonzero(~whole)
+        for i in rest:
+            out[i] = power_tower_frac(self._gx, float(b[i]), self.guard_bits)
+        if len(rest):
+            max_b = float(np.max(b[rest]))
+            self.precision_bits = max(
+                self.precision_bits,
+                int(math.ceil(max(max_b, 0.0) * math.log2(self._gx))) + self.guard_bits)
         return out
 
     def describe(self) -> str:
@@ -121,10 +131,6 @@ class PointGenerator:
 
     def describe(self) -> str:
         return "; ".join(c.describe() for c in self.coords)
-
-
-def product_generator(pairs: Sequence[Tuple[sq.SequenceSpec, ex.Node]], x: float) -> PointGenerator:
-    return PointGenerator([ProductCoord(s, f, x) for s, f in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ class TestRunExperiment:
             assert all(m == 1.0 for m in s.weyl_max)
 
     def test_worker_counts_agree(self):
-        # the tower config sets mpmath's working precision per term
+        # the tower config runs big-integer fixed point in every worker
         tower = lab.ExperimentConfig(
             kind="power-tower-curve", tower_base="1+x",
             tower_sequences=["identity"], functions=["x"],

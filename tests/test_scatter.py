@@ -165,6 +165,60 @@ class TestGrowthCheck:
             weyl_growth_check(IDENTITY, 100, -1.0, 1.0)
 
 
+def nan_at_five(n):
+    v = np.asarray(n, dtype=float)
+    return np.where(v == 5, np.nan, v)
+
+
+class NanDifferenceHook:
+    """The identity, except that every difference from n = 5 reads NaN
+    through the exact-difference hook."""
+
+    def __call__(self, n):
+        return np.asarray(n, dtype=float)
+
+    def abs_diff(self, n, m):
+        n = np.asarray(n)
+        return np.where(n == 5, np.nan, np.abs(n - np.asarray(m)).astype(float))
+
+
+class TestNonFinite:
+    def test_overflowing_values_raise(self):
+        # n^1000 is inf from n = 3 on; this used to give S = nan and
+        # evidence_scattered = True
+        ev = sq.make_sequence(sq.custom("n^1000"))
+        with pytest.raises(ValueError, match="finite"):
+            fit_scatter(ev, 1.0, [8, 16, 32, 64])
+        with pytest.raises(ValueError, match="finite"):
+            joint_scatter_check([sq.custom("n^1000"), sq.identity()], 1.0,
+                                [8, 16, 32, 64], 3)
+
+    @pytest.mark.parametrize("mode", ["exact", "bucketed"])
+    def test_nan_value_raises_in_pair_sum(self, mode):
+        with pytest.raises(ValueError, match="finite"):
+            scatter_sum(nan_at_five, 64, 1.0, mode=mode)
+
+    def test_nan_value_raises_in_growth_scan(self):
+        with pytest.raises(ValueError, match="finite"):
+            weyl_growth_check(nan_at_five, 100, 0.5, 0.5)
+
+    def test_nan_hook_difference_raises(self):
+        hook = NanDifferenceHook()
+        with pytest.raises(ValueError, match="NaN"):
+            scatter_sum(hook, 64, 1.0, mode="exact")
+        with pytest.raises(ValueError, match="NaN"):
+            weyl_growth_check(hook, 100, 0.5, 0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            weyl_growth_check(hook, 3000, 0.1, 0.5, budget=2000)
+
+    def test_infinite_hook_differences_stay_legal(self):
+        # iterated-exp blocks overflow doubles from n = e^7 ~ 1097 on
+        ev = sq.make_sequence(sq.iterated_exp())
+        assert np.isinf(ev.abs_diff(1200, 10))
+        assert math.isfinite(scatter_sum(ev, 1200, 1.0, mode="exact").S)
+        assert weyl_growth_check(ev, 1200, 0.5, 0.5).verdict == "fail"
+
+
 class TestJointScatter:
     def test_structure_and_axis_directions(self):
         rep = joint_scatter_check([sq.identity(), sq.power(0.5)], 1.0,

@@ -3,8 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udlab import expr as ex
+from udlab import numerics
 from udlab import sequences as sq
 from udlab import weyl as wy
 from udlab.numerics import (e_phase, frac_product, power_tower_frac_mp,
@@ -256,6 +259,8 @@ class TestPrecisionPolicy:
     def test_tower_base_validation(self):
         with pytest.raises(ValueError):
             wy.TowerCoord(ex.parse_expr("x"), sq.identity(), 0.9)
+        with pytest.raises(ValueError):   # g(x) = inf
+            wy.TowerCoord(ex.parse_expr("exp(x)"), sq.identity(), 1000.0)
 
     def test_product_fracs_match_high_precision(self):
         # fractional parts of n*x for n up to 10^7: double-double keeps
@@ -297,3 +302,52 @@ class TestPrecisionPolicy:
         rng = np.random.default_rng(2)
         vals = rng.integers(-1000, 1000, size=1234).astype(float)
         assert tree_sum(vals) == float(sum(int(v) for v in vals))
+
+
+def dyadic_tower_frac(g: float, b: int) -> float:
+    """frac(g**b) exactly: g = M/2**k, so g**b = M**b / 2**(k*b); Python's
+    int division rounds the low k*b bits correctly."""
+    M, den = g.as_integer_ratio()
+    kb = (den.bit_length() - 1) * b
+    f = (M ** b % (1 << kb)) / (1 << kb)
+    return f if f < 1.0 else 0.0
+
+
+class TestTowerFixedPoint:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(g=st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
+           ns=st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=8))
+    def test_matches_exact_dyadic_value(self, g, ns):
+        got = wy.TowerCoord(X, sq.identity(), g).fracs(np.array(ns))
+        assert got.tolist() == [dyadic_tower_frac(g, n) for n in ns]
+
+    @pytest.mark.parametrize("spec", [sq.identity(), sq.sqrt_residue(),
+                                      sq.affine(3.0, 2.0), sq.affine(2.0, -2.0)])
+    def test_unsorted_repeated_sparse_indices(self, spec):
+        # sqrtres and affine(2, -2) reach b = 0 at n = 1 (and sqrtres at 4, 9)
+        g = 1.2345678901234567
+        indices = np.array([977, 4, 1, 9, 977, 250, 2, 4, 31, 1])
+        b = np.asarray(sq.make_sequence(spec)(indices)).astype(int)
+        got = wy.TowerCoord(X, spec, g).fracs(indices)
+        assert got.tolist() == [dyadic_tower_frac(g, int(e)) for e in b]
+        singles = [wy.TowerCoord(X, spec, g).fracs(np.array([n]))[0] for n in indices]
+        assert got.tolist() == singles
+
+    def test_integer_exponents_make_no_mpmath_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath tower on an integer exponent")
+        monkeypatch.setattr(numerics, "power_tower_frac_mp", refuse)
+        g = 1.618
+        coord = wy.TowerCoord(X, sq.identity(), g)
+        got = coord.fracs(np.arange(1, 513))
+        want, bits = numerics.power_tower_fracs_fixed(g, np.arange(1, 513))
+        assert np.array_equal(got, want)
+        assert coord.precision_bits == bits == math.ceil(
+            512 * math.log2(g) - math.log2(g - 1.0)) + numerics.TOWER_GUARD_BITS
+
+    def test_real_exponents_use_mpmath(self):
+        # b = n/2 mixes integer and half-integer exponents in one call
+        g = 1.75
+        indices = np.array([7, 2, 33, 8, 1, 100])
+        got = wy.TowerCoord(X, sq.affine(0.5), g).fracs(indices)
+        assert got.tolist() == [float(power_tower_frac_mp(g, n / 2)) for n in indices]
