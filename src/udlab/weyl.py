@@ -77,8 +77,10 @@ class TowerCoord:
         """Non-negative integer exponents go through exact fixed point,
         any other exponent through mpmath, point by point."""
         b = np.asarray(self._b(indices), dtype=float)
+        if not np.all(np.isfinite(b)):
+            raise ValueError("power-tower exponents b(n) must be finite")
         out = np.empty(len(b))
-        whole = np.isfinite(b) & (b >= 0) & (b == np.floor(b))
+        whole = (b >= 0) & (b == np.floor(b))
         if np.any(whole):
             out[whole], bits = power_tower_fracs_fixed(
                 self._gx, b[whole].astype(np.int64), self.guard_bits)

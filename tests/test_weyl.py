@@ -261,6 +261,8 @@ class TestPrecisionPolicy:
             wy.TowerCoord(ex.parse_expr("x"), sq.identity(), 0.9)
         with pytest.raises(ValueError):   # g(x) = inf
             wy.TowerCoord(ex.parse_expr("exp(x)"), sq.identity(), 1000.0)
+        with pytest.raises(ValueError):   # b(800) = inf
+            wy.TowerCoord(X, sq.custom("exp(n)"), 1.5).fracs(np.array([1, 800]))
 
     def test_product_fracs_match_high_precision(self):
         # fractional parts of n*x for n up to 10^7: double-double keeps
