@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,16 +104,16 @@ def parse_generator(text: str, default_x: Optional[float] = None) -> wy.PointGen
     return wy.PointGenerator(coords)
 
 
+_INDEX_FAMILIES = {
+    "prefixes": (sq.prefixes, {}),
+    "geometric": (sq.geometric, {"rho": None}),
+    "strided": (sq.strided, {"c": None}),
+}
+
+
 def parse_index_family(text: str) -> sq.IndexSetFamily:
-    head, _, rest = text.partition(":")
-    if head == "prefixes":
-        return sq.prefixes()
-    params = dict(item.split("=") for item in rest.split(",") if item)
-    if head == "geometric":
-        return sq.geometric(float(params["rho"]))
-    if head == "strided":
-        return sq.strided(int(params["c"]))
-    raise ValueError(f"unknown index-set family '{head}'")
+    """Index-set specs: "prefixes", "geometric:rho=R", "strided:c=C"."""
+    return sq.parse_keyed(text, _INDEX_FAMILIES, "index-set")
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +162,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError("experiment config must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown experiment config keys: {', '.join(unknown)}")
+        if "kind" not in data:
+            raise ValueError(f"experiment config needs a 'kind', one of {EXPERIMENT_KINDS}")
         data = dict(data)
         if "x_interval" in data:
             data["x_interval"] = tuple(data["x_interval"])

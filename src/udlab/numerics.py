@@ -1,11 +1,9 @@
 """Shared numerical kernels: reproducible reductions, precision-safe
 fractional parts and seeded direction sampling.
 
-Everything here is deterministic for a fixed input array. The tree
-reduction uses a fixed splitting shape that depends only on the length of
-the data. Prefix means come from one running sum, a sequential
-accumulate, so a mean over the first N values is the same float whichever
-grid of N it is computed along.
+Everything here is deterministic for a fixed input array. Prefix means
+come from one running sum, a sequential accumulate, so a mean over the
+first N values is the same float whichever grid of N it is computed along.
 """
 
 from __future__ import annotations
@@ -26,23 +24,6 @@ TWO_PI = 2.0 * math.pi
 TOWER_GUARD_BITS = 96
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def tree_sum(values: np.ndarray):
-    """Sum with a fixed-shape pairwise tree: pad with zeros to the next
-    power of two, then fold halves. Bit-stable: the reduction shape depends
-    only on len(values), never on chunking or worker count."""
-    values = np.asarray(values)
-    n = len(values)
-    if n == 0:
-        return values.dtype.type(0)
-    m = 1 << int(n - 1).bit_length() if n > 1 else 1
-    buf = np.zeros(m, dtype=values.dtype)
-    buf[:n] = values
-    while m > 1:
-        m >>= 1
-        buf = buf[:m] + buf[m:]
-    return buf[0]
 
 
 def prefix_means(values: np.ndarray, grid: Sequence[int]) -> np.ndarray:
@@ -93,31 +74,25 @@ def frac_product(a, b):
     return np.where(f >= 1.0, f - 1.0, f)
 
 
-def power_tower_frac_mp(g: float, b: float, guard_bits: int = TOWER_GUARD_BITS):
+def power_tower_frac_mp(g: float, b: float):
     """Fractional part of g**b as an mpmath float.
 
-    Working precision is ceil(b*log2(g)) + guard_bits: enough mantissa to
-    place the integer part exactly and still keep guard_bits fractional
-    bits. Requires g > 1; b may be any real (negative exponents give a
-    value in (0,1) whose fractional part is itself).
+    Working precision is ceil(b*log2(g)) + TOWER_GUARD_BITS: enough
+    mantissa to place the integer part exactly and still keep
+    TOWER_GUARD_BITS fractional bits. Requires g > 1; b may be any real
+    (negative exponents give a value in (0,1) whose fractional part is
+    itself).
     """
     if not g > 1.0:
         raise ValueError(f"power tower base must exceed 1, got {g}")
     int_bits = max(0, int(math.ceil(max(b, 0.0) * math.log2(g))))
-    prec = int_bits + guard_bits
+    prec = int_bits + TOWER_GUARD_BITS
     with mpmath.workprec(prec):
         value = mpmath.mpf(g) ** mpmath.mpf(b)
         return mpmath.frac(value)
 
 
-def power_tower_frac(g: float, b: float, guard_bits: int = TOWER_GUARD_BITS) -> float:
-    """Double-precision fractional part of g**b under the working-precision
-    policy of power_tower_frac_mp."""
-    return float(power_tower_frac_mp(g, b, guard_bits))
-
-
-def power_tower_fracs_fixed(g: float, exponents, guard_bits: int = TOWER_GUARD_BITS
-                            ) -> Tuple[np.ndarray, int]:
+def power_tower_fracs_fixed(g: float, exponents) -> Tuple[np.ndarray, int]:
     """Fractional parts of g**e for non-negative integer exponents e, in
     exact integer fixed point, with the number F of fractional bits used.
 
@@ -126,9 +101,9 @@ def power_tower_fracs_fixed(g: float, exponents, guard_bits: int = TOWER_GUARD_B
     by X = (X * M**d) >> (k*d). Each step truncates by less than one unit
     and later steps scale that by g per exponent, so X errs by less than
     g**e_max / (g - 1) units; F = ceil(e_max*log2 g + log2(1/(g-1))) +
-    guard_bits keeps the fractional part within 2**-guard_bits. It is read
-    from the low F bits by Python's correctly rounded int division, and a
-    value that rounds to 1.0 is returned as 0.0."""
+    TOWER_GUARD_BITS keeps the fractional part within 2**-TOWER_GUARD_BITS.
+    It is read from the low F bits by Python's correctly rounded int
+    division, and a value that rounds to 1.0 is returned as 0.0."""
     g = float(g)
     if not (math.isfinite(g) and g > 1.0):
         raise ValueError(f"power tower base must be finite and exceed 1, got {g}")
@@ -139,7 +114,7 @@ def power_tower_fracs_fixed(g: float, exponents, guard_bits: int = TOWER_GUARD_B
     M, den = g.as_integer_ratio()
     k = den.bit_length() - 1
     e_max = int(distinct[-1]) if len(distinct) else 0
-    F = math.ceil(e_max * math.log2(g) - math.log2(g - 1.0)) + guard_bits
+    F = math.ceil(e_max * math.log2(g) - math.log2(g - 1.0)) + TOWER_GUARD_BITS
     one = 1 << F
     mask = one - 1
     X, e = one, 0

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .numerics import e_phase, tree_sum, unit_directions
+from .numerics import e_phase, unit_directions
 
 PANEL_CAP = 1 << 20
 R_MAX = 1 << 16
@@ -92,6 +92,12 @@ def _phase_jet(fs: Sequence[ex.Node], lam: np.ndarray, xs: np.ndarray,
     return total
 
 
+def _bisect(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Both halves of each panel [a, b]: all left halves, then all right."""
+    mid = 0.5 * (a + b)
+    return np.concatenate([a, mid]), np.concatenate([mid, b])
+
+
 def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
                  panel_cap: int = PANEL_CAP) -> OscillatoryEstimate:
     """Adaptive phase-bounded quadrature for int_I e(lambda . f) dx."""
@@ -125,15 +131,9 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
             ok[:] = True
         done_a.append(a[ok])
         done_b.append(b[ok])
-        split_a, split_b, split_m = a[~ok], b[~ok], mid[~ok]
-        a = np.empty(2 * len(split_a))
-        b = np.empty(2 * len(split_a))
-        a[0::2], a[1::2] = split_a, split_m
-        b[0::2], b[1::2] = split_m, split_b
+        a, b = _bisect(a[~ok], b[~ok])
     pa = np.concatenate(done_a)
     pb = np.concatenate(done_b)
-    order = np.argsort(pa, kind="stable")
-    pa, pb = pa[order], pb[order]
 
     def rule(a_arr: np.ndarray, b_arr: np.ndarray):
         half = 0.5 * (b_arr - a_arr)
@@ -151,23 +151,16 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
         if not np.any(split):
             break
         keep = ~split
-        sa, sb = pa[split], pb[split]
-        sm = 0.5 * (sa + sb)
-        na = np.empty(2 * len(sa))
-        nb = np.empty(2 * len(sa))
-        na[0::2], na[1::2] = sa, sm
-        nb[0::2], nb[1::2] = sm, sb
+        na, nb = _bisect(pa[split], pb[split])
         nv, ne = rule(na, nb)
         pa = np.concatenate([pa[keep], na])
         pb = np.concatenate([pb[keep], nb])
         values = np.concatenate([values[keep], nv])
         errors = np.concatenate([errors[keep], ne])
-        order = np.argsort(pa, kind="stable")
-        pa, pb, values, errors = pa[order], pb[order], values[order], errors[order]
     err_total = float(np.sum(errors))
     if err_total > tol:
         reliable = False
-    return OscillatoryEstimate(lam, (lo, hi), complex(tree_sum(values)),
+    return OscillatoryEstimate(lam, (lo, hi), complex(np.sum(values)),
                                err_total, len(pa), reliable)
 
 

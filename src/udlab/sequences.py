@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -233,6 +233,41 @@ def abs_difference(evaluator, ns, ms):
 # Textual spec syntax (CLI surface)
 
 
+def parse_keyed(text: str, families: Dict[str, Tuple[Callable, Dict]], kind: str):
+    """Parse "NAME" or "NAME:KEY=VALUE,..." where families maps NAME to
+    (constructor, {KEY: default float, or None if required}). Unknown
+    names and keys and missing required keys raise ValueError."""
+    head, _, rest = (part.strip() for part in text.partition(":"))
+    if head not in families:
+        raise ValueError(f"unknown {kind} family '{head}'")
+    make, defaults = families[head]
+    given = {}
+    for item in filter(str.strip, rest.split(",")):
+        key, sep, value = (part.strip() for part in item.partition("="))
+        if not sep or key not in defaults:
+            raise ValueError(f"{head}: bad parameter '{item.strip()}'"
+                             f" (takes {', '.join(defaults) or 'none'}, as KEY=VALUE)")
+        try:
+            given[key] = float(value)
+        except ValueError:
+            raise ValueError(f"{head}: parameter {key}='{value}' is not a number") from None
+    missing = [k for k, d in defaults.items() if d is None and k not in given]
+    if missing:
+        raise ValueError(f"{head}: missing parameter {', '.join(missing)}")
+    return make(**{k: given.get(k, d) for k, d in defaults.items()})
+
+
+_SEQUENCE_FAMILIES = {
+    "identity": (identity, {}),
+    "nlog": (n_plus_log, {}),
+    "sqrtres": (sqrt_residue, {}),
+    "iterexp": (iterated_exp, {}),
+    "affine": (affine, {"alpha": 1.0, "beta": 0.0}),
+    "power": (power, {"eps": None}),
+    "logpow": (log_power, {"p": None}),
+}
+
+
 def parse_sequence_spec(text: str) -> SequenceSpec:
     """Parse the CLI syntax: "identity", "affine:alpha=2,beta=1",
     "power:eps=0.5", "logpow:p=2", "nlog", "sqrtres", "iterexp",
@@ -241,14 +276,6 @@ def parse_sequence_spec(text: str) -> SequenceSpec:
     text = text.strip()
     head, _, rest = text.partition(":")
     head = head.strip()
-    if head == "identity":
-        return identity()
-    if head == "nlog":
-        return n_plus_log()
-    if head == "sqrtres":
-        return sqrt_residue()
-    if head == "iterexp":
-        return iterated_exp()
     if head == "custom":
         return custom(rest)
     if head == "compose":
@@ -264,21 +291,7 @@ def parse_sequence_spec(text: str) -> SequenceSpec:
                 raise ValueError(f"combo entry '{chunk}' needs WEIGHT*SPEC")
             parts.append((float(w_text), parse_sequence_spec(spec_text)))
         return linear_combination(parts)
-    if head in ("affine", "power", "logpow"):
-        kwargs = {}
-        for item in rest.split(","):
-            if not item.strip():
-                continue
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ValueError(f"bad parameter '{item}' in '{text}'")
-            kwargs[key.strip()] = float(value)
-        if head == "affine":
-            return affine(kwargs.get("alpha", 1.0), kwargs.get("beta", 0.0))
-        if head == "power":
-            return power(kwargs["eps"])
-        return log_power(kwargs["p"])
-    raise ValueError(f"unknown sequence family '{head}'")
+    return parse_keyed(text, _SEQUENCE_FAMILIES, "sequence")
 
 
 def _split_combo(text: str):
@@ -346,34 +359,43 @@ def geometric(rho: float) -> IndexSetFamily:
 
 
 def strided(c: int) -> IndexSetFamily:
-    if c < 1:
+    if not (c >= 1 and float(c).is_integer()):
         raise ValueError("stride must be a positive integer")
     return IndexSetFamily("strided", (int(c),))
 
 
 def custom_nested(sets: Sequence[Sequence[int]]) -> IndexSetFamily:
-    frozen = tuple(tuple(sorted(set(int(v) for v in s))) for s in sets)
-    for a, b in zip(frozen, frozen[1:]):
-        if not (set(a) < set(b)):
-            raise ValueError("custom-nested sets must be strictly nested")
-    return IndexSetFamily("custom", (frozen,))
+    """Nonempty, strictly nested S_1 < S_2 < ..., kept as one index order
+    (S_1, then each S_N minus S_{N-1}, each part increasing) and the sizes
+    |S_N|, so that every S_N is a prefix of the order."""
+    order, sizes, previous = [], [], set()
+    for s in sets:
+        s = set(int(v) for v in s)
+        if not previous < s:
+            raise ValueError("custom-nested sets must be nonempty and strictly nested")
+        order += sorted(s - previous)
+        sizes.append(len(s))
+        previous = s
+    return IndexSetFamily("custom", (tuple(order), tuple(sizes)))
 
 
 def index_set_size(family: IndexSetFamily, N: int) -> int:
     """|S_N| without materializing the set."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if family.family == "prefixes":
+    if family.family in ("prefixes", "strided"):
         return N
     if family.family == "geometric":
-        return math.ceil(family.params[0] ** N)
-    if family.family == "strided":
-        return N
+        rho = family.params[0]
+        try:
+            return math.ceil(rho ** N)
+        except OverflowError:
+            raise ValueError(f"|S_N| = ceil({rho:g}^{N}) exceeds double range") from None
     if family.family == "custom":
-        sets = family.params[0]
-        if N > len(sets):
-            raise ValueError(f"custom-nested family has only {len(sets)} sets")
-        return len(sets[N - 1])
+        sizes = family.params[1]
+        if N > len(sizes):
+            raise ValueError(f"custom-nested family has only {len(sizes)} sets")
+        return sizes[N - 1]
     raise ValueError(f"unknown index-set family '{family.family}'")
 
 
@@ -387,19 +409,19 @@ class IndexSetView:
     _family: IndexSetFamily
 
     def members(self) -> np.ndarray:
-        """S_N in increasing order."""
+        """S_N in the family's index order, in which every S_M is a prefix:
+        increasing for the built-in families, S_1 then each S_M minus
+        S_{M-1} for custom-nested ones."""
         fam = self._family
         if self.size > _MAX_MATERIALIZE:
             raise ValueError(f"refusing to materialize {self.size} indices")
-        if fam.family == "prefixes":
-            return np.arange(1, self.N + 1, dtype=np.int64)
-        if fam.family == "geometric":
+        if fam.family in ("prefixes", "geometric"):
             return np.arange(1, self.size + 1, dtype=np.int64)
         if fam.family == "strided":
             c = fam.params[0]
             return np.arange(c, c * self.N + 1, c, dtype=np.int64)
         if fam.family == "custom":
-            return np.asarray(fam.params[0][self.N - 1], dtype=np.int64)
+            return np.asarray(fam.params[0][:self.size], dtype=np.int64)
         raise ValueError(f"unknown index-set family '{fam.family}'")
 
     def __iter__(self):
@@ -411,7 +433,7 @@ def index_set_views(family: IndexSetFamily, grid: Sequence[int]) -> List[IndexSe
     come from one running sum over M = 1..max(grid), in index order."""
     grid = [int(N) for N in grid]
     stops, partial, total = set(grid), {}, 0.0
-    for M in range(1, max(grid, default=0) + 1):
+    for M in range(1, max(grid) + 1):
         total += 1.0 / index_set_size(family, M)
         if M in stops:
             partial[M] = total

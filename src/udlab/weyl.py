@@ -30,9 +30,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
+from . import numerics
 from . import sequences as sq
 from .numerics import (TOWER_GUARD_BITS, e_phase, frac_product,
-                       power_tower_frac, power_tower_fracs_fixed, prefix_means)
+                       power_tower_fracs_fixed, prefix_means)
 
 
 # ---------------------------------------------------------------------------
@@ -61,17 +62,15 @@ class ProductCoord:
 class TowerCoord:
     """Fractional parts of g(x)**b(n) at fixed x, g(x) > 1."""
 
-    def __init__(self, g: ex.Node, b_spec: sq.SequenceSpec, x: float,
-                 guard_bits: int = TOWER_GUARD_BITS):
+    def __init__(self, g: ex.Node, b_spec: sq.SequenceSpec, x: float):
         self.g = g
         self.b_spec = b_spec
         self.x = float(x)
-        self.guard_bits = guard_bits
         self._b = sq.make_sequence(b_spec)
         self._gx = float(ex.evaluate(g, self.x))
         if not (math.isfinite(self._gx) and self._gx > 1.0):
             raise ValueError(f"power-tower base g(x) = {self._gx} must be finite and exceed 1")
-        self.precision_bits = guard_bits  # grows with n; updated as used
+        self.precision_bits = TOWER_GUARD_BITS  # grows with n; updated as used
 
     def fracs(self, indices: np.ndarray) -> np.ndarray:
         """Non-negative integer exponents go through exact fixed point,
@@ -83,16 +82,12 @@ class TowerCoord:
         whole = (b >= 0) & (b == np.floor(b))
         if np.any(whole):
             out[whole], bits = power_tower_fracs_fixed(
-                self._gx, b[whole].astype(np.int64), self.guard_bits)
+                self._gx, b[whole].astype(np.int64))
             self.precision_bits = max(self.precision_bits, bits)
-        rest = np.flatnonzero(~whole)
-        for i in rest:
-            out[i] = power_tower_frac(self._gx, float(b[i]), self.guard_bits)
-        if len(rest):
-            max_b = float(np.max(b[rest]))
-            self.precision_bits = max(
-                self.precision_bits,
-                int(math.ceil(max(max_b, 0.0) * math.log2(self._gx))) + self.guard_bits)
+        for i in np.flatnonzero(~whole):
+            out[i] = float(numerics.power_tower_frac_mp(self._gx, float(b[i])))
+            self.precision_bits = max(self.precision_bits, TOWER_GUARD_BITS + math.ceil(
+                max(float(b[i]), 0.0) * math.log2(self._gx)))
         return out
 
     def describe(self) -> str:
@@ -155,7 +150,10 @@ def _prefix_weyl_means(points: np.ndarray, v: np.ndarray,
     negation, so F_N(-v) == conj F_N(v) exactly."""
     if v[np.flatnonzero(v)[0]] > 0:
         return np.conj(_prefix_weyl_means(points, -v, grid))
-    phase = points @ v.astype(float)
+    # BLAS rounds a one-row product (dot kernel) unlike longer arrays
+    # (gemv kernel); a doubled lone row keeps F_1 equal to longer series
+    rows = points if len(points) > 1 else np.repeat(points, 2, axis=0)
+    phase = (rows @ v.astype(float))[:len(points)]
     if not np.all(np.isfinite(phase)):
         raise ValueError("point coordinates must be finite")
     return prefix_means(e_phase(phase - np.floor(phase)), grid)
@@ -185,11 +183,13 @@ class WeylSumSeries:
 def weyl_sum_over_sets(gen: PointGenerator, v, family: sq.IndexSetFamily,
                        grid: Sequence[int]) -> WeylSumSeries:
     """F_N over the index sets S_N of the family, for each N in the grid,
-    with the divergence diagnostic sum of 1/|S_M|."""
+    with the divergence diagnostic sum of 1/|S_M|. Every S_N is a prefix of
+    the family's index order, so the points of the largest set are made
+    once and each F_N is one entry of a running sum along that order."""
     v = _check_frequency(v, gen.dim)
     views = sq.index_set_views(family, grid)
-    averages = [complex(_prefix_weyl_means(gen.fracs(w.members()), v, [w.size])[0])
-                for w in views]
+    points = gen.fracs(max(views, key=lambda w: w.size).members())
+    averages = [complex(f) for f in _prefix_weyl_means(points, v, [w.size for w in views])]
     return WeylSumSeries(v, [w.N for w in views], averages, [abs(f) for f in averages],
                          [w.size for w in views], [w.partial_inverse_sum for w in views],
                          gen.precision_bits, family)

@@ -51,6 +51,10 @@ class TestGridAndGeneratorSpecs:
         assert lab.parse_index_family("prefixes") == sq.prefixes()
         assert lab.parse_index_family("geometric:rho=2") == sq.geometric(2.0)
         assert lab.parse_index_family("strided:c=3") == sq.strided(3)
+        for bad in ["geometric:", "geometric:rho", "geometric:rh=2", "strided:c=2.5",
+                    "strided:c=3,rho=2", "prefixes:c=1", "lacunary:rho=2"]:
+            with pytest.raises(ValueError):
+                lab.parse_index_family(bad)
 
 
 class TestConfig:
@@ -63,6 +67,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             lab.ExperimentConfig(kind="power-tower-pair", tower_base="x",
                                  tower_sequences=["identity"])
+
+    def test_from_dict_refuses_unknown_and_missing_keys(self):
+        data = small_config().to_dict()
+        with pytest.raises(ValueError, match="unknown experiment config keys: x_sample"):
+            lab.ExperimentConfig.from_dict({**data, "x_sample": 3})
+        del data["kind"]
+        with pytest.raises(ValueError, match="needs a 'kind'"):
+            lab.ExperimentConfig.from_dict(data)
+        with pytest.raises(ValueError):
+            lab.ExperimentConfig.from_dict([data])
 
     def test_json_round_trip(self, tmp_path):
         config = small_config()
@@ -263,6 +277,35 @@ class TestCli:
         assert info.value.code == 2
         assert cli.main(["scatter", "--seq", "wat", "--delta", "1",
                          "--grid", "pow2:3..6"]) == 2
+
+    @staticmethod
+    def assert_usage_error(argv, capsys):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("argv", [
+        ["scatter", "--seq", "power:", "--delta", "1", "--grid", "pow2:3..6"],
+        ["scatter", "--seq", "affine:alpah=2", "--delta", "1", "--grid", "pow2:3..6"],
+        ["weylsum", "--gen", "x=0.3; prod:identity|x", "--v", "1",
+         "--grid", "pow2:2..4", "--sets", "geometric:"],
+        ["weylsum", "--gen", "x=0.3; prod:identity|x; prod:identity|x^2", "--v", "1,-1",
+         "--grid", "sublacunary:0.5:20000", "--sets", "geometric:rho=2"],
+    ], ids=["missing-param", "misspelled-param", "missing-set-param", "geometric-overflow"])
+    def test_malformed_spec_exits_2(self, argv, capsys):
+        self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(x_sample=3),
+        lambda c: c.pop("kind"),
+    ], ids=["unknown-key", "missing-key"])
+    def test_malformed_config_exits_2(self, edit, tmp_path, capsys):
+        config = small_config().to_dict()
+        edit(config)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        self.assert_usage_error(["experiment", "--config", str(cfg_path),
+                                 "--out", str(tmp_path)], capsys)
 
     def test_scatter_csv_output(self, tmp_path, capsys):
         path = tmp_path / "s.csv"

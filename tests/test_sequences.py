@@ -131,9 +131,23 @@ class TestSpecSyntax:
         assert spec.family == again.family and spec.params == again.params
 
     def test_bad_specs(self):
-        for bad in ["wat", "power:eps=0", "combo:identity", "compose:x^2"]:
+        for bad in ["wat", "power:eps=0", "combo:identity", "compose:x^2",
+                    "power:", "logpow:", "power:eps", "power:eps=x",
+                    "affine:alpah=2", "affine:alpha=2,gamma=1", "identity:alpha=1"]:
             with pytest.raises(ValueError):
                 sq.parse_sequence_spec(bad)
+
+    def test_key_value_parameters(self):
+        families = {"affine": (lambda alpha, beta: (alpha, beta), {"alpha": 1.0, "beta": 0.0}),
+                    "power": (lambda eps: eps, {"eps": None})}
+        assert sq.parse_keyed(" affine : beta = 2 ", families, "test") == (1.0, 2.0)
+        assert sq.parse_sequence_spec("affine:beta=2") == sq.affine(1.0, 2.0)
+        with pytest.raises(ValueError, match="bad parameter 'alpah=2'"):
+            sq.parse_keyed("affine:alpah=2", families, "test")
+        with pytest.raises(ValueError, match="missing parameter eps"):
+            sq.parse_keyed("power:", families, "test")
+        with pytest.raises(ValueError, match="unknown test family 'wat'"):
+            sq.parse_keyed("wat:eps=1", families, "test")
 
 
 class TestIndexSets:
@@ -166,6 +180,20 @@ class TestIndexSets:
         assert list(sq.index_sets(fam, 2)) == [1, 4]
         with pytest.raises(ValueError):
             sq.custom_nested([[1, 2], [1, 3]])
+
+    def test_custom_nested_index_order(self):
+        # every S_N is a prefix of one order: S_1, then each S_N minus S_{N-1}
+        fam = sq.custom_nested([[5, 2], [9, 1, 2, 5], [7, 1, 2, 5, 9, 3]])
+        assert [list(sq.index_sets(fam, N)) for N in (1, 2, 3)] == \
+            [[2, 5], [2, 5, 1, 9], [2, 5, 1, 9, 3, 7]]
+        assert [sq.index_set_size(fam, N) for N in (1, 2, 3)] == [2, 4, 6]
+        with pytest.raises(ValueError):
+            sq.custom_nested([[], [1]])
+
+    def test_geometric_size_past_double_range_raises(self):
+        assert sq.index_set_size(sq.geometric(2.0), 1023) == 2 ** 1023
+        with pytest.raises(ValueError, match="double range"):
+            sq.index_set_size(sq.geometric(2.0), 1024)
 
     def test_size_without_materializing(self):
         # 2^200 elements: size is computable, materializing would be absurd

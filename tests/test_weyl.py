@@ -11,16 +11,22 @@ from udlab import numerics
 from udlab import sequences as sq
 from udlab import weyl as wy
 from udlab.numerics import (e_phase, frac_product, power_tower_frac_mp,
-                            prefix_means, tree_sum)
+                            prefix_means)
 
 PHI = (1 + math.sqrt(5)) / 2
 X = ex.parse_expr("x")
+X2 = ex.parse_expr("x^2")
 ZERO = ex.parse_expr("0*x")
 
 
 def linear_gen(x, dim=1):
     return wy.PointGenerator([wy.ProductCoord(sq.identity(), X, x)
                               for _ in range(dim)])
+
+
+def curve_gen(x, seq=sq.identity()):
+    """(a(n) x, a(n) x^2): two coordinates, so phases v . x_n round."""
+    return wy.PointGenerator([wy.ProductCoord(seq, X, x), wy.ProductCoord(seq, X2, x)])
 
 
 class TestWeylSum:
@@ -119,6 +125,51 @@ class TestOverIndexSets:
         pts = gen.fracs([1, 2])
         assert pts[0, 0] == pytest.approx(math.sqrt(2) % 1)
         assert abs(wy.weyl_sum(gen, [1, 1], 2000)) < 0.05
+
+    def test_points_are_generated_once(self, monkeypatch):
+        gen = curve_gen(0.3)
+        calls = []
+        fracs = gen.fracs
+        monkeypatch.setattr(gen, "fracs", lambda n: calls.append(len(n)) or fracs(n))
+        for family, largest in ((sq.prefixes(), 3), (sq.geometric(2.0), 8),
+                                (sq.strided(4), 3),
+                                (sq.custom_nested([[2], [1, 2], [1, 2, 5]]), 3)):
+            calls.clear()
+            wy.weyl_sum_over_sets(gen, [3, -5], family, [1, 2, 3])
+            assert calls == [largest], family
+
+    def test_builtin_families_equal_weyl_sum_in_index_order(self):
+        # geometric S_N = {1..|S_N|}; strided S_N = {c, 2c, .., cN}, the
+        # first N points of the sequence c*n
+        v = [3, -5]
+        for x in (0.3, 0.7548776662466927, PHI):
+            gen = curve_gen(x)
+            series = wy.weyl_sum_over_sets(gen, v, sq.geometric(1.5), range(1, 15))
+            assert series.averages == [wy.weyl_sum(gen, v, size)
+                                       for size in series.set_sizes]
+            grid = [1, 2, 5, 40, 333]
+            series = wy.weyl_sum_over_sets(gen, v, sq.strided(3), grid)
+            by_three = curve_gen(x, sq.affine(3.0))
+            assert series.averages == [wy.weyl_sum(by_three, v, N) for N in grid]
+
+    def test_custom_nested_sets_off_the_sorted_order(self):
+        # S_1 = {2} is no prefix of the sorted S_3 = (1, 2, 3); the index
+        # order is 2, 1, 3
+        gen = curve_gen(0.7548776662466927)
+        sets = [[2], [1, 2], [1, 2, 3]]
+        v = np.array([3, -5])
+        series = wy.weyl_sum_over_sets(gen, v, sq.custom_nested(sets), [1, 2, 3])
+        for s, f in zip(sets, series.averages):
+            want = np.mean([np.exp(2j * math.pi * float(gen.fracs([n])[0] @ v))
+                            for n in s])
+            assert abs(f - want) <= 1e-15
+
+    def test_one_point_sum_is_first_prefix_entry(self):
+        # a lone point goes through the same phase kernel as a long array
+        for x, v in ((0.3, [-2, 7]), (0.7548776662466927, [3, -5])):
+            gen = curve_gen(x)
+            points = gen.fracs(np.arange(1, 6))
+            assert wy.weyl_sum(gen, v, 1) == wy.prefix_weyl_series(points, v, [1, 5])[0]
 
     def test_custom_nested_family_path(self):
         fam = sq.custom_nested([[1], [1, 2], [1, 2, 3]])
@@ -299,11 +350,6 @@ class TestPrecisionPolicy:
                 for part, got in ((vals.real, f.real), (vals.imag, f.imag)):
                     assert abs(got - math.fsum(part[:N]) / N) <= N * 2.0 ** -52, \
                         (name, N)
-
-    def test_tree_sum_matches_exact_for_integers(self):
-        rng = np.random.default_rng(2)
-        vals = rng.integers(-1000, 1000, size=1234).astype(float)
-        assert tree_sum(vals) == float(sum(int(v) for v in vals))
 
 
 def dyadic_tower_frac(g: float, b: int) -> float:
