@@ -37,6 +37,16 @@ def _parse_radii(text: str):
     return [float(v) for v in text.split(",")]
 
 
+def _print_table(header, rows, csv_path) -> None:
+    """Print the table as CSV after the # lines; also write it to csv_path
+    when given."""
+    print(",".join(header))
+    for row in rows:
+        print(",".join(lab._fmt(v) for v in row))
+    if csv_path:
+        lab.write_csv(csv_path, header, rows)
+
+
 def _cmd_scatter(args) -> int:
     spec = sq.parse_sequence_spec(args.seq)
     evaluator = sq.make_sequence(spec)
@@ -47,12 +57,7 @@ def _cmd_scatter(args) -> int:
           f"  slope(logS~logN)={report.slope_logN:.6g}")
     print(f"# verdict: {'evidence of scattered' if report.evidence_scattered else 'no evidence'}"
           f" ({report.label})")
-    header, rows = lab.scatter_csv_rows(report)
-    print(",".join(header))
-    for row in rows:
-        print(",".join(lab._fmt(v) for v in row))
-    if args.csv:
-        lab.write_csv(args.csv, header, rows)
+    _print_table(*lab.scatter_csv_rows(report), args.csv)
     return EXIT_OK
 
 
@@ -76,12 +81,7 @@ def _cmd_weylsum(args) -> int:
     series = wy.weyl_sum_over_sets(gen, v, family, grid)
     print(f"# generator: {gen.describe()}  v={v}")
     print(f"# sum 1/|S_N| at final N: {series.inverse_size_partial_sums[-1]:.6g}")
-    header, rows = lab.weyl_csv_rows(series)
-    print(",".join(header))
-    for row in rows:
-        print(",".join(lab._fmt(x) for x in row))
-    if args.csv:
-        lab.write_csv(args.csv, header, rows)
+    _print_table(*lab.weyl_csv_rows(series), args.csv)
     return EXIT_OK
 
 
@@ -91,12 +91,7 @@ def _cmd_discrepancy(args) -> int:
     report = dc.ud_trend(gen, grid, method=args.method, m=args.m)
     print(f"# generator: {gen.describe()}  dim={report.dimension}")
     print(f"# trend slope (log D* ~ log N): {report.trend_slope:.4f}")
-    header, rows = lab.discrepancy_csv_rows(report)
-    print(",".join(header))
-    for row in rows:
-        print(",".join(lab._fmt(v) for v in row))
-    if args.csv:
-        lab.write_csv(args.csv, header, rows)
+    _print_table(*lab.discrepancy_csv_rows(report), args.csv)
     return EXIT_OK
 
 
@@ -111,12 +106,7 @@ def _cmd_oscdecay(args) -> int:
     if fit.degenerate_direction is not None:
         print(f"# degenerate direction flagged: {fit.degenerate_direction}"
               f" (phase constant; magnitude pins at |I|)")
-    header, rows = lab.decay_csv_rows(fit)
-    print(",".join(header))
-    for row in rows:
-        print(",".join(lab._fmt(v) for v in row))
-    if args.csv:
-        lab.write_csv(args.csv, header, rows)
+    _print_table(*lab.decay_csv_rows(fit), args.csv)
     if bool(np.any(fit.unreliable)):
         return EXIT_UNRELIABLE
     return EXIT_OK

@@ -113,7 +113,7 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
     # phase-bounded bisection
     a = np.array([lo])
     b = np.array([hi])
-    done_a, done_b = [], []
+    done_a, done_b, done = [], [], 0
     while len(a):
         mid = 0.5 * (a + b)
         pts = np.concatenate([a, mid, b])
@@ -125,10 +125,10 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
         var_simpson = (b - a) / 6.0 * (da + 4.0 * dm + db)
         var = np.maximum(var_vals, var_simpson)
         ok = (var <= PHASE_VARIATION_PER_PANEL) | (b - a <= width_floor)
-        total = len(done_a) + np.count_nonzero(ok) + 2 * np.count_nonzero(~ok)
-        if total > panel_cap:
+        if done + np.count_nonzero(ok) + 2 * np.count_nonzero(~ok) > panel_cap:
             reliable = False
             ok[:] = True
+        done += np.count_nonzero(ok)
         done_a.append(a[ok])
         done_b.append(b[ok])
         a, b = _bisect(a[~ok], b[~ok])
@@ -150,6 +150,10 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
         split = errors >= cut
         if not np.any(split):
             break
+        room = panel_cap - len(pa)  # each split adds one panel
+        if np.count_nonzero(split) > room:
+            split[:] = False
+            split[np.argsort(errors)[-room:]] = True
         keep = ~split
         na, nb = _bisect(pa[split], pb[split])
         nv, ne = rule(na, nb)

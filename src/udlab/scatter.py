@@ -54,24 +54,29 @@ def _finite_values(a, ns: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _pair_diffs(a, lo: int, N: int):
+    """The one rule for |a(n) - a(m)| over index arrays with lo <= n, m <= N.
+
+    An evaluator with the abs_diff hook (the block-constant tower) gives
+    its exact differences, which may be inf but not NaN. Any other
+    evaluator is evaluated once on lo..N; its values must be finite. Start
+    at the smallest index the caller uses: a(n) may be undefined below it.
+    """
+    if hasattr(a, "abs_diff"):
+        return a.abs_diff
+    vals = _finite_values(a, np.arange(lo, N + 1))
+    return lambda ns, ms: np.abs(vals[ns - lo] - vals[ms - lo])
+
+
 def _exact_sum(a, N: int, delta: float) -> float:
-    """Direct pair sum. Values from an evaluator without the abs_diff hook
-    must be finite; hook differences may be inf (contributing 0) but not
-    NaN."""
-    has_hook = hasattr(a, "abs_diff")
-    vals = None
-    if not has_hook:
-        vals = _finite_values(a, np.arange(1, N + 1))
+    """Direct pair sum; a NaN difference raises."""
+    diff = _pair_diffs(a, 1, N)
     chunk_sums = []
     for lo in range(2, N + 1, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, N + 1)
         ns = np.arange(lo, hi)
         ms = np.arange(1, hi)
-        if has_hook:
-            diffs = sq.abs_difference(a, ns[:, None], ms[None, :])
-        else:
-            diffs = np.abs(vals[ns[:, None] - 1] - vals[ms[None, :] - 1])
-        c = _contrib(diffs, delta)
+        c = _contrib(diff(ns[:, None], ms[None, :]), delta)
         c = np.where(ms[None, :] < ns[:, None], c, 0.0)
         chunk_sums.append(float(np.sum(c)))
     total = math.fsum(chunk_sums)
@@ -217,8 +222,8 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
     All constrained pairs are scanned when their count fits the budget;
     otherwise every boundary pair m = ceil(n + n/(log n)^(1+eps)) is
     scanned plus budget-many seeded uniform pairs beyond the threshold.
-    Values from an evaluator without the abs_diff hook must be finite,
-    and a NaN difference raises.
+    a(1) is never evaluated. Values a(2..N) from an evaluator without the
+    abs_diff hook must be finite, and a NaN difference raises.
     """
     if N < 8:
         raise ValueError("need N >= 8")
@@ -229,11 +234,10 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
     m0 = np.where(np.isfinite(m0), m0, np.inf)
     counts = np.maximum(0, N - m0 + 1)
     total = int(np.sum(counts[np.isfinite(counts)]))
-    if not hasattr(a, "abs_diff"):
-        _finite_values(a, ns_all)
+    diff = _pair_diffs(a, 2, N)
 
     def scan(ns: np.ndarray, ms: np.ndarray, mask=True) -> Optional[Tuple[int, int]]:
-        diffs = sq.abs_difference(a, ns, ms)
+        diffs = diff(ns, ms)
         # ~(d > g) also flags NaN, so a NaN difference costs no extra pass
         hits = np.flatnonzero(~(diffs > g) & mask)
         if not len(hits):
@@ -241,6 +245,7 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
         i = int(hits[0])
         if np.isnan(diffs.flat[i]):
             raise ValueError("sequence differences must not be NaN")
+        ns, ms = np.broadcast_arrays(ns, ms)
         return int(ns.flat[i]), int(ms.flat[i])
 
     if total <= budget:
@@ -252,10 +257,8 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
             if start > N:
                 continue
             cols = np.arange(start, N + 1, dtype=np.int64)
-            nmat = np.broadcast_to(rows[:, None], (len(rows), len(cols)))
-            mmat = np.broadcast_to(cols[None, :], (len(rows), len(cols)))
-            mask = mmat >= row_m0[:, None]
-            wit = scan(nmat, mmat, mask)
+            mask = cols[None, :] >= row_m0[:, None]
+            wit = scan(rows[:, None], cols[None, :], mask)
             checked += int(np.count_nonzero(mask))
             if wit is not None:
                 return GrowthReport(eps, g, N, "fail", wit, "exhaustive", checked)

@@ -8,9 +8,11 @@ combinations.
 
 Everything evaluates elementwise on integer numpy arrays. The tower
 family overflows doubles once floor(log n) >= 7, so its evaluator also
-exposes exact block indices and (mantissa, base-2 exponent) pairs;
-difference-based consumers (the growth checker, the scattered-sum) use
-those to keep differences meaningful where values alone saturate to inf.
+exposes exact block indices and (mantissa, base-2 exponent) pairs, and
+an abs_diff hook built on them. The one pair-difference rule of the
+scatter module (scatter._pair_diffs, behind the growth scan and the exact
+pair sum) takes that hook, so differences stay meaningful where values
+alone saturate to inf.
 """
 
 from __future__ import annotations
@@ -136,17 +138,14 @@ def _isqrt_array(n: np.ndarray) -> np.ndarray:
 
 class IteratedExpEvaluator:
     """exp(exp(floor(log n))): block-constant, overflowing doubles from
-    block 7 on. Calls return doubles (inf past overflow); mantexp and
-    abs_diff work in a (mantissa, base-2 exponent) representation."""
+    block 7 on. Values live in one (mantissa, base-2 exponent)
+    representation, mantexp; calls round it to doubles (inf past overflow)
+    and abs_diff subtracts in it."""
 
     def __call__(self, n):
-        n = _as_index_array(n)
-        j = self.block_index(n)
-        t = np.exp(j.astype(float)) / math.log(2.0)
-        e2 = np.floor(t)
-        mant = np.exp2(t - e2)
+        mant, e2 = self.mantexp(n)
         with np.errstate(over="ignore"):
-            out = np.ldexp(mant, e2.astype(np.int64).clip(max=20000))
+            out = np.ldexp(mant, e2.clip(max=20000))
         return out if out.ndim else float(out)
 
     @staticmethod
@@ -218,15 +217,6 @@ def make_sequence(spec: SequenceSpec) -> Callable:
             return total
         return _combo
     raise ValueError(f"unknown sequence family '{family}'")
-
-
-def abs_difference(evaluator, ns, ms):
-    """Elementwise |a(ns) - a(ms)|, via the evaluator's exact-difference
-    hook when it has one (block-constant tower), plain doubles otherwise."""
-    if hasattr(evaluator, "abs_diff"):
-        return evaluator.abs_diff(ns, ms)
-    return np.abs(np.asarray(evaluator(ns), dtype=float)
-                  - np.asarray(evaluator(ms), dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,19 @@ PHI = (1 + math.sqrt(5)) / 2
 def brute_force_2d(points, extra_resolution=64):
     """Independent oracle: scan anchored boxes over all corners drawn from
     the point coordinates plus a refinement grid, with open and closed
-    counts from direct comparisons."""
+    counts from direct comparisons: entry (i, j) of the integer product of
+    the corner-by-point indicator matrices counts the points below corner
+    (cands[i], cands[j])."""
     points = np.asarray(points)
     n = len(points)
     cands = np.unique(np.concatenate(
         [points[:, 0], points[:, 1], np.linspace(0, 1, extra_resolution), [1.0]]))
-    best = 0.0
-    for a in cands:
-        for b in cands:
-            closed = np.sum((points[:, 0] <= a) & (points[:, 1] <= b)) / n
-            opened = np.sum((points[:, 0] < a) & (points[:, 1] < b)) / n
-            best = max(best, closed - a * b, a * b - opened)
-    return best
+    x, y = points[None, :, 0], points[None, :, 1]
+    c = cands[:, None]
+    closed = ((x <= c).astype(np.int64) @ (y <= c).astype(np.int64).T) / n
+    opened = ((x < c).astype(np.int64) @ (y < c).astype(np.int64).T) / n
+    volume = cands[:, None] * cands[None, :]
+    return max(0.0, float(np.max(closed - volume)), float(np.max(volume - opened)))
 
 
 def lattice_oracle(points, m):

@@ -307,14 +307,24 @@ class TestCli:
         self.assert_usage_error(["experiment", "--config", str(cfg_path),
                                  "--out", str(tmp_path)], capsys)
 
-    def test_scatter_csv_output(self, tmp_path, capsys):
-        path = tmp_path / "s.csv"
-        code = cli.main(["scatter", "--seq", "identity", "--delta", "1",
-                         "--grid", "8,16,32,64", "--csv", str(path)])
-        assert code == 0
+    @pytest.mark.parametrize("argv, header, n_rows", [
+        (["scatter", "--seq", "identity", "--delta", "1", "--grid", "8,16,32,64"],
+         "N,S,eps_pointwise,method,err_bound", 4),
+        (["weylsum", "--gen", "x=0.3; prod:identity|x", "--v", "1", "--grid", "pow2:2..4"],
+         "N,v,re_F,im_F,abs_F,precision_bits", 3),
+        (["discrepancy", "--gen", "x=0.618; prod:identity|x", "--grid", "100,1000"],
+         "N,dstar,err_bound,method", 2),
+        (["oscdecay", "--f", "x", "--interval", "1,2", "--radii", "halfpow2:2..7",
+          "--dirs", "1"], "direction_index,omega,R,abs_integral,err_est,flags", 6),
+    ], ids=["scatter", "weylsum", "discrepancy", "oscdecay"])
+    def test_csv_output(self, argv, header, n_rows, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        assert cli.main(argv + ["--csv", str(path)]) == 0
         lines = path.read_text().splitlines()
-        assert lines[0] == "N,S,eps_pointwise,method,err_bound"
-        assert len(lines) == 5
+        assert lines[0] == header
+        assert len(lines) == n_rows + 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if not line.startswith("#")] == lines
 
     def test_experiment_cli_outputs(self, tmp_path, capsys):
         config = small_config().to_dict()

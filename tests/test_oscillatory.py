@@ -56,8 +56,12 @@ class TestOscIntegral:
             osc_integral([X], [1.0, 2.0], (0, 1))
 
     def test_panel_cap_flags_unreliable(self):
-        est = osc_integral([X], [5000.0], (0, 1), tol=1e-12, panel_cap=64)
-        assert not est.reliable
+        # x^2 at 2000 meets the 64 cap while bisecting, 256 and 1024 while refining
+        cases = [(X, 5000.0, 64), (X2, 2000.0, 64), (X2, 2000.0, 256), (X2, 2000.0, 1024)]
+        for f, lam, panel_cap in cases:
+            est = osc_integral([f], [lam], (0, 1), tol=1e-12, panel_cap=panel_cap)
+            assert not est.reliable
+            assert est.panels <= panel_cap
 
     def test_error_estimate_tracks_truth(self):
         est = osc_integral([X2], [17.0], (0, 1), tol=1e-10)

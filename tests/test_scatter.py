@@ -219,6 +219,40 @@ class TestNonFinite:
         assert weyl_growth_check(ev, 1200, 0.5, 0.5).verdict == "fail"
 
 
+class CountingEvaluator:
+    """A plain evaluator (no abs_diff hook) that counts its calls."""
+
+    def __init__(self, spec):
+        self.evaluate = sq.make_sequence(spec)
+        self.calls = 0
+
+    def __call__(self, n):
+        self.calls += 1
+        return self.evaluate(n)
+
+
+class TestOneEvaluationPerCall:
+    @pytest.mark.parametrize("N, budget, coverage", [
+        (1000, 10 ** 7, "exhaustive"), (3000, 2000, "sampled")])
+    def test_growth_scan_evaluates_once(self, N, budget, coverage):
+        a = CountingEvaluator(sq.log_power(2.5))
+        rep = weyl_growth_check(a, N, 0.1, 0.5, budget=budget)
+        assert rep.coverage == coverage
+        assert a.calls == 1
+
+    def test_exact_sum_evaluates_once(self):
+        a = CountingEvaluator(sq.power(0.5))
+        scatter_sum(a, 1500, 1.0, mode="exact")
+        assert a.calls == 1
+
+    def test_growth_scan_never_evaluates_a1(self):
+        # a(1) divides by zero; the growth condition never constrains n = 1
+        a = sq.make_sequence(sq.custom("n + 1/(n-1)"))
+        with pytest.raises(ValueError, match="division by zero"):
+            a(1)
+        assert weyl_growth_check(a, 200, 0.5, 0.5).verdict == "pass"
+
+
 class TestJointScatter:
     def test_structure_and_axis_directions(self):
         rep = joint_scatter_check([sq.identity(), sq.power(0.5)], 1.0,
