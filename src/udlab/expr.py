@@ -14,17 +14,22 @@ right-associative. Numbers are decimals with an optional exponent.
 Exponents of "^" must be constant subexpressions; integer values produce
 an integer-power node (valid for any base, with a zero-base check for
 negative powers), anything else a real-power node (base must be positive).
+A number or exponent that is not a finite double is a syntax error.
 
-Evaluation works elementwise on numpy arrays as well as scalars.
-Derivatives of any order up to JET_ORDER_CAP are computed by Taylor-mode
-propagation of coefficient vectors through the tree; no symbolic
-expansion ever happens.
+One interpreter walks the tree: Taylor-mode propagation of coefficient
+rows f^(j)/j!, j = 0..d, with d up to JET_ORDER_CAP; no symbolic
+expansion ever happens. Row 0 is the value, computed by the same numpy
+call at every order, so evaluate() is row 0 of the order-0 jet and works
+elementwise on numpy arrays as well as scalars. Each domain check exists
+once, in that walk; sqrt(0) has a value (0) but no jet of order >= 1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -231,9 +236,12 @@ class _Parser:
                 self.pos = mark  # not an exponent, e.g. "2e" would be "2 * e"
         token = text[start:self.pos]
         try:
-            return Const(float(token))
+            value = float(token)
         except ValueError:
             self.error(f"bad number '{token}'", start)
+        if not math.isfinite(value):
+            self.error(f"number '{token}' overflows a double", start)
+        return Const(value)
 
     def parse_identifier(self) -> Node:
         self.skip_ws()
@@ -255,8 +263,11 @@ class _Parser:
 def _make_power(base: Node, exponent: Node, parser: _Parser, exp_start: int) -> Node:
     if _contains_var(exponent):
         parser.error("exponent must be a constant expression", exp_start)
-    value = evaluate(exponent, 0.0)
-    if float(value).is_integer() and abs(value) <= 2 ** 31:
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = evaluate(exponent, 0.0)
+    if not math.isfinite(value):
+        parser.error(f"exponent evaluates to {value}", exp_start)
+    if value.is_integer() and abs(value) <= 2 ** 31:
         return PowInt(base, int(value))
     return PowReal(base, float(value))
 
@@ -338,68 +349,20 @@ def to_text(node: Node, var: str = "x") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation and Taylor jets: one tree walk
+
+_FACTORIALS = np.array([math.factorial(j) for j in range(JET_ORDER_CAP + 1)],
+                       dtype=float)
 
 
 def evaluate(node: Node, x):
     """Evaluate at x (scalar or ndarray) with native float semantics.
     Raises DomainError naming the offending subexpression."""
-    scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
-    result = _eval(node, np.asarray(x, dtype=float))
-    return float(result) if scalar else result
-
-
-def _eval(node: Node, x: np.ndarray):
-    if isinstance(node, Const):
-        return np.full_like(x, node.value) if x.ndim else node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Add):
-        return _eval(node.left, x) + _eval(node.right, x)
-    if isinstance(node, Sub):
-        return _eval(node.left, x) - _eval(node.right, x)
-    if isinstance(node, Mul):
-        return _eval(node.left, x) * _eval(node.right, x)
-    if isinstance(node, Div):
-        num = _eval(node.left, x)
-        den = _eval(node.right, x)
-        if np.any(den == 0.0):
-            raise DomainError("division by zero", node)
-        return num / den
-    if isinstance(node, PowInt):
-        base = _eval(node.base, x)
-        if node.exponent < 0 and np.any(base == 0.0):
-            raise DomainError("zero base with negative exponent", node)
-        return np.power(base, node.exponent)
-    if isinstance(node, PowReal):
-        base = _eval(node.base, x)
-        if np.any(base <= 0.0):
-            raise DomainError("non-positive base of real power", node)
-        return np.power(base, node.exponent)
-    if isinstance(node, Func):
-        arg = _eval(node.arg, x)
-        if node.name == "exp":
-            return np.exp(arg)
-        if node.name == "log":
-            if np.any(arg <= 0.0):
-                raise DomainError("log of non-positive value", node)
-            return np.log(arg)
-        if node.name == "sin":
-            return np.sin(arg)
-        if node.name == "cos":
-            return np.cos(arg)
-        if node.name == "sqrt":
-            if np.any(arg < 0.0):
-                raise DomainError("sqrt of negative value", node)
-            return np.sqrt(arg)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
-# Taylor jets
-
-_FACTORIALS = np.array([math.factorial(j) for j in range(JET_ORDER_CAP + 1)],
-                       dtype=float)
+    x = np.asarray(x, dtype=float)
+    value = _jet(node, x, 0)[0]
+    if x.ndim == 0:
+        return float(value)
+    return value if np.ndim(value) else np.full(x.shape, value)
 
 
 @dataclass(frozen=True)
@@ -432,134 +395,114 @@ def eval_jet_many(node: Node, xs: np.ndarray, d: int) -> np.ndarray:
     if d > JET_ORDER_CAP:
         raise OrderCapError(f"jet order {d} exceeds cap {JET_ORDER_CAP}")
     xs = np.asarray(xs, dtype=float)
-    coeffs = _jet(node, xs, d)
-    return coeffs * _FACTORIALS[:d + 1, None]
+    out = np.empty((d + 1,) + xs.shape)
+    for j, row in enumerate(_jet(node, xs, d)):
+        out[j] = row
+    out[2:] *= _FACTORIALS[2:d + 1, None]  # 0! = 1! = 1
+    return out
 
 
-def _jet_mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    d1 = u.shape[0]
-    w = np.zeros_like(u)
-    for j in range(d1):
-        for i in range(j + 1):
-            w[j] += u[i] * v[j - i]
-    return w
+def _sum(terms):
+    return reduce(operator.add, terms)
 
 
-def _jet_div(u: np.ndarray, v: np.ndarray, node: Node) -> np.ndarray:
+def _mul(u: list, v: list) -> list:
+    return [_sum(u[i] * v[j - i] for i in range(j + 1)) for j in range(len(u))]
+
+
+def _div(u: list, v: list, node: Node) -> list:
     if np.any(v[0] == 0.0):
         raise DomainError("division by zero", node)
-    w = np.zeros_like(u)
-    for j in range(u.shape[0]):
-        acc = u[j].copy()
-        for i in range(j):
-            acc -= w[i] * v[j - i]
-        w[j] = acc / v[0]
+    w = []
+    for j in range(len(u)):
+        w.append(reduce(operator.sub, (w[i] * v[j - i] for i in range(j)), u[j]) / v[0])
     return w
 
 
-def _jet_pow_real(u: np.ndarray, alpha: float, node: Node) -> np.ndarray:
-    # Leibniz power recurrence; requires positive u_0.
-    if np.any(u[0] <= 0.0):
-        raise DomainError("non-positive base of real power", node)
-    w = np.zeros_like(u)
-    w[0] = np.power(u[0], alpha)
-    for j in range(1, u.shape[0]):
-        acc = np.zeros_like(u[0])
-        for i in range(1, j + 1):
-            acc += ((alpha + 1) * i - j) * u[i] * w[j - i]
-        w[j] = acc / (j * u[0])
-    return w
+def _jet(node: Node, x: np.ndarray, d: int) -> list:
+    """Taylor coefficients f^(j)(x)/j!, j = 0..d, as a list of d+1 rows.
 
-
-def _jet(node: Node, xs: np.ndarray, d: int) -> np.ndarray:
-    shape = (d + 1,) + xs.shape
+    Row 0 is the value. A row may be a scalar that broadcasts against x:
+    constants, the constant rows of Var and zero tails.
+    """
     if isinstance(node, Const):
-        w = np.zeros(shape)
-        w[0] = node.value
-        return w
+        return [node.value] + [0.0] * d
     if isinstance(node, Var):
-        w = np.zeros(shape)
-        w[0] = xs
-        if d >= 1:
-            w[1] = 1.0
-        return w
+        return ([x, 1.0] + [0.0] * d)[:d + 1]
     if isinstance(node, Add):
-        return _jet(node.left, xs, d) + _jet(node.right, xs, d)
+        return [a + b for a, b in zip(_jet(node.left, x, d), _jet(node.right, x, d))]
     if isinstance(node, Sub):
-        return _jet(node.left, xs, d) - _jet(node.right, xs, d)
+        return [a - b for a, b in zip(_jet(node.left, x, d), _jet(node.right, x, d))]
     if isinstance(node, Mul):
-        return _jet_mul(_jet(node.left, xs, d), _jet(node.right, xs, d))
+        return _mul(_jet(node.left, x, d), _jet(node.right, x, d))
     if isinstance(node, Div):
-        return _jet_div(_jet(node.left, xs, d), _jet(node.right, xs, d), node)
+        return _div(_jet(node.left, x, d), _jet(node.right, x, d), node)
     if isinstance(node, PowInt):
-        u = _jet(node.base, xs, d)
-        k = abs(node.exponent)
-        # binary exponentiation keeps polynomial jets exactly polynomial
-        w = np.zeros(shape)
-        w[0] = 1.0
-        sq = u
-        while k:
-            if k & 1:
-                w = _jet_mul(w, sq)
-            k >>= 1
-            if k:
-                sq = _jet_mul(sq, sq)
-        if node.exponent < 0:
-            one = np.zeros(shape)
-            one[0] = 1.0
-            if np.any(w[0] == 0.0):
-                raise DomainError("zero base with negative exponent", node)
-            w = _jet_div(one, w, node)
+        u, k = _jet(node.base, x, d), node.exponent
+        if k < 0 and np.any(u[0] == 0.0):
+            raise DomainError("zero base with negative exponent", node)
+        w = [1.0] + [0.0] * d
+        if d:
+            # binary exponentiation keeps polynomial jets exactly polynomial
+            sq, m = u, abs(k)
+            while m:
+                if m & 1:
+                    w = _mul(w, sq)
+                m >>= 1
+                if m:
+                    sq = _mul(sq, sq)
+            if k < 0:
+                w = _div([1.0] + [0.0] * d, w, node)
+        w[0] = np.power(u[0], k)
         return w
     if isinstance(node, PowReal):
-        return _jet_pow_real(_jet(node.base, xs, d), node.exponent, node)
+        # Leibniz power recurrence; requires positive u_0.
+        u, alpha = _jet(node.base, x, d), node.exponent
+        if np.any(u[0] <= 0.0):
+            raise DomainError("non-positive base of real power", node)
+        w = [np.power(u[0], alpha)]
+        for j in range(1, d + 1):
+            w.append(_sum(((alpha + 1) * i - j) * u[i] * w[j - i]
+                          for i in range(1, j + 1)) / (j * u[0]))
+        return w
     if isinstance(node, Func):
-        u = _jet(node.arg, xs, d)
-        if node.name == "exp":
-            w = np.zeros(shape)
-            w[0] = np.exp(u[0])
-            for j in range(1, d + 1):
-                acc = np.zeros_like(u[0])
-                for i in range(1, j + 1):
-                    acc += i * u[i] * w[j - i]
-                w[j] = acc / j
-            return w
-        if node.name == "log":
-            if np.any(u[0] <= 0.0):
-                raise DomainError("log of non-positive value", node)
-            w = np.zeros(shape)
-            w[0] = np.log(u[0])
-            for j in range(1, d + 1):
-                acc = u[j].copy()
-                for i in range(1, j):
-                    acc -= (i / j) * w[i] * u[j - i]
-                w[j] = acc / u[0]
-            return w
-        if node.name in ("sin", "cos"):
-            s = np.zeros(shape)
-            c = np.zeros(shape)
-            s[0] = np.sin(u[0])
-            c[0] = np.cos(u[0])
-            for j in range(1, d + 1):
-                sa = np.zeros_like(u[0])
-                ca = np.zeros_like(u[0])
-                for i in range(1, j + 1):
-                    sa += i * u[i] * c[j - i]
-                    ca += i * u[i] * s[j - i]
-                s[j] = sa / j
-                c[j] = -ca / j
-            return s if node.name == "sin" else c
-        if node.name == "sqrt":
-            if np.any(u[0] <= 0.0):
-                raise DomainError("sqrt jet needs a positive argument", node)
-            w = np.zeros(shape)
-            w[0] = np.sqrt(u[0])
-            for j in range(1, d + 1):
-                acc = u[j].copy()
-                for i in range(1, j):
-                    acc -= w[i] * w[j - i]
-                w[j] = acc / (2.0 * w[0])
-            return w
+        return _func_jet(node, _jet(node.arg, x, d), d)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _func_jet(node: Func, u: list, d: int) -> list:
+    name = node.name
+    if name == "exp":
+        w = [np.exp(u[0])]
+        for j in range(1, d + 1):
+            w.append(_sum(i * u[i] * w[j - i] for i in range(1, j + 1)) / j)
+        return w
+    if name == "log":
+        if np.any(u[0] <= 0.0):
+            raise DomainError("log of non-positive value", node)
+        w = [np.log(u[0])]
+        for j in range(1, d + 1):
+            terms = ((i / j) * w[i] * u[j - i] for i in range(1, j))
+            w.append(reduce(operator.sub, terms, u[j]) / u[0])
+        return w
+    if name in ("sin", "cos"):
+        if d == 0:
+            return [np.sin(u[0]) if name == "sin" else np.cos(u[0])]
+        s, c = [np.sin(u[0])], [np.cos(u[0])]
+        for j in range(1, d + 1):
+            s.append(_sum(i * u[i] * c[j - i] for i in range(1, j + 1)) / j)
+            c.append(-_sum(i * u[i] * s[j - i] for i in range(1, j + 1)) / j)
+        return s if name == "sin" else c
+    if name == "sqrt":
+        if np.any(u[0] < 0.0):
+            raise DomainError("sqrt of negative value", node)
+        if d and np.any(u[0] == 0.0):
+            raise DomainError("sqrt jet needs a positive argument", node)
+        w = [np.sqrt(u[0])]
+        for j in range(1, d + 1):
+            terms = (w[i] * w[j - i] for i in range(1, j))
+            w.append(reduce(operator.sub, terms, u[j]) / (2.0 * w[0]))
+        return w
     raise TypeError(f"not an expression node: {node!r}")
 
 

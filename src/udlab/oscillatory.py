@@ -75,20 +75,19 @@ def _as_lambda(lam, k: int) -> np.ndarray:
     return arr
 
 
-def _phase(fs: Sequence[ex.Node], lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(xs)
-    for coef, f in zip(lam, fs):
-        if coef != 0.0:
-            total = total + coef * np.asarray(ex.evaluate(f, xs), dtype=float)
-    return total
-
-
 def _phase_jet(fs: Sequence[ex.Node], lam: np.ndarray, xs: np.ndarray,
                order: int) -> np.ndarray:
+    """Rows 0..order of phi = lambda . f at xs; row 0 is the phase itself.
+    A non-finite value or derivative raises ValueError naming the phase."""
     total = np.zeros((order + 1, len(xs)))
     for coef, f in zip(lam, fs):
         if coef != 0.0:
             total += coef * ex.eval_jet_many(f, xs, order)
+    bad = ~np.isfinite(total)
+    if np.any(bad):
+        phase = " + ".join(f"{float(c)!r}*({ex.to_text(f)})" for c, f in zip(lam, fs))
+        x = float(xs[np.argmax(np.any(bad, axis=0))])
+        raise ValueError(f"phase {phase} is not finite at x = {x!r} (jet order {order})")
     return total
 
 
@@ -139,7 +138,7 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
         half = 0.5 * (b_arr - a_arr)
         mid = 0.5 * (a_arr + b_arr)
         xs = mid[:, None] + half[:, None] * _NODES[None, :]
-        z = e_phase(_phase(fs, lam, xs.ravel()).reshape(xs.shape))
+        z = e_phase(_phase_jet(fs, lam, xs.ravel(), 0)[0].reshape(xs.shape))
         k15 = half * (z @ _WEIGHTS_K)
         g7 = half * (z @ _WEIGHTS_G)
         return k15, np.abs(k15 - g7)

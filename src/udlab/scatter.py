@@ -69,15 +69,30 @@ def _pair_diffs(a, lo: int, N: int):
 
 
 def _exact_sum(a, N: int, delta: float) -> float:
-    """Direct pair sum; a NaN difference raises."""
+    """Direct pair sum; a NaN difference raises.
+
+    An inf difference d >= 2^1024 has price d^-delta <= 2^(-1024*delta),
+    which is not negligible for small delta. It is priced from the hook's
+    log2_abs_diff; without one it is priced 0 when delta >= 53/1024 (at
+    most 2^-53) and refused below that.
+    """
     diff = _pair_diffs(a, 1, N)
     chunk_sums = []
     for lo in range(2, N + 1, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, N + 1)
-        ns = np.arange(lo, hi)
-        ms = np.arange(1, hi)
-        c = _contrib(diff(ns[:, None], ms[None, :]), delta)
-        c = np.where(ms[None, :] < ns[:, None], c, 0.0)
+        ns = np.arange(lo, hi)[:, None]
+        ms = np.arange(1, hi)[None, :]
+        d = diff(ns, ms)
+        c = _contrib(d, delta)
+        big = np.isinf(d)
+        if np.any(big):
+            ns_b, ms_b = (idx[big] for idx in np.broadcast_arrays(ns, ms))
+            if hasattr(a, "log2_abs_diff"):
+                c[big] = np.exp2(-delta * a.log2_abs_diff(ns_b, ms_b))
+            elif delta < 53 / 1024:
+                raise ValueError("pair differences overflow a double; "
+                                 "their price is not negligible at delta < 53/1024")
+        c = np.where(ms < ns, c, 0.0)
         chunk_sums.append(float(np.sum(c)))
     total = math.fsum(chunk_sums)
     if math.isnan(total):

@@ -12,7 +12,8 @@ exposes exact block indices and (mantissa, base-2 exponent) pairs, and
 an abs_diff hook built on them. The one pair-difference rule of the
 scatter module (scatter._pair_diffs, behind the growth scan and the exact
 pair sum) takes that hook, so differences stay meaningful where values
-alone saturate to inf.
+alone saturate to inf; the exact pair sum prices a difference past double
+range from the hook's log2_abs_diff.
 """
 
 from __future__ import annotations
@@ -159,19 +160,31 @@ class IteratedExpEvaluator:
         e2 = np.floor(t).astype(np.int64)
         return np.exp2(t - e2), e2
 
-    def abs_diff(self, n, m):
-        """|a(n) - a(m)| as a double; exact 0 inside a block, inf once the
-        true difference leaves double range."""
+    def _diff_mantexp(self, n, m) -> Tuple[np.ndarray, np.ndarray]:
+        """|a(n) - a(m)| as (mantissa, base-2 exponent); mantissa 0 inside
+        a block."""
         jn, jm = self.block_index(n), self.block_index(m)
         mn, en = self.mantexp(n)
         mm, em = self.mantexp(m)
         hi_m, hi_e = np.where(en >= em, mn, mm), np.maximum(en, em)
         lo_m, lo_e = np.where(en >= em, mm, mn), np.minimum(en, em)
         scaled = lo_m * np.exp2(np.maximum(lo_e - hi_e, -1100).astype(float))
+        return np.where(jn == jm, 0.0, np.abs(hi_m - scaled)), hi_e
+
+    def abs_diff(self, n, m):
+        """|a(n) - a(m)| as a double; exact 0 inside a block, inf once the
+        true difference leaves double range."""
+        mant, e2 = self._diff_mantexp(n, m)
         with np.errstate(over="ignore"):
-            out = np.ldexp(np.abs(hi_m - scaled), hi_e.clip(max=20000))
-        out = np.where(jn == jm, 0.0, out)
+            out = np.ldexp(mant, e2.clip(max=20000))
         return out if out.ndim else float(out)
+
+    def log2_abs_diff(self, n, m):
+        """log2 |a(n) - a(m)|: finite where abs_diff is inf, -inf inside a
+        block."""
+        mant, e2 = self._diff_mantexp(n, m)
+        with np.errstate(divide="ignore"):
+            return np.log2(mant) + e2
 
 
 def make_sequence(spec: SequenceSpec) -> Callable:

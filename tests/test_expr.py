@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udlab import expr as ex
-from udlab.expr import (Const, DomainError, ExprSyntaxError, Func, Mul,
+from udlab.expr import (Add, Const, Div, DomainError, ExprSyntaxError, Func, Mul,
                         OrderCapError, PowInt, PowReal, Sub, Var)
 
 from conftest import random_expr_and_point
@@ -67,6 +69,17 @@ class TestParsing:
     def test_variable_exponent_rejected(self):
         with pytest.raises(ExprSyntaxError):
             ex.parse_expr("x^x")
+
+    @pytest.mark.parametrize("text, offset", [
+        ("1e400*x", 1),          # number overflows to inf
+        ("x^(0*10^400)", 3),     # exponent 0*inf is NaN
+        ("x^(10^400)", 3),       # exponent overflows to inf
+        ("2*x - 1e999", 7),
+    ])
+    def test_non_finite_constants_refused(self, text, offset):
+        with pytest.raises(ExprSyntaxError) as info:
+            ex.parse_expr(text)
+        assert info.value.offset == offset
 
 
 class TestRoundTrip:
@@ -166,6 +179,68 @@ class TestJets:
     def test_jet_domain_error(self):
         with pytest.raises(DomainError):
             ex.eval_jet(ex.parse_expr("sqrt(x)"), 0.0, 2)
+
+
+def trees(consts, int_exponents, real_exponents):
+    def extend(children):
+        return st.one_of(
+            st.builds(Add, children, children), st.builds(Sub, children, children),
+            st.builds(Mul, children, children), st.builds(Div, children, children),
+            st.builds(PowInt, children, int_exponents),
+            st.builds(PowReal, children, real_exponents),
+            st.builds(Func, st.sampled_from(ex._FUNCS), children))
+    leaves = st.one_of(st.just(Var()), consts.map(Const))
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+# Trees the parser can produce: finite constants, integer-valued exponents
+# up to 2^31 as PowInt and every other finite exponent as PowReal.
+PARSABLE = trees(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2 ** 31, 2 ** 31),
+    st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda a: not (a.is_integer() and abs(a) <= 2 ** 31)))
+
+# Small trees for evaluation: jets of order 4 stay cheap.
+SMALL = trees(st.floats(-4.0, 4.0),
+              st.integers(-4, 5),
+              st.floats(-2.5, 2.5).filter(lambda a: not a.is_integer()))
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(node=SMALL, xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=7))
+    def test_value_is_row_zero_of_every_jet(self, node, xs):
+        xs = np.array(xs)
+        with np.errstate(all="ignore"):
+            try:
+                values = ex.evaluate(node, xs)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    ex.eval_jet_many(node, xs, 0)
+                return
+            scalar = ex.evaluate(node, float(xs[0]))
+            for d in range(5):
+                try:
+                    jet = ex.eval_jet_many(node, xs, d)
+                except DomainError:
+                    assert d >= 1  # sqrt(0), or x^-k whose jet underflows
+                    continue
+                assert jet[0].tobytes() == values.tobytes(), (ex.to_text(node), d)
+                assert np.float64(scalar).tobytes() == jet[0, :1].tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tree=PARSABLE)
+    def test_text_round_trip(self, tree):
+        assert ex.parse_expr(ex.to_text(tree)) == tree
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_sqrt_at_zero_has_a_value_but_no_jet(self, d):
+        root = ex.parse_expr("sqrt(x)")
+        assert ex.evaluate(root, 0.0) == 0.0
+        assert ex.eval_jet(root, 0.0, 0).derivatives[0] == 0.0
+        with pytest.raises(DomainError):
+            ex.eval_jet(root, 0.0, d)
 
 
 class TestIndependence:

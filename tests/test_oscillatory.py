@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from udlab import cli
 from udlab import expr as ex
 from udlab.oscillatory import (decay_fit, osc_integral, vdc_bound_first,
                                vdc_bound_high, vdc_constant)
@@ -10,6 +11,7 @@ from udlab.oscillatory import (decay_fit, osc_integral, vdc_bound_first,
 X = ex.parse_expr("x")
 X2 = ex.parse_expr("x^2")
 X3 = ex.parse_expr("x^3")
+EXP_EXP = ex.parse_expr("exp(exp(x))")  # overflows from x = log(709.78) ~ 6.565
 
 HALF_POW2_RADII = [2.0 ** j + 0.5 for j in range(2, 10)]
 
@@ -181,3 +183,25 @@ class TestDecayFit:
             decay_fit([X], (0, 1), [1, 2, 4, 8, 16, 1e6], 1)  # beyond cap
         with pytest.raises(ValueError):
             decay_fit([X, X2], (0, 1), HALF_POW2_RADII, 1)    # dirs < k
+
+
+class TestNonFinitePhase:
+    def test_osc_integral_refuses(self):
+        # used to bisect to the 2^20 panel cap and return NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"phase 1\.0\*\(exp\(exp\(x\)\)\)"):
+                osc_integral([EXP_EXP], [1.0], (6, 7))
+
+    def test_decay_fit_refuses(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="not finite"):
+                decay_fit([X, EXP_EXP], (6, 7), HALF_POW2_RADII, 2)
+
+    def test_cli_exits_2(self, capsys):
+        # used to run for about 10 s, then fail with "SVD did not converge"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["oscdecay", "--f", "exp(exp(x))", "--interval", "6,7",
+                             "--radii", "geom:2:64:6", "--dirs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: phase") and "not finite" in err

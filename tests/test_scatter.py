@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -217,6 +218,46 @@ class TestNonFinite:
         assert np.isinf(ev.abs_diff(1200, 10))
         assert math.isfinite(scatter_sum(ev, 1200, 1.0, mode="exact").S)
         assert weyl_growth_check(ev, 1200, 0.5, 0.5).verdict == "fail"
+
+
+def iterexp_block_sum(N: int, delta: float) -> float:
+    """S_delta(N) of exp(exp(floor(log n))) from its blocks in mpmath: pairs
+    inside a block cost 1, pairs across blocks j < l cost
+    min(|exp(e^l) - exp(e^j)|^-delta, 1) each."""
+    mpmath.mp.prec = 80
+    counts = {}
+    for n in range(1, N + 1):
+        j = int(mpmath.floor(mpmath.log(n)))
+        counts[j] = counts.get(j, 0) + 1
+    blocks = sorted(counts)
+    total = mpmath.mpf(0)
+    for i, j in enumerate(blocks):
+        total += counts[j] * (counts[j] - 1) // 2
+        for l in blocks[i + 1:]:
+            gap = mpmath.exp(mpmath.exp(l)) - mpmath.exp(mpmath.exp(j))
+            total += counts[j] * counts[l] * min(gap ** -delta, 1)
+    return float(total / N ** 2)
+
+
+class TestPairsBeyondDoubleRange:
+    @pytest.mark.parametrize("delta", [0.001, 0.1, 1.0])
+    def test_iterated_exp_matches_block_sum(self, delta):
+        # from n = 1097 on, differences exceed 2^1024; at delta = 0.001 each
+        # such pair still costs up to 2^-1.02, not 0
+        ev = sq.make_sequence(sq.iterated_exp())
+        got = scatter_sum(ev, 1200, delta)
+        assert got.method == "exact" and got.error_bound == 0.0
+        assert got.S == pytest.approx(iterexp_block_sum(1200, delta), rel=1e-13)
+
+    def test_overflowing_plain_differences(self):
+        # finite values whose differences overflow: refused where their
+        # price 2^(-1024 delta) is above 2^-53, priced 0 beyond that
+        ev = array_evaluator(np.array([1e308, -1e308] * 32))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="overflow"):
+                scatter_sum(ev, 64, 0.01, mode="exact")
+            assert scatter_sum(ev, 64, 1.0, mode="exact").S == pytest.approx(
+                32 * 31 / 64 ** 2, rel=1e-15)
 
 
 class CountingEvaluator:

@@ -70,6 +70,15 @@ class TestIteratedExp:
         assert ev.abs_diff(3, 8) == pytest.approx(expect, rel=1e-12)
         assert ev.abs_diff(3, 9000) == math.inf  # beyond double range
 
+    def test_log2_differences(self):
+        ev = sq.make_sequence(sq.iterated_exp())
+        assert ev.log2_abs_diff(3, 5) == -math.inf  # same block
+        expect = math.exp(math.exp(2)) - math.exp(math.exp(1))
+        assert ev.log2_abs_diff(3, 8) == pytest.approx(math.log2(expect), rel=1e-14)
+        # a(9000) = exp(e^9) dwarfs a(3); log2 is e^9/ln 2
+        assert ev.log2_abs_diff(3, 9000) == pytest.approx(math.exp(9) / math.log(2),
+                                                          rel=1e-14)
+
     def test_overflow_is_inf_not_garbage(self):
         ev = sq.make_sequence(sq.iterated_exp())
         assert ev(5000) == math.inf
