@@ -540,9 +540,11 @@ def check_linear_independence(fs: Sequence[Node], interval, m: Optional[int] = N
     if m < 2 * (k + 1):
         raise ValueError(f"need at least {2 * (k + 1)} sample points, got {m}")
     xs = chebyshev_nodes(lo, hi, m)
-    cols = [np.ones(m)]
-    for f in fs:
-        cols.append(np.asarray(evaluate(f, xs), dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = [np.ones(m)] + [np.asarray(evaluate(f, xs), dtype=float) for f in fs]
+    for f, col in zip(fs, cols[1:]):
+        if not np.all(np.isfinite(col)):
+            raise ValueError(f"samples of {to_text(f)} on [{lo:g}, {hi:g}] are not finite")
     matrix = np.column_stack(cols)
     norms = np.linalg.norm(matrix, axis=0)
     if np.any(norms == 0.0):

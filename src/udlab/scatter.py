@@ -23,8 +23,7 @@ from .numerics import derive_seed, unit_directions
 
 EXACT_CUTOFF = 1 << 13  # beyond this many terms, auto mode switches to buckets
 BUCKET_ETA_DEFAULT = 0.01
-_ROW_CHUNK = 512
-_THRESH_BATCH = 64
+_BLOCK_ELEMENTS = 1 << 17  # doubles per row block of the exact sum, cache-sized
 
 
 @dataclass(frozen=True)
@@ -34,21 +33,9 @@ class ScatterValue:
     method: str  # "exact" | "bucketed(eta=...)"
 
 
-def _contrib(diffs: np.ndarray, delta: float) -> np.ndarray:
-    # min(d^-delta, 1); d == 0 gives 1, d == inf gives 0
-    with np.errstate(over="ignore"):
-        return np.where(diffs <= 1.0, 1.0, np.power(np.maximum(diffs, 1.0), -delta))
-
-
-def _check_args(N: int, delta: float):
-    if N < 2:
-        raise ValueError("need N >= 2")
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
-
-
 def _finite_values(a, ns: np.ndarray) -> np.ndarray:
-    vals = np.asarray(a(ns), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(a(ns), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("sequence values must be finite")
     return vals
@@ -65,26 +52,30 @@ def _pair_diffs(a, lo: int, N: int):
     if hasattr(a, "abs_diff"):
         return a.abs_diff
     vals = _finite_values(a, np.arange(lo, N + 1))
-    return lambda ns, ms: np.abs(vals[ns - lo] - vals[ms - lo])
+    return lambda ns, ms: np.abs(d := vals[ns - lo] - vals[ms - lo], out=d)  # one alloc
 
 
-def _exact_sum(a, N: int, delta: float) -> float:
-    """Direct pair sum; a NaN difference raises.
-
-    An inf difference d >= 2^1024 has price d^-delta <= 2^(-1024*delta),
-    which is not negligible for small delta. It is priced from the hook's
-    log2_abs_diff; without one it is priced 0 when delta >= 53/1024 (at
-    most 2^-53) and refused below that.
-    """
-    diff = _pair_diffs(a, 1, N)
-    chunk_sums = []
-    for lo in range(2, N + 1, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, N + 1)
-        ns = np.arange(lo, hi)[:, None]
-        ms = np.arange(1, hi)[None, :]
+def _exact_sums(a, Ns: Sequence[int], delta: float) -> List[float]:
+    """Direct pair sums S(N), N in Ns, in one pass over the lower triangle
+    m < n <= max(Ns); a NaN difference raises. Row blocks have bounds and
+    widths set by the row index alone, so S(N) = fsum(row sums to N) / N^2
+    does not depend on max(Ns). An inf difference d >= 2^1024 costs
+    d^-delta <= 2^(-1024*delta), not negligible for small delta: it is
+    priced from the hook's log2_abs_diff; without one it is priced 0 when
+    delta >= 53/1024 (at most 2^-53) and refused below that."""
+    top = max(Ns, default=1)
+    diff = _pair_diffs(a, 1, top)
+    row_sums = np.zeros(top + 1)
+    lo = 2
+    while lo <= top:
+        # rows * (lo - 1 + rows) <= _BLOCK_ELEMENTS; columns past top are masked
+        hi = lo + max(1, (math.isqrt(lo * lo + 4 * _BLOCK_ELEMENTS) - lo) // 2)
+        ns, cols = np.arange(lo, min(hi, top + 1))[:, None], np.arange(1, hi)
+        ms = np.minimum(cols, top)[None, :]
         d = diff(ns, ms)
-        c = _contrib(d, delta)
         big = np.isinf(d)
+        with np.errstate(divide="ignore", over="ignore"):  # d == 0 gives 1, inf 0
+            c = np.minimum(np.power(d, -delta, out=d), 1.0, out=d)
         if np.any(big):
             ns_b, ms_b = (idx[big] for idx in np.broadcast_arrays(ns, ms))
             if hasattr(a, "log2_abs_diff"):
@@ -92,67 +83,76 @@ def _exact_sum(a, N: int, delta: float) -> float:
             elif delta < 53 / 1024:
                 raise ValueError("pair differences overflow a double; "
                                  "their price is not negligible at delta < 53/1024")
-        c = np.where(ms < ns, c, 0.0)
-        chunk_sums.append(float(np.sum(c)))
-    total = math.fsum(chunk_sums)
-    if math.isnan(total):
+        c[:, lo - 1:] = np.where(cols[lo - 1:] < ns, c[:, lo - 1:], 0.0)
+        row_sums[lo:lo + len(ns)] = np.sum(c, axis=1)
+        lo = hi
+    if np.isnan(row_sums).any():
         raise ValueError("sequence differences must not be NaN")
-    return total / (N * N)
+    return [math.fsum(row_sums[:N + 1]) / (N * N) for N in Ns]
 
 
 def _count_pairs_within(vals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """For sorted vals, the number of pairs i<j with vals[j]-vals[i] <= t,
-    for each threshold t."""
+    """For sorted vals, the number of pairs i<j with vals[j]-vals[i] <= t for
+    each threshold t: in the stable order of (vals - t, vals) needle j sits at
+    j + #{i: vals[i] < vals[j] - t}, and timsort merges the two runs in linear time."""
     n = len(vals)
-    positions = np.arange(n, dtype=np.int64)
     counts = np.empty(len(thresholds), dtype=np.int64)
-    for b0 in range(0, len(thresholds), _THRESH_BATCH):
-        batch = thresholds[b0:b0 + _THRESH_BATCH]
-        needles = vals[None, :] - batch[:, None]
-        idx = np.searchsorted(vals, needles.ravel(), side="left")
-        idx = idx.reshape(len(batch), n)
-        counts[b0:b0 + len(batch)] = (positions[None, :] - idx).sum(axis=1)
+    for k, t in enumerate(thresholds):
+        # a loop keeps the last order alive: no heap trim and re-fault per t
+        order = np.argsort(np.concatenate((vals - t, vals)), kind="stable")
+        counts[k] = n * (n - 1) - int(np.flatnonzero(order < n).sum())
     return counts
 
 
-def _bucketed_sum(a, N: int, delta: float, eta: float) -> Tuple[float, float]:
+def _bucketed_sum(a, N: int, delta: float, eta: float) -> ScatterValue:
     vals = np.sort(_finite_values(a, np.arange(1, N + 1)))
     span = float(vals[-1] - vals[0])
-    within_one = _count_pairs_within(vals, np.array([1.0]))[0]
-    exact_part = float(within_one)  # each such pair contributes exactly 1
-    if span <= 1.0:
-        return exact_part / (N * N), 0.0
-    n_buckets = int(math.ceil(math.log(span) / math.log1p(eta))) + 1
+    n_buckets = int(math.ceil(math.log(span) / math.log1p(eta))) + 1 if span > 1.0 else 0
     edges = np.power(1.0 + eta, np.arange(n_buckets + 1))  # edges[0] = 1
     cum = _count_pairs_within(vals, edges)
+    exact_part = float(cum[0])  # each pair within 1 contributes exactly 1
     per_bucket = np.diff(cum)  # pairs with diff in (edges[j], edges[j+1]]
     geo_mean = np.sqrt(edges[:-1] * edges[1:])
     approx_part = float(np.sum(per_bucket * np.power(geo_mean, -delta)))
     err = approx_part * (math.pow(1.0 + eta, delta / 2.0) - 1.0)
-    return (exact_part + approx_part) / (N * N), err / (N * N)
+    return ScatterValue((exact_part + approx_part) / (N * N), err / (N * N),
+                        f"bucketed(eta={eta:g})")
+
+
+def _scatter_values(a, Ns: List[int], delta: float, mode: str,
+                    eta: float) -> List[ScatterValue]:
+    """S_delta(N) for every N in the increasing list Ns from one evaluation
+    a(1..max(Ns)) and one exact pass over the lower triangle."""
+    if Ns[0] < 2:
+        raise ValueError("need N >= 2")
+    if not (0.0 < delta <= 1.0):
+        raise ValueError("delta must lie in (0, 1]")
+    if mode not in ("auto", "exact", "bucketed"):
+        raise ValueError(f"unknown mode '{mode}'")
+    modes = [("exact" if N <= EXACT_CUTOFF or hasattr(a, "abs_diff") else "bucketed")
+             if mode == "auto" else mode for N in Ns]
+    if "bucketed" in modes and not (0.0 < eta <= 0.05):
+        raise ValueError("bucket ratio eta must lie in (0, 0.05]")
+    if not hasattr(a, "abs_diff"):
+        vals = _finite_values(a, np.arange(1, Ns[-1] + 1))
+        a = lambda n: vals[n - 1]  # one evaluation, sliced for every N
+    exact = iter(_exact_sums(a, [N for N, m in zip(Ns, modes) if m == "exact"], delta))
+    return [ScatterValue(next(exact), 0.0, "exact") if m == "exact"
+            else _bucketed_sum(a, N, delta, eta) for N, m in zip(Ns, modes)]
 
 
 def scatter_sum(a, N: int, delta: float, mode: str = "auto",
                 eta: float = BUCKET_ETA_DEFAULT) -> ScatterValue:
     """The normalized pair sum S_delta(N) for an evaluator a.
 
-    Exact mode is the direct O(N^2) pair sum. Bucketed mode sorts the
-    values, counts pairs per geometric difference bucket and prices each
-    bucket at its edge geometric mean; pairs with difference <= 1 are
-    counted exactly, so the advertised relative error delta*eta applies
-    only to the remainder. Auto picks exact up to N = 2^13.
+    Exact mode is the direct O(N^2) sum over the lower triangle in
+    cache-sized row blocks. Bucketed mode sorts the values, counts pairs
+    per geometric difference bucket by one linear merge per edge and
+    prices each bucket at its edge geometric mean; pairs with difference
+    <= 1 are counted exactly, so the advertised relative error delta*eta
+    applies only to the remainder. Auto picks exact up to N = 2^13.
     """
-    _check_args(N, delta)
-    if mode == "auto":
-        mode = "exact" if (N <= EXACT_CUTOFF or hasattr(a, "abs_diff")) else "bucketed"
-    if mode == "exact":
-        return ScatterValue(_exact_sum(a, N, delta), 0.0, "exact")
-    if mode == "bucketed":
-        if not (0.0 < eta <= 0.05):
-            raise ValueError("bucket ratio eta must lie in (0, 0.05]")
-        s, err = _bucketed_sum(a, N, delta, eta)
-        return ScatterValue(s, err, f"bucketed(eta={eta:g})")
-    raise ValueError(f"unknown mode '{mode}'")
+    return _scatter_values(a, [N], delta, mode, eta)[0]
 
 
 @dataclass
@@ -189,21 +189,17 @@ def fit_scatter(a, delta: float, grid: Sequence[int], mode: str = "auto",
         raise ValueError("grid minimum must be >= 8")
     if any(b <= a_ for a_, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    values, errs, methods, eps = [], [], [], []
-    for N in grid:
-        sv = scatter_sum(a, N, delta, mode=mode, eta=eta)
-        values.append(sv.S)
-        errs.append(sv.error_bound)
-        methods.append(sv.method)
-        with np.errstate(divide="ignore"):
-            e = math.log(1.0 / sv.S) / math.log(math.log(N)) - 1.0 if sv.S > 0 else math.inf
-        eps.append(e)
+    svs = _scatter_values(a, grid, delta, mode, eta)
+    values = [sv.S for sv in svs]
+    eps = [math.log(1.0 / s) / math.log(math.log(N)) - 1.0 if s > 0 else math.inf
+           for s, N in zip(values, grid)]
     logs = np.log(np.asarray(values))
     slope_ll = float(np.polyfit(np.log(np.log(grid)), logs, 1)[0])
     slope_ln = float(np.polyfit(np.log(grid), logs, 1)[0])
     eps_hat = float(min(eps))
-    return ScatterReport(delta, grid, values, errs, methods, eps, eps_hat,
-                         slope_ll, slope_ln, eps_hat > 0.0)
+    return ScatterReport(delta, grid, values, [sv.error_bound for sv in svs],
+                         [sv.method for sv in svs], eps, eps_hat, slope_ll, slope_ln,
+                         eps_hat > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +242,7 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
         raise ValueError("eps and g must be positive")
     ns_all = np.arange(2, N + 1, dtype=np.int64)
     m0 = growth_threshold(ns_all, eps)
-    m0 = np.where(np.isfinite(m0), m0, np.inf)
-    counts = np.maximum(0, N - m0 + 1)
-    total = int(np.sum(counts[np.isfinite(counts)]))
+    total = int(np.sum(np.maximum(0, N - m0 + 1)))  # m0 may be inf, never NaN
     diff = _pair_diffs(a, 2, N)
 
     def scan(ns: np.ndarray, ms: np.ndarray, mask=True) -> Optional[Tuple[int, int]]:

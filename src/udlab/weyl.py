@@ -67,7 +67,8 @@ class TowerCoord:
         self.b_spec = b_spec
         self.x = float(x)
         self._b = sq.make_sequence(b_spec)
-        self._gx = float(ex.evaluate(g, self.x))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            self._gx = float(ex.evaluate(g, self.x))
         if not (math.isfinite(self._gx) and self._gx > 1.0):
             raise ValueError(f"power-tower base g(x) = {self._gx} must be finite and exceed 1")
         self.precision_bits = TOWER_GUARD_BITS  # grows with n; updated as used
@@ -75,7 +76,8 @@ class TowerCoord:
     def fracs(self, indices: np.ndarray) -> np.ndarray:
         """Non-negative integer exponents go through exact fixed point,
         any other exponent through mpmath, point by point."""
-        b = np.asarray(self._b(indices), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            b = np.asarray(self._b(indices), dtype=float)
         if not np.all(np.isfinite(b)):
             raise ValueError("power-tower exponents b(n) must be finite")
         out = np.empty(len(b))
@@ -102,7 +104,8 @@ class RawCoord:
 
     def fracs(self, indices: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.fn(indices), dtype=float)
-        return vals - np.floor(vals)
+        with np.errstate(invalid="ignore"):  # inf gives NaN, refused downstream
+            return vals - np.floor(vals)
 
     def describe(self) -> str:
         return f"raw:{self.label}"

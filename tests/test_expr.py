@@ -276,3 +276,10 @@ class TestIndependence:
     def test_sample_count_precondition(self):
         with pytest.raises(ValueError):
             ex.check_linear_independence([ex.parse_expr("x")], (0, 1), m=3)
+
+    def test_non_finite_samples_refused_before_the_svd(self):
+        # exp(exp(x)) overflows on [6, 7]; the SVD used to fail on inf columns
+        # with numpy's "SVD did not converge", naming no function
+        fs = [ex.parse_expr("exp(exp(x))"), ex.parse_expr("x")]
+        with pytest.raises(ValueError, match=r"exp\(exp\(x\)\) on \[6, 7\] are not finite"):
+            ex.check_linear_independence(fs, (6, 7))

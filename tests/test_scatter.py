@@ -3,7 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from udlab import scatter as sc
 from udlab import sequences as sq
 from udlab.scatter import (fit_scatter, joint_scatter_check, scatter_sum,
                            weyl_growth_check)
@@ -286,6 +289,13 @@ class TestOneEvaluationPerCall:
         scatter_sum(a, 1500, 1.0, mode="exact")
         assert a.calls == 1
 
+    def test_fit_scatter_evaluates_once(self):
+        # exact and bucketed grid points share one a(1..max grid)
+        a = CountingEvaluator(sq.power(0.5))
+        rep = fit_scatter(a, 1.0, [8, 300, 2 ** 13, 2 ** 13 + 7])
+        assert rep.methods[-2] == "exact" and rep.methods[-1].startswith("bucketed")
+        assert a.calls == 1
+
     def test_growth_scan_never_evaluates_a1(self):
         # a(1) divides by zero; the growth condition never constrains n = 1
         a = sq.make_sequence(sq.custom("n + 1/(n-1)"))
@@ -345,3 +355,97 @@ class TestJointScatter:
         with pytest.raises(ValueError):
             joint_scatter_check([sq.identity(), sq.identity()], 1.0,
                                 [8, 16, 32, 64], 1)
+
+
+def fsum_pair_sum(vals, delta: float) -> float:
+    """S_delta(N) by a pure-Python fsum over all pairs m < n."""
+    vals = [float(v) for v in vals]
+    prices = (1.0 if abs(x - y) <= 1.0 else abs(x - y) ** -delta
+              for n, x in enumerate(vals) for y in vals[:n])
+    return math.fsum(prices) / len(vals) ** 2
+
+
+class RowPrices:
+    """Pair differences that are inf, priced 0 at delta >= 53/1024, except
+    in the given rows: S(N) is then the sum of a few row sums, so a change
+    in how one of them is summed shows in the last bit of S."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows)
+
+    def __call__(self, n):
+        return np.asarray(n, dtype=float)
+
+    def abs_diff(self, n, m):
+        hi, lo = np.maximum(n, m), np.minimum(n, m)
+        d = 1.0 + (hi * 7919 + lo * 104729) % 1013 / 7.3
+        return np.where(np.isin(hi, self.rows), d, np.inf)
+
+
+class TestExactKernel:
+    """The one-pass lower-triangle kernel against independent oracles."""
+
+    @pytest.mark.parametrize("block", [16, 300, sc._BLOCK_ELEMENTS])
+    def test_matches_fsum_oracle(self, monkeypatch, block):
+        # unsorted values with ties; small blocks put many block boundaries
+        # (and truncated last blocks) inside N <= 300
+        monkeypatch.setattr(sc, "_BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(11)
+        for n in [2, 3, 17, 64, 129, 300] + [int(k) for k in rng.integers(2, 301, 4)]:
+            vals = np.round(rng.normal(size=n) * 10 ** rng.uniform(-1, 2), 1)
+            vals[rng.integers(0, n, n // 3)] = vals[0]
+            ev = array_evaluator(vals)
+            for delta in (0.25, 0.5, 1.0):
+                want = fsum_pair_sum(vals, delta)
+                got = scatter_sum(ev, n, delta, mode="exact").S
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("block", [300, 4000, sc._BLOCK_ELEMENTS])
+    def test_fit_scatter_equals_scatter_sum_bitwise(self, monkeypatch, block):
+        # the block layout depends on the row index only, so a grid point
+        # gets the same S whatever the largest N of the pass; RowPrices
+        # makes a row summed in another order show in the last bit of S
+        monkeypatch.setattr(sc, "_BLOCK_ELEMENTS", block)
+        grid = [8, 20, 37, 50, 100, 200, 361, 362, 363, 500, 1000]
+        rng = np.random.default_rng(12)
+        for a in (RowPrices(grid), sq.make_sequence(sq.power(0.5)),
+                  array_evaluator(rng.normal(size=1000) * 30)):
+            for delta in (0.25, 0.5, 1.0):
+                rep = fit_scatter(a, delta, grid)
+                assert rep.S == [scatter_sum(a, N, delta).S for N in grid]
+
+    def test_iterated_exp_prices_agree_across_grid(self):
+        ev = sq.make_sequence(sq.iterated_exp())
+        grid = [8, 600, 1100, 1200]
+        rep = fit_scatter(ev, 0.01, grid)
+        assert rep.S == [scatter_sum(ev, N, 0.01).S for N in grid]
+
+
+def brute_force_count(vals: np.ndarray, t: float) -> int:
+    """Pairs i < j of sorted vals with vals[i] >= vals[j] - t: the rounded
+    needle vals[j] - t is the comparison the bucket edges are counted by."""
+    return int(np.count_nonzero(np.tril(vals[None, :] >= vals[:, None] - t, -1)))
+
+
+value_lists = st.lists(st.one_of(st.integers(-40, 40).map(lambda k: k / 4),
+                                 st.floats(-1e5, 1e5, allow_nan=False)),
+                       min_size=2, max_size=120)
+
+
+class TestBucketProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(value_lists, st.lists(st.floats(0.0, 1e5), min_size=1, max_size=6))
+    def test_merge_counts_equal_brute_force(self, vals, thresholds):
+        vals = np.sort(np.asarray(vals, dtype=float))
+        got = sc._count_pairs_within(vals, np.asarray(thresholds))
+        assert list(got) == [brute_force_count(vals, t) for t in thresholds]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(value_lists, st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([0.005, 0.01, 0.05]))
+    def test_bucketed_within_error_bound(self, vals, delta, eta):
+        vals = np.asarray(vals, dtype=float)
+        ev, n = array_evaluator(vals), len(vals)
+        exact = scatter_sum(ev, n, delta, mode="exact").S
+        bucket = scatter_sum(ev, n, delta, mode="bucketed", eta=eta)
+        # slack for the rounding of the two sums, far below the bound
+        assert abs(bucket.S - exact) <= bucket.error_bound + 1e-13 * exact
