@@ -2,18 +2,14 @@
 |empirical frequency - volume|.
 
 Anchored boxes rather than all boxes: the two notions differ by at most a
-factor 2^k, and the anchored version admits an exact sorted formula in
-one dimension and an exact critical-corner enumeration in two. Exact
-methods report error bound 0; the lattice method on m^k thresholds
-reports the additive bound k/m.
-
-Atoms are handled by evaluating both the open and the closed count at
-every critical corner; the sup over half-open boxes is attained in the
-limit at one of the two.
-
-Lattice values along a grid of prefixes come from running histograms, to
-which each grid point adds only the points since the previous one; a
-single value is the one-point-grid case. Non-finite points are refused.
+factor 2^k. One dimension has an exact sorted formula. Every other value
+comes from one corner-count kernel: cumulative bin counts compared with
+the corner volumes, with both the open and the closed count at every
+corner, so atoms are handled (the sup over half-open boxes is attained in
+the limit at one of the two). The exact 2-d method takes as corners the
+data's own distinct coordinates plus 1 and reports error bound 0; the
+lattice method takes the m^k corners (i_1..i_k)/m and reports the
+additive bound k/m. Non-finite points are refused.
 """
 
 from __future__ import annotations
@@ -27,6 +23,7 @@ import numpy as np
 EXACT_KD_MAX_N = 4096
 GRID_M_DEFAULT_2D = 256
 GRID_M_DEFAULT_3D = 64
+CORNER_BLOCK = 2 ** 17  # cells per row block of a corner count table
 
 
 def _check_unit(points: np.ndarray):
@@ -46,57 +43,48 @@ def star_discrepancy_1d(points) -> float:
     return float(np.max(np.maximum(i / n - x, x - (i - 1) / n)))
 
 
-def _exact_2d(points: np.ndarray) -> float:
-    n = len(points)
-    order = np.argsort(points[:, 0], kind="stable")
-    px = points[order, 0]
-    py = points[order, 1]
-    corners_a = np.unique(np.concatenate([points[:, 0], [1.0]]))
-    corners_b = np.unique(np.concatenate([points[:, 1], [1.0]]))
-    best = 0.0
-    for a in corners_a:
-        i_closed = int(np.searchsorted(px, a, side="right"))
-        i_open = int(np.searchsorted(px, a, side="left"))
-        ys_closed = np.sort(py[:i_closed])
-        ys_open = ys_closed[:i_open] if i_open == i_closed else np.sort(py[:i_open])
-        closed = np.searchsorted(ys_closed, corners_b, side="right") / n
-        opened = np.searchsorted(ys_open, corners_b, side="left") / n
-        vol = a * corners_b
-        best = max(best, float(np.max(closed - vol)), float(np.max(vol - opened)))
-    return best
+def _corner_dstar(open_idx: np.ndarray, closed_idx: np.ndarray,
+                  corners: Sequence[np.ndarray], grid: Sequence[int]) -> List[float]:
+    """D* of points[:N], for each N in the grid, over the anchored boxes
+    with corners in the product of the per-axis coordinate lists `corners`.
 
-
-def _lattice_dstar(points: np.ndarray, grid: Sequence[int], m: int) -> List[float]:
-    """Lattice D* of points[:N] at the corners (i_1..i_k)/m, i in 1..m, for
-    each N in the grid, from running histograms of the open bins floor(m x)
-    and the closed bins ceil(m x) - 1. The two agree off the lattice lines,
-    so closed counts are summed only once some point lies on a line."""
-    k = points.shape[1]
-    shape = (m,) * k
-    scaled = points[:grid[-1]] * m
-    open_idx, closed_idx = (
-        np.ravel_multi_index(tuple(bins.astype(np.int64).T), shape, mode="clip")
-        for bins in (np.floor(scaled), np.ceil(scaled) - 1))
-    on_line = np.cumsum(open_idx != closed_idx) > 0
-    vol = functools.reduce(np.multiply.outer, [np.arange(1, m + 1) / m] * k)
-    opened, closed = np.zeros(m ** k, np.int64), np.zeros(m ** k, np.int64)
-    cum, dev = np.empty(shape, np.int64), np.empty(shape)
-
-    def deviation(counts, N):  # cumulative count / N - volume at each corner
-        np.cumsum(counts.reshape(shape), axis=0, out=cum)
-        for axis in range(1, k):
-            np.cumsum(cum, axis=axis, out=cum)
-        return np.subtract(np.divide(cum, N, out=dev), vol, out=dev)
-
-    values, start = [], 0
-    for N in grid:
-        np.add.at(opened, open_idx[start:N], 1)
-        np.add.at(closed, closed_idx[start:N], 1)
-        start = N
-        below = -float(np.min(deviation(opened, N)))
-        above = float(np.max(deviation(closed, N) if on_line[N - 1] else dev))
-        values.append(max(above, below))
-    return values
+    Row j of open_idx and closed_idx holds point j's bin on each axis: the
+    point lies in the open (closed) box up to corner index i when every
+    open (closed) bin is <= i. Counts are binned and cumulated along each
+    axis in blocks of rows of about CORNER_BLOCK cells, each block started
+    from the last row of the block before. Every table is compared with
+    the volumes both ways; open counts never exceed closed ones, so this
+    gives max(closed - volume, volume - open). While open and closed bins
+    agree on every point of a prefix, its open table serves as the closed
+    one."""
+    shape, last = tuple(len(c) for c in corners), np.subtract(grid, 1)
+    rest = int(np.prod(shape[1:]))
+    rows = max(1, CORNER_BLOCK // rest)
+    # clipped: a lattice bin -1 (x = 0) or m (m x rounded up to m) is 0 or m - 1
+    flats = [np.ravel_multi_index(tuple(idx.T), shape, mode="clip")
+             for idx in (open_idx, closed_idx)]
+    one_table = np.cumsum(flats[0] != flats[1])[last] == 0
+    below, above = np.zeros(len(grid)), np.zeros(len(grid))
+    carry = np.zeros((2, len(grid)) + shape[1:], np.int64)
+    for r0 in range(0, shape[0], rows):
+        vol = functools.reduce(np.multiply.outer, [corners[0][r0:r0 + rows], *corners[1:]])
+        lo, dev = r0 * rest, np.empty(vol.shape)
+        for side, flat in enumerate(flats):
+            inside = (flat >= lo) & (flat < lo + vol.size)
+            local, ends = flat[inside] - lo, np.cumsum(inside)[last]
+            for g, N in enumerate(grid):
+                if side and one_table[g]:
+                    continue
+                cum = np.bincount(local[:ends[g]], minlength=vol.size).reshape(vol.shape)
+                for axis in range(len(shape)):
+                    np.cumsum(cum, axis=axis, out=cum)
+                if r0:
+                    cum += carry[side, g]
+                carry[side, g] = cum[-1]
+                np.subtract(np.divide(cum, N, out=dev), vol, out=dev)
+                below[g] = max(below[g], -float(np.min(dev)))
+                above[g] = max(above[g], float(np.max(dev)))
+    return np.maximum(above, below).tolist()
 
 
 def star_discrepancy_kd(points, method: str = "exact",
@@ -104,11 +92,10 @@ def star_discrepancy_kd(points, method: str = "exact",
     """Star discrepancy of a k-dimensional point set.
 
     method "exact" (k = 1; or k = 2 and N <= 4096) uses the sorted formula
-    in one dimension and in two enumerates critical anchored boxes
-    whose corners come from the point coordinates plus 1, with both open
-    and closed counts. method "grid" evaluates the defect on the m^k corner
-    lattice; the returned value never exceeds the exact one and the error
-    bound k/m is additive.
+    in one dimension; in two it runs the corner-count kernel on the
+    critical corners, the distinct point coordinates plus 1 on each axis.
+    method "grid" runs it on the m^k corner lattice; the returned value
+    never exceeds the exact one and the error bound k/m is additive.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_unit(points)
@@ -120,8 +107,11 @@ def star_discrepancy_kd(points, method: str = "exact",
             raise ValueError("exact method supports k <= 2 only")
         if k == 2 and n > EXACT_KD_MAX_N:
             raise ValueError(f"exact 2-d method capped at N = {EXACT_KD_MAX_N}")
-        value = star_discrepancy_1d(points[:, 0]) if k == 1 else _exact_2d(points)
-        return value, 0.0
+        if k == 1:
+            return star_discrepancy_1d(points[:, 0]), 0.0
+        corners = [np.unique(np.append(c, 1.0)) for c in points.T]
+        closed = np.stack([np.searchsorted(u, c) for u, c in zip(corners, points.T)], 1)
+        return _corner_dstar(closed + 1, closed, corners, [n])[0], 0.0
     if method == "grid":
         rep = dstar_trend(points, [n], "grid", m)
         return rep.values[0], rep.error_bounds[0]
@@ -166,7 +156,11 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
         m = (GRID_M_DEFAULT_2D if k <= 2 else GRID_M_DEFAULT_3D) if m is None else m
         if m < 2:
             raise ValueError("need m >= 2 grid cells per axis")
-        values, err, label = _lattice_dstar(points, grid, m), k / m, f"grid({m})"
+        scaled = points[:grid[-1]] * m
+        values = _corner_dstar(np.floor(scaled).astype(np.int64),
+                               (np.ceil(scaled) - 1).astype(np.int64),
+                               [np.arange(1, m + 1) / m] * k, grid)
+        err, label = k / m, f"grid({m})"
     else:
         raise ValueError(f"unknown method '{method}'")
     slope = float(np.polyfit(np.log(grid), np.log(np.maximum(values, 1e-300)), 1)[0]) \

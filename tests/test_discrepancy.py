@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udlab import expr as ex
 from udlab import sequences as sq
@@ -10,6 +12,12 @@ from udlab.discrepancy import (dstar_trend, star_discrepancy_1d,
                                star_discrepancy_kd, ud_trend)
 
 PHI = (1 + math.sqrt(5)) / 2
+
+# coordinates in [0, 1), half of them atoms on the 1/7 grid, so that point
+# sets carry ties along both axes and repeated points
+COORD = st.one_of(st.integers(0, 6).map(lambda i: i / 7),
+                  st.floats(0.0, 1.0, exclude_max=True))
+POINTS_2D = st.lists(st.tuples(COORD, COORD), min_size=1, max_size=40).map(np.array)
 
 
 def brute_force_2d(points, extra_resolution=64):
@@ -120,6 +128,31 @@ class TestTwoDimensional:
         assert star_discrepancy_kd(pts.reshape(-1, 1), "exact") == \
             (star_discrepancy_1d(pts), 0.0)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(POINTS_2D)
+    def test_exact_equals_brute_force_with_atoms(self, pts):
+        exact, _ = star_discrepancy_kd(pts, "exact")
+        assert exact == pytest.approx(brute_force_2d(pts), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(POINTS_2D, st.sampled_from([2, 5, 7, 16, 64]))
+    def test_lattice_sandwich_with_atoms(self, pts, m):
+        exact, _ = star_discrepancy_kd(pts, "exact")
+        g, err = star_discrepancy_kd(pts, "grid", m)
+        assert err == 2 / m
+        assert g - 1e-12 <= exact <= g + err + 1e-12
+
+    def test_analysis_curve_trend_pinned(self):
+        # (0.3 n, 0.3 n^2): the exact trend, frozen bit for bit; at N = 1024
+        # and 4096 the count tables take 8 and 119 row blocks
+        gen = wy.PointGenerator([wy.ProductCoord(sq.identity(), ex.parse_expr("x"), 0.3),
+                                 wy.ProductCoord(sq.identity(), ex.parse_expr("x^2"), 0.3)])
+        rep = ud_trend(gen, [16, 64, 256, 1024, 4096], "exact")
+        assert rep.values == [0.22000000000000008, 0.12187499999999918,
+                              0.11031249999999682, 0.10689843749998651,
+                              0.10596093749994973]
+        assert rep.methods == ["exact-kd"] * 5
+
     def test_method_caps(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
@@ -188,16 +221,18 @@ class TestTrend:
             ud_trend(gen, [100, 100])
 
     def test_lattice_trend_equals_value_of_each_prefix(self):
-        # the incremental trend and the one-prefix value agree bit for bit,
+        # the trend and the one-prefix value agree bit for bit,
         # also with atoms on the lattice lines (multiples of 1/m, and 0)
+        # (3-d, m = 64 has two row blocks of count tables)
         rng = np.random.default_rng(10)
-        for k, ms in ((1, (16, 10)), (2, (64, 24)), (3, (16, 12))):
+        grid_700 = [1, 2, 5, 40, 300, 649, 650, 700]
+        for k, ms, grid in ((1, (16, 10), grid_700), (2, (64, 24), grid_700),
+                            (3, (16, 12), grid_700), (3, (64,), [1, 9, 30, 31, 40])):
             for m in ms:
-                points = rng.random((700, k))
-                on_line = rng.random((700, k)) < 0.2
+                points = rng.random((grid[-1], k))
+                on_line = rng.random(points.shape) < 0.2
                 points[on_line] = rng.integers(0, m, on_line.sum()) / m
-                points[650:] = points[3]
-                grid = [1, 2, 5, 40, 300, 649, 650, 700]
+                points[grid[-2]:] = points[3]
                 rep = dstar_trend(points, grid, "grid", m)
                 assert rep.values == [star_discrepancy_kd(points[:N], "grid", m)[0]
                                       for N in grid]
