@@ -38,6 +38,8 @@ EXPERIMENT_KINDS = (
     "diagonal-counterexample",  # (a(n) x, a(n) x): obstructed at v=(1,-1)
     "custom",                   # raw coordinate descriptors
 )
+# The tower coordinates a kind takes from tower_sequences, all on tower_base.
+_KIND_TOWERS = {"power-tower-curve": 1, "power-tower-pair": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -69,39 +71,46 @@ def parse_grid(text: str) -> List[int]:
     return sorted(set(int(v) for v in text.split(",")))
 
 
+# Coordinate kinds: KIND -> (reader of LEFT, reader of RIGHT, class of both and x)
+_COORDINATES = {
+    "prod": (sq.parse_sequence_spec, ex.parse_expr, wy.ProductCoord),
+    "tower": (ex.parse_expr, sq.parse_sequence_spec, wy.TowerCoord),
+}
+
+
+def _coordinate(kind: str, left: str, right: str):
+    """Parse one coordinate's text into a recipe x -> coordinate."""
+    if kind not in _COORDINATES:
+        raise ValueError(f"unknown coordinate kind '{kind}'")
+    read_left, read_right, make = _COORDINATES[kind]
+    return functools.partial(make, read_left(left), read_right(right))
+
+
+def _parse_coordinates(text: str) -> Tuple[Optional[float], List]:
+    """The x=VALUE entry of generator text (None if absent) and a recipe
+    x -> coordinate per KIND:LEFT|RIGHT entry."""
+    x, coords = None, []
+    for chunk in filter(None, (c.strip() for c in text.split(";"))):
+        kind, sep, rest = chunk.partition(":")
+        left, bar, right = rest.partition("|")
+        if chunk.startswith("x="):
+            x = float(chunk[2:])
+        elif not (sep and bar):
+            raise ValueError(f"coordinate '{chunk}' is not KIND:LEFT|RIGHT")
+        else:
+            coords.append(_coordinate(kind, left, right))
+    return x, coords
+
+
 def parse_generator(text: str, default_x: Optional[float] = None) -> wy.PointGenerator:
     """Generator specs: coordinates separated by ';', each
     "prod:SEQSPEC|FEXPR" or "tower:GEXPR|BSEQSPEC", plus one "x=VALUE"
     entry fixing the curve parameter."""
-    x = default_x
-    entries = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if chunk.startswith("x="):
-            x = float(chunk[2:])
-        else:
-            entries.append(chunk)
+    x, coords = _parse_coordinates(text)
+    x = default_x if x is None else x
     if x is None:
         raise ValueError("generator spec needs an x=VALUE entry")
-    coords = []
-    for entry in entries:
-        head, sep, rest = entry.partition(":")
-        if not sep:
-            raise ValueError(f"bad coordinate '{entry}'")
-        left, sep2, right = rest.partition("|")
-        if not sep2:
-            raise ValueError(f"coordinate '{entry}' needs LEFT|RIGHT")
-        if head == "prod":
-            coords.append(wy.ProductCoord(sq.parse_sequence_spec(left),
-                                          ex.parse_expr(right), x))
-        elif head == "tower":
-            coords.append(wy.TowerCoord(ex.parse_expr(left),
-                                        sq.parse_sequence_spec(right), x))
-        else:
-            raise ValueError(f"unknown coordinate kind '{head}'")
-    return wy.PointGenerator(coords)
+    return wy.PointGenerator([coord(x) for coord in coords])
 
 
 _INDEX_FAMILIES = {
@@ -144,21 +153,17 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind '{self.kind}'; "
                              f"choose from {EXPERIMENT_KINDS}")
-        if self.kind == "curve-product" and len(self.functions) != len(self.sequences):
-            raise ValueError("curve-product needs one sequence per function")
-        if self.kind == "power-tower-curve":
-            if self.tower_base is None or not self.tower_sequences:
-                raise ValueError("power-tower-curve needs tower_base and tower_sequences")
-            if len(self.functions) != len(self.sequences):
-                raise ValueError("power-tower-curve needs one sequence per function")
-        if self.kind == "power-tower-pair":
-            if self.tower_base is None or len(self.tower_sequences) < 2:
-                raise ValueError("power-tower-pair needs tower_base and two tower_sequences")
-        if self.kind == "custom" and not self.coordinates:
-            raise ValueError("custom kind needs coordinate descriptors")
+        towers = _KIND_TOWERS.get(self.kind, 0)
+        if towers and (self.tower_base is None or len(self.tower_sequences) < towers):
+            raise ValueError(f"{self.kind} needs tower_base and {towers} tower_sequences")
+        if (self.kind in ("curve-product", "power-tower-curve")
+                and len(self.functions) != len(self.sequences)):
+            raise ValueError(f"{self.kind} needs one sequence per function")
         lo, hi = self.x_interval
         if not lo < hi:
             raise ValueError("x_interval must be nondegenerate")
+        if not _config_coordinates(self):  # malformed spec text fails here, not per sample
+            raise ValueError(f"{self.kind} config has no coordinates")
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
@@ -191,32 +196,25 @@ def sample_x(config: ExperimentConfig, index: int) -> float:
     return float(lo + (hi - lo) * rng.random())
 
 
+def _config_coordinates(config: ExperimentConfig) -> List:
+    """The config's coordinates as recipes x -> coordinate: its towers
+    first, then the products of sequences and functions."""
+    if config.kind == "custom":
+        x, coords = _parse_coordinates("; ".join(config.coordinates))
+        if x is not None:
+            raise ValueError("custom coordinates may not set x=; x is sampled from x_interval")
+        return coords
+    fs, ss = config.functions, config.sequences
+    if config.kind == "diagonal-counterexample":
+        fs, ss = fs or ["x", "x"], ss or ["identity", "identity"]
+    towers = config.tower_sequences[:_KIND_TOWERS.get(config.kind, 0)]
+    prods = [] if config.kind == "power-tower-pair" else zip(ss, fs)
+    return ([_coordinate("tower", config.tower_base, b) for b in towers]
+            + [_coordinate("prod", s, f) for s, f in prods])
+
+
 def build_generator(config: ExperimentConfig, x: float) -> wy.PointGenerator:
-    kind = config.kind
-    if kind == "curve-product":
-        coords = [wy.ProductCoord(sq.parse_sequence_spec(s), ex.parse_expr(f), x)
-                  for s, f in zip(config.sequences, config.functions)]
-        return wy.PointGenerator(coords)
-    if kind == "diagonal-counterexample":
-        fs = config.functions or ["x", "x"]
-        ss = config.sequences or ["identity", "identity"]
-        coords = [wy.ProductCoord(sq.parse_sequence_spec(s), ex.parse_expr(f), x)
-                  for s, f in zip(ss, fs)]
-        return wy.PointGenerator(coords)
-    if kind == "power-tower-curve":
-        g = ex.parse_expr(config.tower_base)
-        coords = [wy.TowerCoord(g, sq.parse_sequence_spec(config.tower_sequences[0]), x)]
-        coords += [wy.ProductCoord(sq.parse_sequence_spec(s), ex.parse_expr(f), x)
-                   for s, f in zip(config.sequences, config.functions)]
-        return wy.PointGenerator(coords)
-    if kind == "power-tower-pair":
-        g = ex.parse_expr(config.tower_base)
-        coords = [wy.TowerCoord(g, sq.parse_sequence_spec(b), x)
-                  for b in config.tower_sequences[:2]]
-        return wy.PointGenerator(coords)
-    if kind == "custom":
-        return parse_generator("; ".join(config.coordinates), default_x=x)
-    raise ValueError(f"unknown experiment kind '{kind}'")
+    return wy.PointGenerator([coord(x) for coord in _config_coordinates(config)])
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +446,12 @@ def _svg_polyline(xs: List[float], ys: List[float], style: str) -> str:
 def svg_loglog(series: List[Tuple[Sequence[float], Sequence[float], str]],
                x_label: str, y_label: str, path: str) -> None:
     """Minimal deterministic log-log line plot. One polyline per series;
-    the style string distinguishes sample curves from the median."""
+    the style string distinguishes sample curves from the median. With no
+    series the axes span x in [1, 1e4] and y in [1e-3, 1]."""
     finite = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), style)
               for xs, ys, style in series]
-    all_x = np.concatenate([xs for xs, _, _ in finite])
-    all_y = np.concatenate([ys for _, ys, _ in finite])
+    all_x = np.concatenate([xs for xs, _, _ in finite] or [[1.0, 1e4]])
+    all_y = np.concatenate([ys for _, ys, _ in finite] or [[1e-3, 1.0]])
     all_y = np.maximum(all_y, 1e-300)
     lx0, lx1 = math.log10(all_x.min()), math.log10(all_x.max())
     ly0, ly1 = math.log10(all_y.min()), math.log10(all_y.max())

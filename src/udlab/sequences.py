@@ -14,6 +14,11 @@ scatter module (scatter._pair_diffs, behind the growth scan and the exact
 pair sum) takes that hook, so differences stay meaningful where values
 alone saturate to inf; the exact pair sum prices a difference past double
 range from the hook's log2_abs_diff.
+
+Specs have a text form (grammar in parse_sequence_spec). One table,
+_SEQUENCE_FAMILIES, parses, prints and builds each keyed family, and
+spec_to_text prints numbers as integers or by repr, so text it prints
+reads back to an equal spec.
 """
 
 from __future__ import annotations
@@ -191,21 +196,9 @@ def make_sequence(spec: SequenceSpec) -> Callable:
     """Evaluator for the family: a total function on integer n >= 1
     accepting scalars or arrays."""
     family, p = spec.family, spec.params
-
-    if family == "identity":
-        return lambda n: _as_index_array(n).astype(float)
-    if family == "affine":
-        alpha, beta = p
-        return lambda n: alpha * _as_index_array(n).astype(float) + beta
-    if family == "power":
-        (eps,) = p
-        return lambda n: _as_index_array(n).astype(float) ** eps
-    if family == "logpow":
-        (pw,) = p
-        # log(1) = 0 and 0**pw = 0, so the n=1 convention needs no branch
-        return lambda n: np.log(_as_index_array(n).astype(float)) ** pw
-    if family == "nlog":
-        return lambda n: (lambda a: a + np.log(a))(_as_index_array(n).astype(float))
+    closed_form = _SEQUENCE_FAMILIES.get(family, (None, None, None))[2]
+    if closed_form is not None:
+        return lambda n: closed_form(_as_index_array(n).astype(float), *p)
     if family == "sqrtres":
         def _sqrtres(n):
             arr = _as_index_array(n)
@@ -236,14 +229,14 @@ def make_sequence(spec: SequenceSpec) -> Callable:
 # Textual spec syntax (CLI surface)
 
 
-def parse_keyed(text: str, families: Dict[str, Tuple[Callable, Dict]], kind: str):
+def parse_keyed(text: str, families: Dict[str, tuple], kind: str):
     """Parse "NAME" or "NAME:KEY=VALUE,..." where families maps NAME to
-    (constructor, {KEY: default float, or None if required}). Unknown
+    (constructor, {KEY: default float, or None if required}, ...). Unknown
     names and keys and missing required keys raise ValueError."""
     head, _, rest = (part.strip() for part in text.partition(":"))
     if head not in families:
         raise ValueError(f"unknown {kind} family '{head}'")
-    make, defaults = families[head]
+    make, defaults = families[head][:2]
     given = {}
     for item in filter(str.strip, rest.split(",")):
         key, sep, value = (part.strip() for part in item.partition("="))
@@ -260,14 +253,18 @@ def parse_keyed(text: str, families: Dict[str, Tuple[Callable, Dict]], kind: str
     return make(**{k: given.get(k, d) for k, d in defaults.items()})
 
 
+# Keyed families: NAME -> (constructor, {KEY: default, None if required, in
+# SequenceSpec.params order}, closed form of (float n, *params), or None
+# where make_sequence builds the evaluator itself).
 _SEQUENCE_FAMILIES = {
-    "identity": (identity, {}),
-    "nlog": (n_plus_log, {}),
-    "sqrtres": (sqrt_residue, {}),
-    "iterexp": (iterated_exp, {}),
-    "affine": (affine, {"alpha": 1.0, "beta": 0.0}),
-    "power": (power, {"eps": None}),
-    "logpow": (log_power, {"p": None}),
+    "identity": (identity, {}, lambda a: a),
+    "nlog": (n_plus_log, {}, lambda a: a + np.log(a)),
+    "sqrtres": (sqrt_residue, {}, None),
+    "iterexp": (iterated_exp, {}, None),
+    "affine": (affine, {"alpha": 1.0, "beta": 0.0}, lambda a, alpha, beta: alpha * a + beta),
+    "power": (power, {"eps": None}, lambda a, eps: a ** eps),
+    # log(1) = 0 and 0**p = 0, so the n=1 convention needs no branch
+    "logpow": (log_power, {"p": None}, lambda a, p: np.log(a) ** p),
 }
 
 
@@ -287,58 +284,35 @@ def parse_sequence_spec(text: str) -> SequenceSpec:
             raise ValueError("compose syntax is compose:OUTER_EXPR@INNER_SPEC")
         return compose(parse_sequence_spec(inner_text), outer_text)
     if head == "combo":
+        # a comma starts a WEIGHT*SPEC entry when a number follows it, so
+        # KEY=VALUE commas stay inside entries (expressions have no comma)
         parts = []
-        for chunk in _split_combo(rest):
-            w_text, sep, spec_text = chunk.partition("*")
-            if not sep:
-                raise ValueError(f"combo entry '{chunk}' needs WEIGHT*SPEC")
-            parts.append((float(w_text), parse_sequence_spec(spec_text)))
-        return linear_combination(parts)
+        for piece in rest.split(","):
+            w_text, _, spec_text = piece.partition("*")
+            try:
+                parts.append([float(w_text), spec_text])
+            except ValueError:
+                if not parts:
+                    raise ValueError(f"combo entry '{piece.strip()}' needs WEIGHT*SPEC") from None
+                parts[-1][1] += "," + piece
+        return linear_combination([(w, parse_sequence_spec(t)) for w, t in parts])
     return parse_keyed(text, _SEQUENCE_FAMILIES, "sequence")
 
 
-def _split_combo(text: str):
-    # split on commas that separate WEIGHT*SPEC entries, i.e. commas followed
-    # by a (signed) number then '*'; parameter commas stay inside entries
-    chunks, depth, start = [], 0, 0
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "," and depth == 0:
-            tail = text[i + 1:].lstrip()
-            head = tail.split("*", 1)[0]
-            try:
-                float(head)
-                chunks.append(text[start:i])
-                start = i + 1
-            except ValueError:
-                pass
-        i += 1
-    chunks.append(text[start:])
-    return [c.strip() for c in chunks if c.strip()]
-
-
 def spec_to_text(spec: SequenceSpec) -> str:
+    """Inverse of parse_sequence_spec: the text reads back to an equal spec."""
     family, p = spec.family, spec.params
-    if family in ("identity", "nlog", "sqrtres", "iterexp"):
-        return family
-    if family == "affine":
-        return f"affine:alpha={p[0]:g},beta={p[1]:g}"
-    if family == "power":
-        return f"power:eps={p[0]:g}"
-    if family == "logpow":
-        return f"logpow:p={p[0]:g}"
     if family == "custom":
         return f"custom:{ex.to_text(p[0], var='n')}"
     if family == "compose":
         return f"compose:{ex.to_text(p[1])}@{spec_to_text(p[0])}"
     if family == "combo":
-        return "combo:" + ",".join(f"{w:g}*{spec_to_text(s)}" for w, s in p)
-    raise ValueError(f"unknown sequence family '{family}'")
+        return "combo:" + ",".join(f"{ex._fmt_const(w)}*{spec_to_text(s)}" for w, s in p)
+    if family not in _SEQUENCE_FAMILIES:
+        raise ValueError(f"unknown sequence family '{family}'")
+    keys = _SEQUENCE_FAMILIES[family][1]
+    params = ",".join(f"{k}={ex._fmt_const(v)}" for k, v in zip(keys, p))
+    return f"{family}:{params}" if params else family
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             lab.ExperimentConfig(kind="power-tower-pair", tower_base="x",
                                  tower_sequences=["identity"])
+        with pytest.raises(ValueError, match="may not set x="):
+            lab.ExperimentConfig(kind="custom", coordinates=["x=0.5", "prod:identity|x"])
 
     def test_from_dict_refuses_unknown_and_missing_keys(self):
         data = small_config().to_dict()
@@ -298,7 +300,9 @@ class TestCli:
     @pytest.mark.parametrize("edit", [
         lambda c: c.update(x_sample=3),
         lambda c: c.pop("kind"),
-    ], ids=["unknown-key", "missing-key"])
+        lambda c: c.update(functions=["x", "x^"]),
+        lambda c: c.update(sequences=["identity", "affine:alpah=2"]),
+    ], ids=["unknown-key", "missing-key", "bad-function", "bad-sequence"])
     def test_malformed_config_exits_2(self, edit, tmp_path, capsys):
         config = small_config().to_dict()
         edit(config)
@@ -306,6 +310,7 @@ class TestCli:
         cfg_path.write_text(json.dumps(config))
         self.assert_usage_error(["experiment", "--config", str(cfg_path),
                                  "--out", str(tmp_path)], capsys)
+        assert os.listdir(tmp_path) == ["cfg.json"]  # refused before any output
 
     @pytest.mark.parametrize("argv, header, n_rows", [
         (["scatter", "--seq", "identity", "--delta", "1", "--grid", "8,16,32,64"],
@@ -349,6 +354,34 @@ class TestCli:
         code = cli.main(["experiment", "--config", str(cfg_path),
                          "--out", str(tmp_path / "out")])
         assert code == 1
+
+    def test_experiment_with_every_sample_failed_exits_3(self, tmp_path, capsys):
+        # tower base g(x) = x stays below 1 on the whole interval
+        config = lab.ExperimentConfig(
+            kind="power-tower-pair", tower_base="x",
+            tower_sequences=["identity", "affine:alpha=2,beta=0"],
+            x_interval=(0.1, 0.9), x_samples=3, n_grid="pow2:5..7",
+            frequency_bound=1, label="none").to_dict()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        svgs = []
+        for out_dir in (tmp_path / "a", tmp_path / "b"):
+            assert cli.main(["experiment", "--config", str(cfg_path),
+                             "--out", str(out_dir)]) == 3
+            assert "# WARNING: partial coverage" in capsys.readouterr().out
+            assert len(os.listdir(out_dir)) == 5
+            svgs.append((out_dir / "none_dstar.svg").read_bytes())
+        assert svgs[0] == svgs[1]
+        assert b"<polyline" not in svgs[0] and b">1e4</text>" in svgs[0]
+
+    def test_oscdecay_degenerate_direction(self, tmp_path, capsys):
+        path = tmp_path / "decay.csv"
+        assert cli.main(["oscdecay", "--f", "x;2*x", "--interval", "1,2", "--radii",
+                         "halfpow2:2..7", "--dirs", "2", "--csv", str(path)]) == 0
+        assert "# degenerate direction flagged" in capsys.readouterr().out
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        flagged = [row for row in rows if row[0] == "-1"]
+        assert len(flagged) == 6 and all(row[-1] == "degenerate" for row in flagged)
 
     def test_oscdecay_runs(self, capsys):
         code = cli.main(["oscdecay", "--f", "x", "--interval", "0,1",

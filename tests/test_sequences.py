@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from udlab import expr as ex
+from udlab import lab
 from udlab import sequences as sq
+from udlab import weyl as wy
+
+from test_expr import PARSABLE
 
 
 class TestFamilies:
@@ -126,6 +133,33 @@ class TestLinearCombination:
             sq.linear_combination([(0.0, sq.identity()), (0.0, sq.power(1.0))])
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def keyed(finite, positive):
+    return st.one_of(
+        st.sampled_from([sq.identity(), sq.n_plus_log(), sq.sqrt_residue(),
+                         sq.iterated_exp()]),
+        st.tuples(finite, finite).filter(lambda ab: ab != (0.0, 0.0)).map(
+            lambda ab: sq.affine(*ab)),
+        st.builds(sq.power, positive),
+        st.builds(sq.log_power, positive))
+
+
+# Every keyed family with any finite parameters.
+KEYED = keyed(FINITE, POSITIVE)
+# compose() evaluates the inner sequence and the outer derivative at n up to
+# 2^24, and a value past double range warns. So composed specs draw bounded
+# inner parameters and a linear outer (iterexp alone reaches 1e175 there).
+COMPOSED = st.builds(sq.compose,
+                     keyed(st.floats(-1e6, 1e6), st.floats(1e-6, 8.0)),
+                     st.sampled_from(["3*x - 1", "x + 0.25", "-2*x"]))
+SIMPLE = st.one_of(KEYED, PARSABLE.map(sq.custom), COMPOSED)
+SPECS = st.one_of(SIMPLE, st.lists(st.tuples(FINITE, SIMPLE), min_size=1, max_size=4).filter(
+    lambda parts: any(w != 0.0 for w, _ in parts)).map(sq.linear_combination))
+
+
 class TestSpecSyntax:
     ROUND_TRIPS = ["identity", "power:eps=0.5", "logpow:p=2", "nlog", "sqrtres",
                    "iterexp", "affine:alpha=2,beta=1",
@@ -136,8 +170,29 @@ class TestSpecSyntax:
     @pytest.mark.parametrize("text", ROUND_TRIPS)
     def test_round_trip(self, text):
         spec = sq.parse_sequence_spec(text)
-        again = sq.parse_sequence_spec(sq.spec_to_text(spec))
-        assert spec.family == again.family and spec.params == again.params
+        assert sq.spec_to_text(spec) == text
+        assert sq.parse_sequence_spec(sq.spec_to_text(spec)) == spec
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(spec=SPECS)
+    def test_printed_spec_reads_back_equal(self, spec):
+        assert sq.parse_sequence_spec(sq.spec_to_text(spec)) == spec
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(prods=st.lists(st.tuples(SPECS, FINITE), min_size=1, max_size=3),
+           towers=st.lists(KEYED, max_size=2))
+    def test_generator_description_reads_back(self, prods, towers):
+        # x = 0.5: c*x stays finite for every finite c, and the base 1 + x exceeds 1
+        coords = [wy.ProductCoord(s, ex.Mul(ex.Const(c), ex.Var()), 0.5) for s, c in prods]
+        coords += [wy.TowerCoord(ex.parse_expr("1 + x"), b, 0.5) for b in towers]
+        gen = wy.PointGenerator(coords)
+        again = lab.parse_generator("x=0.5; " + gen.describe())
+        assert again.describe() == gen.describe()
+
+        def parts(g):
+            return [(c.seq_spec, c.f) if isinstance(c, wy.ProductCoord) else (c.g, c.b_spec)
+                    for c in g.coords]
+        assert parts(again) == parts(gen)
 
     def test_bad_specs(self):
         for bad in ["wat", "power:eps=0", "combo:identity", "compose:x^2",
