@@ -77,7 +77,7 @@ def _cmd_weylsum(args) -> int:
     gen = lab.parse_generator(args.gen)
     v = [int(c) for c in args.v.split(",")]
     grid = lab.parse_grid(args.grid)
-    family = lab.parse_index_family(args.sets) if args.sets else sq.prefixes()
+    family = sq.parse_index_family(args.sets) if args.sets else sq.prefixes()
     series = wy.weyl_sum_over_sets(gen, v, family, grid)
     print(f"# generator: {gen.describe()}  v={v}")
     print(f"# sum 1/|S_N| at final N: {series.inverse_size_partial_sums[-1]:.6g}")

@@ -34,13 +34,7 @@ def _check_unit(points: np.ndarray):
 def star_discrepancy_1d(points) -> float:
     """Exact D*_N from the sorted formula
     max_i max(i/N - x_(i), x_(i) - (i-1)/N)."""
-    x = np.sort(np.asarray(points, dtype=float))
-    _check_unit(x)
-    n = len(x)
-    if n == 0:
-        raise ValueError("need at least one point")
-    i = np.arange(1, n + 1)
-    return float(np.max(np.maximum(i / n - x, x - (i - 1) / n)))
+    return star_discrepancy_kd(np.asarray(points, dtype=float)[:, None])[0]
 
 
 def _corner_dstar(open_idx: np.ndarray, closed_idx: np.ndarray,
@@ -87,35 +81,38 @@ def _corner_dstar(open_idx: np.ndarray, closed_idx: np.ndarray,
     return np.maximum(above, below).tolist()
 
 
+def _exact_dstar(points: np.ndarray, grid: Sequence[int]) -> List[float]:
+    """Exact D* of points[:N] for each N in the grid (see dstar_trend)."""
+    points = np.asarray(points, dtype=float)
+    k = points.shape[1]
+    if k > 2:
+        raise ValueError("exact method supports k <= 2 only")
+    if k == 2 and grid[-1] > EXACT_KD_MAX_N:
+        raise ValueError(f"exact 2-d method capped at N = {EXACT_KD_MAX_N}")
+    values = []
+    for N in grid:
+        if k == 1:
+            x, i = np.sort(points[:N, 0]), np.arange(1, N + 1)
+            values.append(float(np.max(np.maximum(i / N - x, x - (i - 1) / N))))
+        else:
+            prefix = points[:N].T
+            corners = [np.unique(np.append(c, 1.0)) for c in prefix]
+            closed = np.stack([np.searchsorted(u, c) for u, c in zip(corners, prefix)], 1)
+            values += _corner_dstar(closed + 1, closed, corners, [N])
+    return values
+
+
 def star_discrepancy_kd(points, method: str = "exact",
                         m: Optional[int] = None) -> Tuple[float, float]:
-    """Star discrepancy of a k-dimensional point set.
-
-    method "exact" (k = 1; or k = 2 and N <= 4096) uses the sorted formula
-    in one dimension; in two it runs the corner-count kernel on the
-    critical corners, the distinct point coordinates plus 1 on each axis.
-    method "grid" runs it on the m^k corner lattice; the returned value
-    never exceeds the exact one and the error bound k/m is additive.
-    """
+    """Star discrepancy of a k-dimensional point set and its additive error
+    bound: dstar_trend at N = len(points), method "exact" or "grid"."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    _check_unit(points)
-    n, k = points.shape
-    if n == 0:
+    if len(points) == 0:
         raise ValueError("need at least one point")
-    if method == "exact":
-        if k > 2:
-            raise ValueError("exact method supports k <= 2 only")
-        if k == 2 and n > EXACT_KD_MAX_N:
-            raise ValueError(f"exact 2-d method capped at N = {EXACT_KD_MAX_N}")
-        if k == 1:
-            return star_discrepancy_1d(points[:, 0]), 0.0
-        corners = [np.unique(np.append(c, 1.0)) for c in points.T]
-        closed = np.stack([np.searchsorted(u, c) for u, c in zip(corners, points.T)], 1)
-        return _corner_dstar(closed + 1, closed, corners, [n])[0], 0.0
-    if method == "grid":
-        rep = dstar_trend(points, [n], "grid", m)
-        return rep.values[0], rep.error_bounds[0]
-    raise ValueError(f"unknown method '{method}'")
+    if method not in ("exact", "grid"):
+        raise ValueError(f"unknown method '{method}'")
+    rep = dstar_trend(points, [len(points)], method, m)
+    return rep.values[0], rep.error_bounds[0]
 
 
 @dataclass
@@ -139,8 +136,12 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
     """D*_N of the prefixes points[:N] for each N in the grid, with the
     log-log trend slope as an equidistribution diagnostic.
 
-    method "auto" uses the exact formula in one dimension and the corner
-    lattice elsewhere.
+    method "exact" (k = 1; or k = 2 and N <= 4096) uses the sorted formula
+    in one dimension; in two it runs the corner-count kernel on the
+    critical corners, the prefix's distinct coordinates plus 1 on each
+    axis. method "grid" runs it on the m^k corner lattice; a value never
+    exceeds the exact one and the error bound k/m is additive. "auto" is
+    "exact" in one dimension and "grid" elsewhere.
     """
     grid = [int(N) for N in grid]
     if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -148,11 +149,15 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
     if grid[-1] > len(points):
         raise ValueError(f"grid reaches N = {grid[-1]} but only {len(points)} points given")
     k = points.shape[1]
-    if method == "exact" or (method == "auto" and k == 1):
-        values = [star_discrepancy_kd(points[:N], "exact")[0] for N in grid]
+    if method == "auto":
+        method = "exact" if k == 1 else "grid"
+    if method not in ("exact", "grid"):
+        raise ValueError(f"unknown method '{method}'")
+    _check_unit(points[:grid[-1]])
+    if method == "exact":
+        values = _exact_dstar(points, grid)
         err, label = 0.0, "exact-1d" if k == 1 else "exact-kd"
-    elif method in ("auto", "grid"):
-        _check_unit(points[:grid[-1]])
+    else:
         m = (GRID_M_DEFAULT_2D if k <= 2 else GRID_M_DEFAULT_3D) if m is None else m
         if m < 2:
             raise ValueError("need m >= 2 grid cells per axis")
@@ -161,8 +166,6 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
                                (np.ceil(scaled) - 1).astype(np.int64),
                                [np.arange(1, m + 1) / m] * k, grid)
         err, label = k / m, f"grid({m})"
-    else:
-        raise ValueError(f"unknown method '{method}'")
     slope = float(np.polyfit(np.log(grid), np.log(np.maximum(values, 1e-300)), 1)[0]) \
         if len(grid) >= 2 else 0.0
     return DiscrepancyReport(k, grid, values, [err] * len(grid), [label] * len(grid),

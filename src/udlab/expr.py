@@ -122,6 +122,14 @@ class Func(Node):
     arg: Node
 
 
+_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
+
+# Binary operators: class -> (symbol, precedence). One table drives the
+# parser's left-associative loop, _prec and to_text.
+_BINARY = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}
+_BY_SYMBOL = {symbol: (cls, prec) for cls, (symbol, prec) in _BINARY.items()}
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -154,31 +162,17 @@ class _Parser:
             self.error("unexpected trailing input")
         return node
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
+    def parse_expr(self, prec: int = _PREC_ADD) -> Node:
+        """Operands joined left to right by the binary operators of
+        precedence prec; an operand is a chain at prec + 1, or a factor."""
+        operand = self.parse_factor if prec == _PREC_MUL else lambda: self.parse_expr(prec + 1)
+        node = operand()
         while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                node = Add(node, self.parse_term())
-            elif ch == "-":
-                self.pos += 1
-                node = Sub(node, self.parse_term())
-            else:
+            make, op_prec = _BY_SYMBOL.get(self.peek(), (None, 0))
+            if op_prec != prec:
                 return node
-
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                node = Mul(node, self.parse_factor())
-            elif ch == "/":
-                self.pos += 1
-                node = Div(node, self.parse_factor())
-            else:
-                return node
+            self.pos += 1
+            node = make(node, operand())
 
     def parse_factor(self) -> Node:
         if self.peek() == "-":
@@ -273,15 +267,8 @@ def _make_power(base: Node, exponent: Node, parser: _Parser, exp_start: int) -> 
 
 
 def _contains_var(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return _contains_var(node.left) or _contains_var(node.right)
-    if isinstance(node, (PowInt, PowReal)):
-        return _contains_var(node.base)
-    if isinstance(node, Func):
-        return _contains_var(node.arg)
-    return False
+    return isinstance(node, Var) or any(
+        isinstance(child, Node) and _contains_var(child) for child in vars(node).values())
 
 
 def parse_expr(text: str, var: str = "x") -> Node:
@@ -295,14 +282,10 @@ def parse_expr(text: str, var: str = "x") -> Node:
 # ---------------------------------------------------------------------------
 # Serialization (round-trips: parse(to_text(t)) is structurally t)
 
-_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
-
 
 def _prec(node: Node) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        return _PREC_MUL
+    if type(node) in _BINARY:
+        return _BINARY[type(node)][1]
     if isinstance(node, (PowInt, PowReal)):
         return _PREC_POW
     if isinstance(node, Const) and node.value < 0:
@@ -327,22 +310,13 @@ def to_text(node: Node, var: str = "x") -> str:
         return _fmt_const(node.value)
     if isinstance(node, Var):
         return var
-    if isinstance(node, Add):
-        return f"{wrap(node.left, _PREC_ADD)} + {wrap(node.right, _PREC_ADD + 1)}"
-    if isinstance(node, Sub):
-        return f"{wrap(node.left, _PREC_ADD)} - {wrap(node.right, _PREC_ADD + 1)}"
-    if isinstance(node, Mul):
-        return f"{wrap(node.left, _PREC_MUL)}*{wrap(node.right, _PREC_MUL + 1)}"
-    if isinstance(node, Div):
-        return f"{wrap(node.left, _PREC_MUL)}/{wrap(node.right, _PREC_MUL + 1)}"
-    if isinstance(node, PowInt):
-        e = str(node.exponent) if node.exponent >= 0 else f"({node.exponent})"
-        return f"{wrap(node.base, _PREC_ATOM)}^{e}"
-    if isinstance(node, PowReal):
-        e = _fmt_const(node.exponent)
-        if node.exponent < 0:
-            e = f"({e})"
-        return f"{wrap(node.base, _PREC_ATOM)}^{e}"
+    if type(node) in _BINARY:
+        symbol, prec = _BINARY[type(node)]
+        op = f" {symbol} " if prec == _PREC_ADD else symbol
+        return f"{wrap(node.left, prec)}{op}{wrap(node.right, prec + 1)}"
+    if isinstance(node, (PowInt, PowReal)):
+        e = _fmt_const(node.exponent)  # an int exponent prints as str() does
+        return f"{wrap(node.base, _PREC_ATOM)}^{f'({e})' if node.exponent < 0 else e}"
     if isinstance(node, Func):
         return f"{node.name}({to_text(node.arg, var)})"
     raise TypeError(f"not an expression node: {node!r}")

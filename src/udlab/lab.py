@@ -47,8 +47,9 @@ _KIND_TOWERS = {"power-tower-curve": 1, "power-tower-pair": 2}
 
 
 def parse_grid(text: str) -> List[int]:
-    """Grid specs: "sublacunary:EPS:NMAX", "pow2:A..B",
-    "linear:START:STOP:COUNT", or an explicit comma list."""
+    """Grid specs: "sublacunary:EPS:NMAX" (ends at NMAX), "pow2:A..B",
+    "linear:START:STOP:COUNT", or an explicit comma list. A spec that
+    gives no N, or an N < 1, raises ValueError."""
     text = text.strip()
     if text.startswith("sublacunary:"):
         _, eps_s, nmax_s = text.split(":")
@@ -56,19 +57,19 @@ def parse_grid(text: str) -> List[int]:
         r = 2
         while math.exp((r + 1) ** (1.0 - eps)) <= nmax:
             r += 1
-        grid = [n for n in wy.sublacunary_grid(eps, r) if n <= nmax]
-        if grid[-1] != nmax:
-            grid.append(nmax)
-        return grid
-    if text.startswith("pow2:"):
+        grid = [n for n in wy.sublacunary_grid(eps, r) if n < nmax] + [nmax]
+    elif text.startswith("pow2:"):
         a, b = text[len("pow2:"):].split("..")
-        return [2 ** k for k in range(int(a), int(b) + 1)]
-    if text.startswith("linear:"):
+        grid = [2 ** k for k in range(int(a), int(b) + 1)]
+    elif text.startswith("linear:"):
         _, start, stop, count = text.split(":")
         vals = np.linspace(float(start), float(stop), int(count))
-        out = sorted(set(int(round(v)) for v in vals))
-        return out
-    return sorted(set(int(v) for v in text.split(",")))
+        grid = sorted(set(int(round(v)) for v in vals))
+    else:
+        grid = sorted(set(int(v) for v in text.split(",")))
+    if not grid or grid[0] < 1:
+        raise ValueError(f"grid '{text}' must give one or more N, all >= 1")
+    return grid
 
 
 # Coordinate kinds: KIND -> (reader of LEFT, reader of RIGHT, class of both and x)
@@ -113,18 +114,6 @@ def parse_generator(text: str, default_x: Optional[float] = None) -> wy.PointGen
     return wy.PointGenerator([coord(x) for coord in coords])
 
 
-_INDEX_FAMILIES = {
-    "prefixes": (sq.prefixes, {}),
-    "geometric": (sq.geometric, {"rho": None}),
-    "strided": (sq.strided, {"c": None}),
-}
-
-
-def parse_index_family(text: str) -> sq.IndexSetFamily:
-    """Index-set specs: "prefixes", "geometric:rho=R", "strided:c=C"."""
-    return sq.parse_keyed(text, _INDEX_FAMILIES, "index-set")
-
-
 # ---------------------------------------------------------------------------
 # Experiment configuration
 
@@ -164,6 +153,7 @@ class ExperimentConfig:
             raise ValueError("x_interval must be nondegenerate")
         if not _config_coordinates(self):  # malformed spec text fails here, not per sample
             raise ValueError(f"{self.kind} config has no coordinates")
+        parse_grid(self.n_grid)  # and so does a malformed grid
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
@@ -275,14 +265,12 @@ def _threshold_verdict(config: ExperimentConfig, samples: Sequence[SampleResult]
                        dstar_median: Sequence[float]
                        ) -> Tuple[Optional[float], Optional[str]]:
     """Pass fraction and verdict: "pass" needs min_pass_fraction of all
-    samples, and the median, at final D* <= dstar_final_max. (None, None)
-    when no threshold is set or no sample succeeded."""
+    samples to have passed (final D* <= dstar_final_max), and the median
+    too. (None, None) when no threshold is set or no sample succeeded."""
     limit = config.dstar_final_max
     if limit is None or not dstar_median:
         return None, None
-    passed = sum(1 for s in samples
-                 if s.error is None and s.discrepancy.final_value() <= limit)
-    fraction = passed / len(samples)
+    fraction = sum(1 for s in samples if s.passed) / len(samples)
     ok = fraction >= config.min_pass_fraction and dstar_median[-1] <= limit
     return fraction, "pass" if ok else "fail"
 
@@ -399,18 +387,9 @@ def decay_csv_rows(fit) -> Tuple[List[str], List[List]]:
 
 def emit_csv(report: ExperimentReport, path: str) -> None:
     """Long-form discrepancy table: one row per (sample, N)."""
-    header = ["sample", "x", "N", "dstar", "err_bound", "method"]
-    rows: List[List] = []
-    for s in report.samples:
-        if s.error is not None:
-            continue
-        for N, v, e, m in zip(s.discrepancy.grid, s.discrepancy.values,
-                              s.discrepancy.error_bounds, s.discrepancy.methods):
-            rows.append([s.index, s.x, N, v, e, m])
-    try:
-        write_csv(path, header, rows)
-    except OSError as err:
-        raise OSError(f"cannot write CSV to '{path}': {err}") from err
+    rows = [[s.index, s.x] + row for s in report.samples if s.error is None
+            for row in discrepancy_csv_rows(s.discrepancy)[1]]
+    write_csv(path, ["sample", "x", "N", "dstar", "err_bound", "method"], rows)
 
 
 def emit_weyl_csv(report: ExperimentReport, path: str) -> None:
@@ -511,7 +490,4 @@ def emit_svg(report: ExperimentReport, path: str) -> None:
     if report.dstar_median:
         series.append((report.grid, report.dstar_median,
                        'stroke="#cc2222" stroke-width="2.5" class="median"'))
-    try:
-        svg_loglog(series, "N", "D*", path)
-    except OSError as err:
-        raise OSError(f"cannot write SVG to '{path}': {err}") from err
+    svg_loglog(series, "N", "D*", path)

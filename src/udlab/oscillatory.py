@@ -200,7 +200,6 @@ def vdc_bound_first(f: ex.Node, lam: float, interval) -> float:
     cuts.append(hi)
     total = 0.0
     for left, right in zip(cuts, cuts[1:]):
-        inside = xs[(xs >= left) & (xs <= right)]
         d_inside = dphi[(xs >= left) & (xs <= right)]
         if len(d_inside) >= 2 and (np.min(np.sign(d_inside)) < 0 < np.max(np.sign(d_inside))):
             return math.inf  # phi' crosses zero: minimum modulus is 0
@@ -289,8 +288,9 @@ def decay_fit(fs: Sequence[ex.Node], interval, radii: Sequence[float],
     """
     k = len(fs)
     radii = np.asarray(sorted(float(r) for r in radii))
-    if len(radii) < 6:
-        raise ValueError("need at least 6 radii")
+    if not (np.all(np.isfinite(radii) & (radii > 0)) and len(np.unique(radii)) >= 6):
+        raise ValueError(f"radii {', '.join(f'{r:g}' for r in radii)}: need at least"
+                         " 6 distinct values, all finite and positive")
     if radii[-1] > R_MAX:
         raise ValueError(f"max radius capped at {R_MAX}")
     if n_directions < k:

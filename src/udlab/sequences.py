@@ -18,7 +18,8 @@ range from the hook's log2_abs_diff.
 Specs have a text form (grammar in parse_sequence_spec). One table,
 _SEQUENCE_FAMILIES, parses, prints and builds each keyed family, and
 spec_to_text prints numbers as integers or by repr, so text it prints
-reads back to an equal spec.
+reads back to an equal spec. One more, _INDEX_FAMILIES, parses, sizes and
+enumerates each keyed index-set family.
 """
 
 from __future__ import annotations
@@ -90,12 +91,23 @@ def custom(formula: Union[str, ex.Node]) -> SequenceSpec:
 
 
 def linear_combination(parts: Sequence[Tuple[float, SequenceSpec]]) -> SequenceSpec:
-    """Sum of weight_i * a_i(n). Zero-weight parts are dropped; at least
-    one nonzero weight must remain."""
-    kept = tuple((float(w), spec) for w, spec in parts if w != 0.0)
+    """Sum of weight_i * a_i(n). The text form cannot nest combos, so a
+    combo part is flattened into its entries, each weight scaled by the
+    part's, and a part composing a combo is refused. Zero-weight entries
+    are dropped; at least one nonzero weight must remain."""
+    flat = [(float(w) * v, s) for w, spec in parts
+            for v, s in (spec.params if spec.family == "combo" else [(1.0, spec)])]
+    if any(_has_combo(s) for _, s in flat):
+        raise ValueError("combos cannot nest: a combo part composes a combo")
+    kept = tuple((w, spec) for w, spec in flat if w != 0.0)
     if not kept:
         raise ValueError("linear combination needs at least one nonzero weight")
     return SequenceSpec("combo", kept)
+
+
+def _has_combo(spec: SequenceSpec) -> bool:
+    """Whether the spec is a combo or composes one."""
+    return spec.family == "combo" or (spec.family == "compose" and _has_combo(spec.params[0]))
 
 
 def compose(spec: SequenceSpec, outer: Union[str, ex.Node]) -> SequenceSpec:
@@ -110,12 +122,13 @@ def compose(spec: SequenceSpec, outer: Union[str, ex.Node]) -> SequenceSpec:
     node = ex.parse_expr(outer) if isinstance(outer, str) else outer
     inner_eval = make_sequence(spec)
     ns = np.unique(np.geomspace(1, 1 << 24, _COMPOSE_SAMPLES).astype(np.int64))
-    values = np.asarray(inner_eval(ns), dtype=float)
-    finite = values[np.isfinite(values)]
     ok = True
-    if len(finite):
-        derivs = ex.eval_jet_many(node, finite, 1)[1]
-        ok = bool(np.min(np.abs(derivs)) > COMPOSE_DERIVATIVE_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are dropped
+        values = np.asarray(inner_eval(ns), dtype=float)
+        finite = values[np.isfinite(values)]
+        if len(finite):
+            derivs = ex.eval_jet_many(node, finite, 1)[1]
+            ok = bool(np.min(np.abs(derivs)) > COMPOSE_DERIVATIVE_FLOOR)
     return SequenceSpec("compose", (spec, node), derivative_diagnostic=ok)
 
 
@@ -142,6 +155,13 @@ def _isqrt_array(n: np.ndarray) -> np.ndarray:
     return s
 
 
+def _mantexp_to_double(mant: np.ndarray, e2: np.ndarray):
+    """mant * 2**e2 as doubles, inf past overflow; a float for 0-d input."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(mant, e2.clip(max=20000))
+    return out if out.ndim else float(out)
+
+
 class IteratedExpEvaluator:
     """exp(exp(floor(log n))): block-constant, overflowing doubles from
     block 7 on. Values live in one (mantissa, base-2 exponent)
@@ -149,10 +169,7 @@ class IteratedExpEvaluator:
     and abs_diff subtracts in it."""
 
     def __call__(self, n):
-        mant, e2 = self.mantexp(n)
-        with np.errstate(over="ignore"):
-            out = np.ldexp(mant, e2.clip(max=20000))
-        return out if out.ndim else float(out)
+        return _mantexp_to_double(*self.mantexp(n))
 
     @staticmethod
     def block_index(n) -> np.ndarray:
@@ -179,10 +196,7 @@ class IteratedExpEvaluator:
     def abs_diff(self, n, m):
         """|a(n) - a(m)| as a double; exact 0 inside a block, inf once the
         true difference leaves double range."""
-        mant, e2 = self._diff_mantexp(n, m)
-        with np.errstate(over="ignore"):
-            out = np.ldexp(mant, e2.clip(max=20000))
-        return out if out.ndim else float(out)
+        return _mantexp_to_double(*self._diff_mantexp(n, m))
 
     def log2_abs_diff(self, n, m):
         """log2 |a(n) - a(m)|: finite where abs_diff is inf, -inf inside a
@@ -272,7 +286,7 @@ def parse_sequence_spec(text: str) -> SequenceSpec:
     """Parse the CLI syntax: "identity", "affine:alpha=2,beta=1",
     "power:eps=0.5", "logpow:p=2", "nlog", "sqrtres", "iterexp",
     "custom:n + sin(n)/n", "combo:1*identity,-1*logpow:p=2",
-    "compose:x^2@identity". Combos cannot nest."""
+    "compose:x^2@identity". A combo entry may not be or compose a combo."""
     text = text.strip()
     head, _, rest = text.partition(":")
     head = head.strip()
@@ -295,7 +309,10 @@ def parse_sequence_spec(text: str) -> SequenceSpec:
                 if not parts:
                     raise ValueError(f"combo entry '{piece.strip()}' needs WEIGHT*SPEC") from None
                 parts[-1][1] += "," + piece
-        return linear_combination([(w, parse_sequence_spec(t)) for w, t in parts])
+        entries = [(w, parse_sequence_spec(t)) for w, t in parts]
+        if any(spec.family == "combo" for _, spec in entries):
+            raise ValueError("combos cannot nest: a combo entry is a combo")
+        return linear_combination(entries)
     return parse_keyed(text, _SEQUENCE_FAMILIES, "sequence")
 
 
@@ -356,24 +373,40 @@ def custom_nested(sets: Sequence[Sequence[int]]) -> IndexSetFamily:
     return IndexSetFamily("custom", (tuple(order), tuple(sizes)))
 
 
+def _geometric_size(N: int, params: tuple) -> int:
+    try:
+        return math.ceil(params[0] ** N)
+    except OverflowError:
+        raise ValueError(f"|S_N| = ceil({params[0]:g}^{N}) exceeds double range") from None
+
+
+# Keyed index-set families: NAME -> (constructor, {KEY: None (required)},
+# |S_N| of (N, params), index step of params). S_N is the first |S_N|
+# multiples of the step.
+_INDEX_FAMILIES = {
+    "prefixes": (prefixes, {}, lambda N, p: N, lambda p: 1),
+    "geometric": (geometric, {"rho": None}, _geometric_size, lambda p: 1),
+    "strided": (strided, {"c": None}, lambda N, p: N, lambda p: p[0]),
+}
+
+
+def parse_index_family(text: str) -> IndexSetFamily:
+    """Index-set specs: "prefixes", "geometric:rho=R", "strided:c=C"."""
+    return parse_keyed(text, _INDEX_FAMILIES, "index-set")
+
+
 def index_set_size(family: IndexSetFamily, N: int) -> int:
     """|S_N| without materializing the set."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if family.family in ("prefixes", "strided"):
-        return N
-    if family.family == "geometric":
-        rho = family.params[0]
-        try:
-            return math.ceil(rho ** N)
-        except OverflowError:
-            raise ValueError(f"|S_N| = ceil({rho:g}^{N}) exceeds double range") from None
-    if family.family == "custom":
-        sizes = family.params[1]
-        if N > len(sizes):
-            raise ValueError(f"custom-nested family has only {len(sizes)} sets")
-        return sizes[N - 1]
-    raise ValueError(f"unknown index-set family '{family.family}'")
+    if family.family in _INDEX_FAMILIES:
+        return _INDEX_FAMILIES[family.family][2](N, family.params)
+    if family.family != "custom":
+        raise ValueError(f"unknown index-set family '{family.family}'")
+    sizes = family.params[1]
+    if N > len(sizes):
+        raise ValueError(f"custom-nested family has only {len(sizes)} sets")
+    return sizes[N - 1]
 
 
 @dataclass(frozen=True)
@@ -387,19 +420,15 @@ class IndexSetView:
 
     def members(self) -> np.ndarray:
         """S_N in the family's index order, in which every S_M is a prefix:
-        increasing for the built-in families, S_1 then each S_M minus
-        S_{M-1} for custom-nested ones."""
+        increasing for the keyed families, S_1 then each S_M minus S_{M-1}
+        for custom-nested ones."""
         fam = self._family
         if self.size > _MAX_MATERIALIZE:
             raise ValueError(f"refusing to materialize {self.size} indices")
-        if fam.family in ("prefixes", "geometric"):
-            return np.arange(1, self.size + 1, dtype=np.int64)
-        if fam.family == "strided":
-            c = fam.params[0]
-            return np.arange(c, c * self.N + 1, c, dtype=np.int64)
         if fam.family == "custom":
             return np.asarray(fam.params[0][:self.size], dtype=np.int64)
-        raise ValueError(f"unknown index-set family '{fam.family}'")
+        step = _INDEX_FAMILIES[fam.family][3](fam.params)  # known: its size was computed
+        return np.arange(step, step * self.size + 1, step, dtype=np.int64)
 
     def __iter__(self):
         return iter(self.members())

@@ -273,7 +273,7 @@ def cesaro_gap(zs: Sequence[complex], N: int, M: int) -> Tuple[float, float]:
         raise ValueError("need 1 <= N < M <= len(zs)")
     if np.any(np.abs(zs[:M]) > 1.0 + 1e-12):
         raise ValueError("sequence values must have modulus at most 1")
-    prefix = np.cumsum(zs[:M])
-    lhs = abs(prefix[N - 1] / N - prefix[M - 1] / M)
+    mean_n, mean_m = prefix_means(zs[:M], [N, M])
+    lhs = abs(mean_n - mean_m)
     bound = 2.0 * (1.0 - N / M)
     return float(lhs), float(bound)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,10 @@ class TestGridAndGeneratorSpecs:
         sub = lab.parse_grid("sublacunary:0.5:100")
         assert sub[0] == 3 and sub[-1] == 100
         assert all(b > a for a, b in zip(sub, sub[1:]))
+        assert lab.parse_grid("sublacunary:0.5:2") == [2]  # ends at NMAX below the first N_r
+        for bad in ["pow2:5..3", "linear:1:10:0", "0,4,8", "pow2:-1..3"]:
+            with pytest.raises(ValueError, match=f"grid '{re.escape(bad)}' must give"):
+                lab.parse_grid(bad)
 
     def test_generator_spec(self):
         gen = lab.parse_generator("x=0.3; prod:identity|x; prod:identity|x^2")
@@ -48,13 +53,13 @@ class TestGridAndGeneratorSpecs:
             lab.parse_generator("x=1; frob:identity|x")
 
     def test_index_family_spec(self):
-        assert lab.parse_index_family("prefixes") == sq.prefixes()
-        assert lab.parse_index_family("geometric:rho=2") == sq.geometric(2.0)
-        assert lab.parse_index_family("strided:c=3") == sq.strided(3)
+        assert sq.parse_index_family("prefixes") == sq.prefixes()
+        assert sq.parse_index_family("geometric:rho=2") == sq.geometric(2.0)
+        assert sq.parse_index_family("strided:c=3") == sq.strided(3)
         for bad in ["geometric:", "geometric:rho", "geometric:rh=2", "strided:c=2.5",
                     "strided:c=3,rho=2", "prefixes:c=1", "lacunary:rho=2"]:
             with pytest.raises(ValueError):
-                lab.parse_index_family(bad)
+                sq.parse_index_family(bad)
 
 
 class TestConfig:
@@ -302,7 +307,10 @@ class TestCli:
         lambda c: c.pop("kind"),
         lambda c: c.update(functions=["x", "x^"]),
         lambda c: c.update(sequences=["identity", "affine:alpah=2"]),
-    ], ids=["unknown-key", "missing-key", "bad-function", "bad-sequence"])
+        lambda c: c.update(n_grid="pow2:5..3"),
+        lambda c: c.update(n_grid="0,8,16"),
+    ], ids=["unknown-key", "missing-key", "bad-function", "bad-sequence", "empty-grid",
+            "grid-with-0"])
     def test_malformed_config_exits_2(self, edit, tmp_path, capsys):
         config = small_config().to_dict()
         edit(config)

@@ -183,6 +183,9 @@ class TestDecayFit:
             decay_fit([X], (0, 1), [1, 2, 4, 8, 16, 1e6], 1)  # beyond cap
         with pytest.raises(ValueError):
             decay_fit([X, X2], (0, 1), HALF_POW2_RADII, 1)    # dirs < k
+        for radii in ([0, 1, 2, 3, 4, 5], [1] * 6):  # used to end in "SVD did not converge"
+            with pytest.raises(ValueError, match="6 distinct values, all finite and positive"):
+                decay_fit([X], (1, 2), radii, 1)
 
 
 class TestNonFinitePhase:

@@ -112,6 +112,13 @@ class TestComposition:
         with pytest.raises(ValueError):
             sq.compose(shifted, "log(x)")
 
+    def test_inner_values_past_double_range_build_quietly(self):
+        # the samples overflow and are dropped; RuntimeWarning is an error here
+        for inner in [sq.iterated_exp(), sq.power(50)]:
+            c = sq.compose(inner, "x^2")
+            assert isinstance(c.derivative_diagnostic, bool)
+            assert sq.make_sequence(c)(2) == sq.make_sequence(inner)(2) ** 2
+
 
 class TestLinearCombination:
     def test_values(self):
@@ -131,6 +138,17 @@ class TestLinearCombination:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):
             sq.linear_combination([(0.0, sq.identity()), (0.0, sq.power(1.0))])
+
+    def test_combo_part_is_flattened(self):
+        inner = sq.linear_combination([(1.0, sq.identity()), (3.0, sq.n_plus_log())])
+        lc = sq.linear_combination([(2.0, inner), (1.0, sq.sqrt_residue())])
+        assert lc == sq.linear_combination([(2.0, sq.identity()), (6.0, sq.n_plus_log()),
+                                            (1.0, sq.sqrt_residue())])
+
+    def test_part_composing_a_combo_rejected(self):
+        inner = sq.linear_combination([(2.0, sq.identity()), (3.0, sq.n_plus_log())])
+        with pytest.raises(ValueError, match="combos cannot nest"):
+            sq.linear_combination([(1.0, sq.compose(inner, "x + 1"))])
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -156,8 +174,24 @@ COMPOSED = st.builds(sq.compose,
                      keyed(st.floats(-1e6, 1e6), st.floats(1e-6, 8.0)),
                      st.sampled_from(["3*x - 1", "x + 0.25", "-2*x"]))
 SIMPLE = st.one_of(KEYED, PARSABLE.map(sq.custom), COMPOSED)
-SPECS = st.one_of(SIMPLE, st.lists(st.tuples(FINITE, SIMPLE), min_size=1, max_size=4).filter(
-    lambda parts: any(w != 0.0 for w, _ in parts)).map(sq.linear_combination))
+
+
+def _combination(parts):
+    """linear_combination(parts), or None when no weight is left nonzero
+    (a product of flattened weights can underflow to 0)."""
+    try:
+        return sq.linear_combination(parts)
+    except ValueError:
+        return None
+
+
+def combos(part):
+    return st.lists(st.tuples(FINITE, part), min_size=1, max_size=4).map(
+        _combination).filter(lambda spec: spec is not None)
+
+
+# Combos whose parts may themselves be combos, which flatten.
+SPECS = st.one_of(SIMPLE, combos(st.one_of(SIMPLE, combos(SIMPLE))))
 
 
 class TestSpecSyntax:
@@ -197,7 +231,9 @@ class TestSpecSyntax:
     def test_bad_specs(self):
         for bad in ["wat", "power:eps=0", "combo:identity", "compose:x^2",
                     "power:", "logpow:", "power:eps", "power:eps=x",
-                    "affine:alpah=2", "affine:alpha=2,gamma=1", "identity:alpha=1"]:
+                    "affine:alpah=2", "affine:alpha=2,gamma=1", "identity:alpha=1",
+                    "combo:1*combo:2*identity,5*identity,3*nlog",  # combos cannot nest
+                    "combo:1*compose:x + 1@combo:2*identity"]:
             with pytest.raises(ValueError):
                 sq.parse_sequence_spec(bad)
 
