@@ -27,14 +27,20 @@ EXIT_OK, EXIT_THRESHOLD, EXIT_USAGE, EXIT_UNRELIABLE = 0, 1, 2, 3
 
 
 def _parse_radii(text: str):
+    """Radii specs "geom:LO:HI:COUNT", "halfpow2:A..B" or a comma list."""
     text = text.strip()
-    if text.startswith("geom:"):
-        _, lo, hi, count = text.split(":")
-        return list(np.geomspace(float(lo), float(hi), int(count)))
-    if text.startswith("halfpow2:"):
-        a, b = text[len("halfpow2:"):].split("..")
-        return [2.0 ** k + 0.5 for k in range(int(a), int(b) + 1)]
-    return [float(v) for v in text.split(",")]
+    try:
+        if text.startswith("geom:"):
+            _, lo, hi, count = text.split(":")
+            with np.errstate(invalid="ignore"):  # NaN radii, refused by decay_fit
+                return list(np.geomspace(float(lo), float(hi), int(count)))
+        if text.startswith("halfpow2:"):
+            a, b = text[len("halfpow2:"):].split("..")
+            return [2.0 ** k + 0.5 for k in range(int(a), int(b) + 1)]
+        return [float(v) for v in text.split(",")]
+    except (ValueError, OverflowError):
+        raise ValueError(f"radii '{text}' are not one of geom:LO:HI:COUNT, halfpow2:A..B"
+                         " or a comma list of numbers") from None
 
 
 def _print_table(header, rows, csv_path) -> None:

@@ -20,6 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .sequences import index_range
+
 EXACT_KD_MAX_N = 4096
 GRID_M_DEFAULT_2D = 256
 GRID_M_DEFAULT_3D = 64
@@ -175,5 +177,5 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
 def ud_trend(gen, grid: Sequence[int], method: str = "auto",
              m: Optional[int] = None) -> DiscrepancyReport:
     """D*_N along prefixes of a point generator; see dstar_trend."""
-    points = gen.fracs(np.arange(1, max(grid, default=0) + 1))
+    points = gen.fracs(index_range(max(grid, default=1)))
     return dstar_trend(points, grid, method, m, gen.describe())

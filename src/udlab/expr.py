@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import chebyshev_nodes
+from .numerics import chebyshev_nodes, check_interval
 
 JET_ORDER_CAP = 16
 
@@ -351,9 +351,6 @@ class TaylorJet:
     order: int
     derivatives: np.ndarray
 
-    def derivative(self, j: int) -> float:
-        return float(self.derivatives[j])
-
 
 def eval_jet(node: Node, x: float, d: int) -> TaylorJet:
     """Derivatives of the expression up to order d at scalar x."""
@@ -415,13 +412,15 @@ def _jet(node: Node, x: np.ndarray, d: int) -> list:
         u, k = _jet(node.base, x, d), node.exponent
         if k < 0 and np.any(u[0] == 0.0):
             raise DomainError("zero base with negative exponent", node)
-        w = [1.0] + [0.0] * d
-        if d:
-            # binary exponentiation keeps polynomial jets exactly polynomial
-            sq, m = u, abs(k)
+        w = [1.0] + [0.0] * d  # the jet of u^0
+        if d and k:
+            # binary exponentiation keeps polynomial jets exactly polynomial;
+            # the product starts from its first factor, since 1 * inf
+            # would leave a 0 * inf = NaN in the higher rows
+            sq, m, w = u, abs(k), None
             while m:
                 if m & 1:
-                    w = _mul(w, sq)
+                    w = list(sq) if w is None else _mul(w, sq)
                 m >>= 1
                 if m:
                     sq = _mul(sq, sq)
@@ -492,10 +491,6 @@ class IndependenceReport:
     sigma_min: float
     null_direction: Optional[np.ndarray]  # coefficients on [1, f_1, ..., f_k]
 
-    @property
-    def independent(self) -> bool:
-        return self.verdict == "independent"
-
 
 def check_linear_independence(fs: Sequence[Node], interval, m: Optional[int] = None,
                               threshold: float = INDEPENDENCE_THRESHOLD) -> IndependenceReport:
@@ -507,7 +502,7 @@ def check_linear_independence(fs: Sequence[Node], interval, m: Optional[int] = N
     direction is mapped back to coefficients on the unnormalized functions
     and has unit Euclidean norm.
     """
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = check_interval(interval)
     k = len(fs)
     if m is None:
         m = max(64, 2 * (k + 1))

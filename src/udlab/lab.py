@@ -28,7 +28,7 @@ from . import discrepancy as dc
 from . import expr as ex
 from . import sequences as sq
 from . import weyl as wy
-from .numerics import TOWER_GUARD_BITS, derive_seed
+from .numerics import TOWER_GUARD_BITS, check_interval, derive_seed
 from .weyl import max_weyl_series
 
 EXPERIMENT_KINDS = (
@@ -48,25 +48,30 @@ _KIND_TOWERS = {"power-tower-curve": 1, "power-tower-pair": 2}
 
 def parse_grid(text: str) -> List[int]:
     """Grid specs: "sublacunary:EPS:NMAX" (ends at NMAX), "pow2:A..B",
-    "linear:START:STOP:COUNT", or an explicit comma list. A spec that
-    gives no N, or an N < 1, raises ValueError."""
+    "linear:START:STOP:COUNT", or an explicit comma list. Text in none of
+    these forms, a spec that gives no N, or an N < 1 raises ValueError."""
     text = text.strip()
-    if text.startswith("sublacunary:"):
-        _, eps_s, nmax_s = text.split(":")
-        eps, nmax = float(eps_s), int(float(nmax_s))
-        r = 2
-        while math.exp((r + 1) ** (1.0 - eps)) <= nmax:
-            r += 1
-        grid = [n for n in wy.sublacunary_grid(eps, r) if n < nmax] + [nmax]
-    elif text.startswith("pow2:"):
-        a, b = text[len("pow2:"):].split("..")
-        grid = [2 ** k for k in range(int(a), int(b) + 1)]
-    elif text.startswith("linear:"):
-        _, start, stop, count = text.split(":")
-        vals = np.linspace(float(start), float(stop), int(count))
-        grid = sorted(set(int(round(v)) for v in vals))
-    else:
-        grid = sorted(set(int(v) for v in text.split(",")))
+    try:
+        if text.startswith("sublacunary:"):
+            _, eps_s, nmax_s = text.split(":")
+            eps, nmax = float(eps_s), int(float(nmax_s))
+            wy.sublacunary_grid(eps, 2)  # refuses EPS outside (0, 1) before the search
+            r = 2
+            while math.exp((r + 1) ** (1.0 - eps)) <= nmax:
+                r += 1
+            grid = [n for n in wy.sublacunary_grid(eps, r) if n < nmax] + [nmax]
+        elif text.startswith("pow2:"):
+            a, b = text[len("pow2:"):].split("..")
+            grid = [2 ** k for k in range(int(a), int(b) + 1)]
+        elif text.startswith("linear:"):
+            _, start, stop, count = text.split(":")
+            vals = np.linspace(float(start), float(stop), int(count))
+            grid = sorted(set(int(round(v)) for v in vals))
+        else:
+            grid = sorted(set(int(v) for v in text.split(",")))
+    except (ValueError, OverflowError):
+        raise ValueError(f"grid '{text}' is not one of pow2:A..B, sublacunary:EPS:NMAX with"
+                         " 0 < EPS < 1, linear:START:STOP:COUNT or a comma list") from None
     if not grid or grid[0] < 1:
         raise ValueError(f"grid '{text}' must give one or more N, all >= 1")
     return grid
@@ -103,12 +108,11 @@ def _parse_coordinates(text: str) -> Tuple[Optional[float], List]:
     return x, coords
 
 
-def parse_generator(text: str, default_x: Optional[float] = None) -> wy.PointGenerator:
+def parse_generator(text: str) -> wy.PointGenerator:
     """Generator specs: coordinates separated by ';', each
     "prod:SEQSPEC|FEXPR" or "tower:GEXPR|BSEQSPEC", plus one "x=VALUE"
     entry fixing the curve parameter."""
     x, coords = _parse_coordinates(text)
-    x = default_x if x is None else x
     if x is None:
         raise ValueError("generator spec needs an x=VALUE entry")
     return wy.PointGenerator([coord(x) for coord in coords])
@@ -148,9 +152,7 @@ class ExperimentConfig:
         if (self.kind in ("curve-product", "power-tower-curve")
                 and len(self.functions) != len(self.sequences)):
             raise ValueError(f"{self.kind} needs one sequence per function")
-        lo, hi = self.x_interval
-        if not lo < hi:
-            raise ValueError("x_interval must be nondegenerate")
+        check_interval(self.x_interval)
         if not _config_coordinates(self):  # malformed spec text fails here, not per sample
             raise ValueError(f"{self.kind} config has no coordinates")
         parse_grid(self.n_grid)  # and so does a malformed grid
@@ -244,7 +246,7 @@ def _run_sample(config: ExperimentConfig, grid: List[int], index: int) -> Sample
     x = sample_x(config, index)
     try:
         gen = build_generator(config, x)
-        points = gen.fracs(np.arange(1, max(grid, default=0) + 1))
+        points = gen.fracs(sq.index_range(max(grid)))
         rep = dc.dstar_trend(points, grid, config.discrepancy_method,
                              config.grid_m, gen.describe())
         if config.kind == "diagonal-counterexample":
@@ -375,8 +377,8 @@ def decay_csv_rows(fit) -> Tuple[List[str], List[List]]:
         otext = ";".join(repr(float(c)) for c in omega)
         for j, r in enumerate(fit.radii):
             flag = "unreliable" if fit.unreliable[i, j] else ""
-            err = float(fit.errors[i, j]) if fit.errors is not None else 0.0
-            rows.append([i, otext, float(r), float(fit.magnitudes[i, j]), err, flag])
+            rows.append([i, otext, float(r), float(fit.magnitudes[i, j]),
+                         float(fit.errors[i, j]), flag])
     if fit.degenerate_direction is not None:
         otext = ";".join(repr(float(c)) for c in fit.degenerate_direction)
         for j, r in enumerate(fit.radii):

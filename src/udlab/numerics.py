@@ -1,5 +1,5 @@
 """Shared numerical kernels: reproducible reductions, precision-safe
-fractional parts and seeded direction sampling.
+fractional parts, seeded direction sampling, interval and tower-base rules.
 
 Everything here is deterministic for a fixed input array. Prefix means
 come from one running sum, a sequential accumulate, so a mean over the
@@ -14,8 +14,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 import mpmath
 
-TWO_PI = 2.0 * math.pi
-
 # Fractional bits kept for power-tower fractional parts beyond what the
 # integer part of the phase needs: mantissa bits of the mpmath route, and
 # the margin over the truncation error of the fixed-point route, whose
@@ -24,6 +22,22 @@ TWO_PI = 2.0 * math.pi
 TOWER_GUARD_BITS = 96
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+
+
+def check_interval(interval) -> Tuple[float, float]:
+    """The ends (lo, hi) of an interval as floats: both finite, lo < hi."""
+    lo, hi = map(float, interval)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"interval [{lo!r}, {hi!r}] needs finite ends with lo < hi")
+    return lo, hi
+
+
+def check_tower_base(g) -> float:
+    """A power-tower base as a float: finite and greater than 1."""
+    g = float(g)
+    if not (math.isfinite(g) and g > 1.0):
+        raise ValueError(f"power tower base must be finite and exceed 1, got {g!r}")
+    return g
 
 
 def prefix_means(values: np.ndarray, grid: Sequence[int]) -> np.ndarray:
@@ -82,12 +96,11 @@ def power_tower_frac_mp(g: float, b: float):
 
     Working precision is ceil(b*log2(g)) + TOWER_GUARD_BITS: enough
     mantissa to place the integer part exactly and still keep
-    TOWER_GUARD_BITS fractional bits. Requires g > 1; b may be any real
+    TOWER_GUARD_BITS fractional bits. Requires a finite g > 1; b may be any real
     (negative exponents give a value in (0,1) whose fractional part is
     itself).
     """
-    if not g > 1.0:
-        raise ValueError(f"power tower base must exceed 1, got {g}")
+    g = check_tower_base(g)
     int_bits = max(0, int(math.ceil(max(b, 0.0) * math.log2(g))))
     prec = int_bits + TOWER_GUARD_BITS
     with mpmath.workprec(prec):
@@ -107,9 +120,7 @@ def power_tower_fracs_fixed(g: float, exponents) -> Tuple[np.ndarray, int]:
     TOWER_GUARD_BITS keeps the fractional part within 2**-TOWER_GUARD_BITS.
     It is read from the low F bits by Python's correctly rounded int
     division, and a value that rounds to 1.0 is returned as 0.0."""
-    g = float(g)
-    if not (math.isfinite(g) and g > 1.0):
-        raise ValueError(f"power tower base must be finite and exceed 1, got {g}")
+    g = check_tower_base(g)
     distinct, inverse = np.unique(np.asarray(exponents, dtype=np.int64),
                                   return_inverse=True)
     if len(distinct) and distinct[0] < 0:
@@ -134,8 +145,6 @@ def power_tower_fracs_fixed(g: float, exponents) -> Tuple[np.ndarray, int]:
 
 def chebyshev_nodes(lo: float, hi: float, m: int) -> np.ndarray:
     """m Chebyshev points on [lo, hi], open at the endpoints."""
-    if not lo < hi:
-        raise ValueError("need lo < hi")
     j = np.arange(1, m + 1)
     t = np.cos((2 * j - 1) * math.pi / (2 * m))
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * t

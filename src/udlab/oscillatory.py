@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .numerics import e_phase, unit_directions
+from .numerics import check_interval, e_phase, unit_directions
 
 PANEL_CAP = 1 << 20
 R_MAX = 1 << 16
@@ -100,9 +100,7 @@ def _bisect(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
                  panel_cap: int = PANEL_CAP) -> OscillatoryEstimate:
     """Adaptive phase-bounded quadrature for int_I e(lambda . f) dx."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    lo, hi = check_interval(interval)
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     lam = _as_lambda(lam, len(fs))
@@ -146,9 +144,7 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
     values, errors = rule(pa, pb)
     while float(np.sum(errors)) > tol and len(pa) < panel_cap:
         cut = max(float(np.max(errors)) * 0.5, tol / (2.0 * len(pa)))
-        split = errors >= cut
-        if not np.any(split):
-            break
+        split = errors >= cut  # cut <= max(errors): never empty
         room = panel_cap - len(pa)  # each split adds one panel
         if np.count_nonzero(split) > room:
             split[:] = False
@@ -184,31 +180,23 @@ def vdc_bound_first(f: ex.Node, lam: float, interval) -> float:
     phi' vanishes at a checked endpoint or changes sign inside a piece
     (the bound is vacuous there).
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    lo, hi = check_interval(interval)
     xs = np.linspace(lo, hi, _FIRST_ORDER_SAMPLES + 1)
-    jet = float(lam) * ex.eval_jet_many(f, xs, 2)[1:]
-    dphi, ddphi = jet[0], jet[1]
-    cuts = [lo]
-    sgn = np.sign(ddphi)
-    nonzero = np.nonzero(sgn)[0]
-    for t in range(len(nonzero) - 1):
-        i, j = nonzero[t], nonzero[t + 1]
-        if sgn[i] != sgn[j]:  # phi'' changes sign: phi' monotone piece ends
-            cuts.append(0.5 * (xs[i] + xs[j]))
-    cuts.append(hi)
-    total = 0.0
-    for left, right in zip(cuts, cuts[1:]):
-        d_inside = dphi[(xs >= left) & (xs <= right)]
-        if len(d_inside) >= 2 and (np.min(np.sign(d_inside)) < 0 < np.max(np.sign(d_inside))):
-            return math.inf  # phi' crosses zero: minimum modulus is 0
-        dl = abs(float(lam) * ex.eval_jet_many(f, np.array([left]), 1)[1, 0])
-        dr = abs(float(lam) * ex.eval_jet_many(f, np.array([right]), 1)[1, 0])
-        if dl < _DERIV_FLOOR or dr < _DERIV_FLOOR:
-            return math.inf
-        total += max(1.0 / dl, 1.0 / dr)
-    return total
+    dphi, ddphi = float(lam) * ex.eval_jet_many(f, xs, 2)[1:]
+    # a piece ends midway between consecutive nonzero phi'' of opposite sign
+    nonzero = np.flatnonzero(ddphi)
+    i, j = nonzero[:-1], nonzero[1:]
+    flip = np.sign(ddphi[i]) != np.sign(ddphi[j])
+    cuts = np.concatenate(([lo], 0.5 * (xs[i[flip]] + xs[j[flip]]), [hi]))
+    # the samples in the closed piece k are xs[first[k]:stop[k]]
+    first, stop = np.searchsorted(xs, cuts[:-1], "left"), np.searchsorted(xs, cuts[1:], "right")
+    neg, pos = (np.concatenate(([0], np.cumsum(s))) for s in (dphi < 0, dphi > 0))
+    if np.any((neg[stop] > neg[first]) & (pos[stop] > pos[first])):
+        return math.inf  # phi' crosses zero in a piece: minimum modulus is 0
+    ends = np.abs(float(lam) * ex.eval_jet_many(f, cuts, 1)[1])
+    if np.any(ends < _DERIV_FLOOR):
+        return math.inf
+    return float(np.cumsum(np.maximum(1.0 / ends[:-1], 1.0 / ends[1:]))[-1])  # in order
 
 
 def vdc_bound_high(f: ex.Node, lam: float, interval, d: int) -> float:
@@ -220,9 +208,7 @@ def vdc_bound_high(f: ex.Node, lam: float, interval, d: int) -> float:
     """
     if not (2 <= d <= 8):
         raise ValueError("need 2 <= d <= 8")
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    lo, hi = check_interval(interval)
     xs = np.linspace(lo, hi, _HIGH_ORDER_SAMPLES)
     mags = np.abs(float(lam) * ex.eval_jet_many(f, xs, d)[d])
     spacing = (hi - lo) / (_HIGH_ORDER_SAMPLES - 1)
@@ -263,7 +249,7 @@ class OscillatoryDecayFit:
     pooled_r_squared: float
     delta_hat: float
     unreliable: np.ndarray        # bool (directions, radii)
-    errors: Optional[np.ndarray] = None   # quadrature error estimates
+    errors: np.ndarray            # quadrature error estimates (directions, radii)
     degenerate_direction: Optional[np.ndarray] = None
     degenerate_magnitudes: Optional[np.ndarray] = None
 

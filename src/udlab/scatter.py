@@ -33,14 +33,6 @@ class ScatterValue:
     method: str  # "exact" | "bucketed(eta=...)"
 
 
-def _finite_values(a, ns: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(a(ns), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("sequence values must be finite")
-    return vals
-
-
 def _pair_diffs(a, lo: int, N: int):
     """The one rule for |a(n) - a(m)| over index arrays with lo <= n, m <= N.
 
@@ -51,7 +43,7 @@ def _pair_diffs(a, lo: int, N: int):
     """
     if hasattr(a, "abs_diff"):
         return a.abs_diff
-    vals = _finite_values(a, np.arange(lo, N + 1))
+    vals = sq.finite_values(a, sq.index_range(N, lo))
     return lambda ns, ms: np.abs(d := vals[ns - lo] - vals[ms - lo], out=d)  # one alloc
 
 
@@ -105,7 +97,7 @@ def _count_pairs_within(vals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 
 def _bucketed_sum(a, N: int, delta: float, eta: float) -> ScatterValue:
-    vals = np.sort(_finite_values(a, np.arange(1, N + 1)))
+    vals = np.sort(sq.finite_values(a, sq.index_range(N)))
     span = float(vals[-1] - vals[0])
     n_buckets = int(math.ceil(math.log(span) / math.log1p(eta))) + 1 if span > 1.0 else 0
     edges = np.power(1.0 + eta, np.arange(n_buckets + 1))  # edges[0] = 1
@@ -133,8 +125,9 @@ def _scatter_values(a, Ns: List[int], delta: float, mode: str,
              if mode == "auto" else mode for N in Ns]
     if "bucketed" in modes and not (0.0 < eta <= 0.05):
         raise ValueError("bucket ratio eta must lie in (0, 0.05]")
+    ns = sq.index_range(Ns[-1])  # refuses an oversized grid before any pass
     if not hasattr(a, "abs_diff"):
-        vals = _finite_values(a, np.arange(1, Ns[-1] + 1))
+        vals = sq.finite_values(a, ns)
         a = lambda n: vals[n - 1]  # one evaluation, sliced for every N
     exact = iter(_exact_sums(a, [N for N, m in zip(Ns, modes) if m == "exact"], delta))
     return [ScatterValue(next(exact), 0.0, "exact") if m == "exact"
@@ -240,7 +233,7 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
         raise ValueError("need N >= 8")
     if not (eps > 0 and g > 0):
         raise ValueError("eps and g must be positive")
-    ns_all = np.arange(2, N + 1, dtype=np.int64)
+    ns_all = sq.index_range(N, 2)
     m0 = growth_threshold(ns_all, eps)
     total = int(np.sum(np.maximum(0, N - m0 + 1)))  # m0 may be inf, never NaN
     diff = _pair_diffs(a, 2, N)

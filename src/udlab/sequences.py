@@ -40,6 +40,28 @@ _COMPOSE_SAMPLES = 64
 _MAX_MATERIALIZE = 1 << 26
 
 
+def index_range(N: int, start: int = 1) -> np.ndarray:
+    """The indices start..N as an int64 array. N < start, or more than
+    _MAX_MATERIALIZE indices, is refused before anything is allocated."""
+    count = int(N) - start + 1
+    if count < 1:
+        raise ValueError(f"need N >= {start}, got {N}")
+    if count > _MAX_MATERIALIZE:
+        raise ValueError(f"refusing to materialize {count} indices")
+    return np.arange(start, start + count, dtype=np.int64)
+
+
+def finite_values(a: Callable, ns: np.ndarray) -> np.ndarray:
+    """The values a(ns) as doubles; inf or NaN raises, naming the first n."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        values = np.asarray(a(ns), dtype=float)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ValueError(f"sequence value at n = {int(ns[k])} is {float(values[k])}, not finite")
+    return values
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """A named family plus parameters; immutable and hashable."""
@@ -212,12 +234,7 @@ def make_sequence(spec: SequenceSpec) -> Callable:
     family, p = spec.family, spec.params
     closed_form = _SEQUENCE_FAMILIES.get(family, (None, None, None))[2]
     if closed_form is not None:
-        return lambda n: closed_form(_as_index_array(n).astype(float), *p)
-    if family == "sqrtres":
-        def _sqrtres(n):
-            arr = _as_index_array(n)
-            return (arr - _isqrt_array(arr) ** 2).astype(float)
-        return _sqrtres
+        return lambda n: closed_form(_as_index_array(n), *p)
     if family == "iterexp":
         return IteratedExpEvaluator()
     if family == "custom":
@@ -268,17 +285,17 @@ def parse_keyed(text: str, families: Dict[str, tuple], kind: str):
 
 
 # Keyed families: NAME -> (constructor, {KEY: default, None if required, in
-# SequenceSpec.params order}, closed form of (float n, *params), or None
-# where make_sequence builds the evaluator itself).
+# SequenceSpec.params order}, closed form of (int64 index array n, *params),
+# or None where make_sequence builds the evaluator itself).
 _SEQUENCE_FAMILIES = {
-    "identity": (identity, {}, lambda a: a),
-    "nlog": (n_plus_log, {}, lambda a: a + np.log(a)),
-    "sqrtres": (sqrt_residue, {}, None),
+    "identity": (identity, {}, lambda n: n.astype(float)),
+    "nlog": (n_plus_log, {}, lambda n: n + np.log(n)),
+    "sqrtres": (sqrt_residue, {}, lambda n: (n - _isqrt_array(n) ** 2).astype(float)),
     "iterexp": (iterated_exp, {}, None),
-    "affine": (affine, {"alpha": 1.0, "beta": 0.0}, lambda a, alpha, beta: alpha * a + beta),
-    "power": (power, {"eps": None}, lambda a, eps: a ** eps),
+    "affine": (affine, {"alpha": 1.0, "beta": 0.0}, lambda n, alpha, beta: alpha * n + beta),
+    "power": (power, {"eps": None}, lambda n, eps: n.astype(float) ** eps),
     # log(1) = 0 and 0**p = 0, so the n=1 convention needs no branch
-    "logpow": (log_power, {"p": None}, lambda a, p: np.log(a) ** p),
+    "logpow": (log_power, {"p": None}, lambda n, p: np.log(n) ** p),
 }
 
 
@@ -422,13 +439,10 @@ class IndexSetView:
         """S_N in the family's index order, in which every S_M is a prefix:
         increasing for the keyed families, S_1 then each S_M minus S_{M-1}
         for custom-nested ones."""
-        fam = self._family
-        if self.size > _MAX_MATERIALIZE:
-            raise ValueError(f"refusing to materialize {self.size} indices")
+        fam, ks = self._family, index_range(self.size)
         if fam.family == "custom":
-            return np.asarray(fam.params[0][:self.size], dtype=np.int64)
-        step = _INDEX_FAMILIES[fam.family][3](fam.params)  # known: its size was computed
-        return np.arange(step, step * self.size + 1, step, dtype=np.int64)
+            return np.asarray(fam.params[0], dtype=np.int64)[ks - 1]
+        return _INDEX_FAMILIES[fam.family][3](fam.params) * ks  # known: its size was computed
 
     def __iter__(self):
         return iter(self.members())
@@ -439,7 +453,7 @@ def index_set_views(family: IndexSetFamily, grid: Sequence[int]) -> List[IndexSe
     come from one running sum over M = 1..max(grid), in index order."""
     grid = [int(N) for N in grid]
     stops, partial, total = set(grid), {}, 0.0
-    for M in range(1, max(grid) + 1):
+    for M in map(int, index_range(max(grid))):
         total += 1.0 / index_set_size(family, M)
         if M in stops:
             partial[M] = total

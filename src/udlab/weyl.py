@@ -32,7 +32,7 @@ import numpy as np
 from . import expr as ex
 from . import numerics
 from . import sequences as sq
-from .numerics import (TOWER_GUARD_BITS, e_phase, frac_product,
+from .numerics import (TOWER_GUARD_BITS, check_tower_base, e_phase, frac_product,
                        power_tower_fracs_fixed, prefix_means)
 
 
@@ -52,8 +52,7 @@ class ProductCoord:
         self.precision_bits = 104  # double-double mantissa
 
     def fracs(self, indices: np.ndarray) -> np.ndarray:
-        a = np.asarray(self._seq(indices), dtype=float)
-        return frac_product(a, self._fx)
+        return frac_product(sq.finite_values(self._seq, indices), self._fx)
 
     def describe(self) -> str:
         return f"prod:{sq.spec_to_text(self.seq_spec)}|{ex.to_text(self.f)}"
@@ -67,19 +66,14 @@ class TowerCoord:
         self.b_spec = b_spec
         self.x = float(x)
         self._b = sq.make_sequence(b_spec)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            self._gx = float(ex.evaluate(g, self.x))
-        if not (math.isfinite(self._gx) and self._gx > 1.0):
-            raise ValueError(f"power-tower base g(x) = {self._gx} must be finite and exceed 1")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN g(x) is refused
+            self._gx = check_tower_base(ex.evaluate(g, self.x))
         self.precision_bits = TOWER_GUARD_BITS  # grows with n; updated as used
 
     def fracs(self, indices: np.ndarray) -> np.ndarray:
         """Non-negative integer exponents go through exact fixed point,
         any other exponent through mpmath, point by point."""
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            b = np.asarray(self._b(indices), dtype=float)
-        if not np.all(np.isfinite(b)):
-            raise ValueError("power-tower exponents b(n) must be finite")
+        b = sq.finite_values(self._b, indices)
         out = np.empty(len(b))
         whole = (b >= 0) & (b == np.floor(b))
         if np.any(whole):
@@ -164,10 +158,8 @@ def _prefix_weyl_means(points: np.ndarray, v: np.ndarray,
 
 def weyl_sum(gen: PointGenerator, v, N: int) -> complex:
     """(1/N) sum_{n<=N} e(v . x_n) with v a nonzero integer vector."""
-    if N < 1:
-        raise ValueError("need N >= 1")
     v = _check_frequency(v, gen.dim)
-    points = gen.fracs(np.arange(1, N + 1))
+    points = gen.fracs(sq.index_range(N))
     return complex(_prefix_weyl_means(points, v, [N])[0])
 
 
@@ -241,7 +233,7 @@ def max_weyl_series(points: np.ndarray, V: int, grid: Sequence[int]
 
 def max_weyl_sum(gen: PointGenerator, V: int, N: int) -> Tuple[float, np.ndarray]:
     """Maximum of |F_N| over the frequency box, as max_weyl_series at N."""
-    mags, argmax = max_weyl_series(gen.fracs(np.arange(1, N + 1)), V, [N])
+    mags, argmax = max_weyl_series(gen.fracs(sq.index_range(N)), V, [N])
     return mags[0], argmax[0]
 
 

@@ -171,6 +171,13 @@ class TestJets:
         jet = ex.eval_jet(ex.parse_expr("x^(-2)"), 2.0, 2).derivatives
         assert np.allclose(jet, [0.25, -0.25, 0.375], rtol=1e-14)
 
+    def test_power_past_double_range_keeps_finite_derivative(self):
+        # x^2 at 1e170: the value overflows, the derivative 2e170 does not;
+        # the binary power used to start from 1 and give 0 * inf = NaN
+        with np.errstate(over="ignore"):
+            jet = ex.eval_jet_many(ex.parse_expr("x^2"), np.array([1e170]), 1)
+        assert jet[0, 0] == math.inf and jet[1, 0] == 2e170
+
     def test_order_cap(self):
         with pytest.raises(OrderCapError):
             ex.eval_jet(ex.parse_expr("x"), 1.0, 17)

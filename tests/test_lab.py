@@ -32,6 +32,11 @@ class TestGridAndGeneratorSpecs:
         for bad in ["pow2:5..3", "linear:1:10:0", "0,4,8", "pow2:-1..3"]:
             with pytest.raises(ValueError, match=f"grid '{re.escape(bad)}' must give"):
                 lab.parse_grid(bad)
+        # malformed text used to surface as an unpacking or int() error
+        for bad in ["pow2:8", "pow2:a..b", "linear:1:2", "1,x", "sublacunary:0.5:inf",
+                    "sublacunary:1:100"]:  # EPS = 1 used to search for r forever
+            with pytest.raises(ValueError, match=f"grid '{re.escape(bad)}' is not one of"):
+                lab.parse_grid(bad)
 
     def test_generator_spec(self):
         gen = lab.parse_generator("x=0.3; prod:identity|x; prod:identity|x^2")
@@ -290,6 +295,7 @@ class TestCli:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+        return err[0]
 
     @pytest.mark.parametrize("argv", [
         ["scatter", "--seq", "power:", "--delta", "1", "--grid", "pow2:3..6"],
@@ -298,7 +304,10 @@ class TestCli:
          "--grid", "pow2:2..4", "--sets", "geometric:"],
         ["weylsum", "--gen", "x=0.3; prod:identity|x; prod:identity|x^2", "--v", "1,-1",
          "--grid", "sublacunary:0.5:20000", "--sets", "geometric:rho=2"],
-    ], ids=["missing-param", "misspelled-param", "missing-set-param", "geometric-overflow"])
+        ["scatter", "--seq", "identity", "--delta", "1", "--grid", "pow2:8"],
+        ["oscdecay", "--f", "x", "--interval", "1,2", "--radii", "geom:2:64", "--dirs", "1"],
+    ], ids=["missing-param", "misspelled-param", "missing-set-param", "geometric-overflow",
+            "malformed-grid", "malformed-radii"])
     def test_malformed_spec_exits_2(self, argv, capsys):
         self.assert_usage_error(argv, capsys)
 
@@ -309,8 +318,10 @@ class TestCli:
         lambda c: c.update(sequences=["identity", "affine:alpah=2"]),
         lambda c: c.update(n_grid="pow2:5..3"),
         lambda c: c.update(n_grid="0,8,16"),
+        lambda c: c.update(x_interval=[0, float("inf")]),
+        lambda c: c.update(x_interval=[float("nan"), 1]),
     ], ids=["unknown-key", "missing-key", "bad-function", "bad-sequence", "empty-grid",
-            "grid-with-0"])
+            "grid-with-0", "infinite-x-interval", "nan-x-interval"])
     def test_malformed_config_exits_2(self, edit, tmp_path, capsys):
         config = small_config().to_dict()
         edit(config)
@@ -319,6 +330,32 @@ class TestCli:
         self.assert_usage_error(["experiment", "--config", str(cfg_path),
                                  "--out", str(tmp_path)], capsys)
         assert os.listdir(tmp_path) == ["cfg.json"]  # refused before any output
+
+    @pytest.mark.parametrize("argv", [
+        ["weylsum", "--gen", "x=0.3; prod:power:eps=200|x", "--v", "1", "--grid", "10,100"],
+        ["discrepancy", "--gen", "x=0.3; prod:power:eps=200|x", "--grid", "10,100"],
+        ["weylsum", "--gen", "x=1.5; tower:x|power:eps=200", "--v", "1", "--grid", "10,100"],
+        ["discrepancy", "--gen", "x=1.5; tower:x|power:eps=200", "--grid", "10,100"],
+    ], ids=["weylsum-product", "discrepancy-product", "weylsum-tower", "discrepancy-tower"])
+    def test_non_finite_coordinate_exits_2_naming_n(self, argv, capsys):
+        # n^200 overflows from n = 35; product coordinates used to warn and
+        # go on (a RuntimeWarning is an error under pytest)
+        assert "at n = 35 is inf" in self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["scatter", "--seq", "identity", "--delta", "1", "--grid", "pow2:40..44"],
+        ["scatter", "--seq", "iterexp", "--delta", "1", "--grid", "pow2:40..44"],
+        ["growth", "--seq", "identity", "--eps", "0.4", "--g", "0.3", "--N", "100000000000"],
+        ["discrepancy", "--gen", "x=0.3; prod:identity|x", "--grid", "pow2:40..41"],
+        ["weylsum", "--gen", "x=0.3; prod:identity|x", "--v", "1", "--grid", "pow2:40..41"],
+        ["weylsum", "--gen", "x=0.3; prod:identity|x", "--v", "1", "--grid", "27,28",
+         "--sets", "geometric:rho=2"],
+    ], ids=["scatter", "scatter-hook", "growth", "discrepancy", "weylsum",
+            "weylsum-set-size"])
+    def test_index_count_past_cap_exits_2(self, argv, capsys):
+        # refused before any allocation: these used to ask for up to
+        # 128 TiB, or to loop 2^41 times summing 1/|S_M|
+        assert "refusing to materialize" in self.assert_usage_error(argv, capsys)
 
     @pytest.mark.parametrize("argv, header, n_rows", [
         (["scatter", "--seq", "identity", "--delta", "1", "--grid", "8,16,32,64"],

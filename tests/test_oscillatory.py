@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,41 @@ class TestDerivativeBounds:
         bound = vdc_bound_first(f, 2.0, (1.1, 2.0))
         assert osc_integral([f], [2.0], (1.1, 2.0)).magnitude <= bound
 
+    @staticmethod
+    def first_bound_by_piece_loop(f, lam, lo, hi):
+        """Reference: the first-derivative bound one monotone piece at a
+        time, endpoint derivatives from one scalar jet each, summed in order."""
+        xs = np.linspace(lo, hi, 129)
+        dphi, ddphi = lam * ex.eval_jet_many(f, xs, 2)[1:]
+        sgn = np.sign(ddphi)
+        nz = np.flatnonzero(sgn)
+        cuts = [lo] + [0.5 * (xs[i] + xs[j]) for i, j in zip(nz, nz[1:])
+                       if sgn[i] != sgn[j]] + [hi]
+        total = 0.0
+        for left, right in zip(cuts, cuts[1:]):
+            inside = np.sign(dphi[(xs >= left) & (xs <= right)])
+            if len(inside) >= 2 and np.min(inside) < 0 < np.max(inside):
+                return math.inf
+            dl, dr = (abs(lam * ex.eval_jet_many(f, np.array([t]), 1)[1, 0])
+                      for t in (left, right))
+            if dl < 1e-300 or dr < 1e-300:
+                return math.inf
+            total += max(1.0 / dl, 1.0 / dr)
+        return total
+
+    def test_vectorised_pieces_equal_the_piece_loop(self):
+        rng = np.random.default_rng(31)
+        texts = ["x + 0.1*sin(5*x)", "x^3 + x", "2*x + cos(x)", "x + 0.02*sin(33*x)",
+                 "x^3 - 3*x", "exp(x) - 5*x"]
+        for _ in range(40):
+            text = texts[int(rng.integers(len(texts)))]
+            lo = float(rng.uniform(-3, 3))
+            hi = lo + float(rng.uniform(0.01, 8))
+            lam = float(rng.normal() * 10 ** rng.uniform(0, 3))
+            f = ex.parse_expr(text)
+            want = self.first_bound_by_piece_loop(f, lam, lo, hi)
+            assert vdc_bound_first(f, lam, (lo, hi)) == want, (text, lo, hi, lam)
+
     def test_high_order_hand_formula(self):
         lam = 32.0
         expect = vdc_constant(3) * (6 * lam) ** (-1 / 3)
@@ -186,6 +222,13 @@ class TestDecayFit:
         for radii in ([0, 1, 2, 3, 4, 5], [1] * 6):  # used to end in "SVD did not converge"
             with pytest.raises(ValueError, match="6 distinct values, all finite and positive"):
                 decay_fit([X], (1, 2), radii, 1)
+        # malformed radii text used to surface as an unpacking or int() error
+        for text in ["geom:2:64", "halfpow2:2", "halfpow2:a..b", "geom:2:64:x", "1,two",
+                     "halfpow2:2000..2010"]:
+            with pytest.raises(ValueError, match=f"radii '{re.escape(text)}' are not one of"):
+                cli._parse_radii(text)
+        with pytest.raises(ValueError, match="all finite and positive"):
+            decay_fit([X], (1, 2), cli._parse_radii("geom:1:inf:6"), 1)
 
 
 class TestNonFinitePhase:
@@ -208,3 +251,40 @@ class TestNonFinitePhase:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: phase") and "not finite" in err
+
+
+class TestIntervalRule:
+    """Every interval goes through one rule: finite ends with lo < hi."""
+
+    BAD = [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
+           (1.0, 1.0), (2.0, 1.0)]
+
+    @pytest.mark.parametrize("interval", BAD)
+    def test_osc_integral_refuses(self, interval):
+        with pytest.raises(ValueError, match="needs finite ends with lo < hi"):
+            osc_integral([X], [1.0], interval)
+
+    @pytest.mark.parametrize("interval", BAD)
+    def test_vdc_bound_first_refuses(self, interval):
+        # (0, inf) used to give the bound 1.0
+        with pytest.raises(ValueError, match="needs finite ends with lo < hi"):
+            vdc_bound_first(X, 1.0, interval)
+
+    @pytest.mark.parametrize("interval", BAD)
+    def test_vdc_bound_high_refuses(self, interval):
+        # (0, inf) used to give nan
+        with pytest.raises(ValueError, match="needs finite ends with lo < hi"):
+            vdc_bound_high(X2, 1.0, interval, 2)
+
+    @pytest.mark.parametrize("interval", BAD)
+    def test_check_linear_independence_refuses(self, interval):
+        with pytest.raises(ValueError, match="needs finite ends with lo < hi"):
+            ex.check_linear_independence([X, X2], interval)
+
+    @pytest.mark.parametrize("interval", ["0,inf", "nan,1", "2,1"])
+    def test_udlab_oscdecay_exits_2(self, interval, capsys):
+        code = cli.main(["oscdecay", "--f", "x", "--interval", interval,
+                         "--radii", "halfpow2:2..7", "--dirs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "needs finite ends with lo < hi" in err[0]

@@ -116,7 +116,8 @@ class TestComposition:
         # the samples overflow and are dropped; RuntimeWarning is an error here
         for inner in [sq.iterated_exp(), sq.power(50)]:
             c = sq.compose(inner, "x^2")
-            assert isinstance(c.derivative_diagnostic, bool)
+            # the jet of x^2 keeps its derivative finite past sqrt of double range
+            assert c.derivative_diagnostic is True
             assert sq.make_sequence(c)(2) == sq.make_sequence(inner)(2) ** 2
 
 
@@ -308,3 +309,41 @@ class TestIndexSets:
         assert geo < 2.0
         pre = sq.index_sets(sq.prefixes(), 30).partial_inverse_sum
         assert pre == pytest.approx(sum(1 / n for n in range(1, 31)))
+
+
+class TestIndexCount:
+    def test_indices_start_to_N(self):
+        assert sq.index_range(5).tolist() == [1, 2, 3, 4, 5]
+        assert sq.index_range(5, 2).tolist() == [2, 3, 4, 5]
+        assert sq.index_range(5).dtype == np.int64
+
+    def test_refuses_N_below_start(self):
+        with pytest.raises(ValueError, match="need N >= 1, got 0"):
+            sq.index_range(0)
+        with pytest.raises(ValueError, match="need N >= 2, got 1"):
+            sq.index_range(1, 2)
+
+    def test_refuses_past_the_cap_before_allocating(self):
+        with pytest.raises(ValueError, match=f"refusing to materialize {2 ** 26 + 1} indices"):
+            sq.index_range(2 ** 26 + 1)
+        with pytest.raises(ValueError, match="refusing to materialize"):
+            sq.index_range(10 ** 15)
+
+    def test_index_set_views_cap_max_grid_not_set_size(self):
+        # the running sum of 1/|S_M| used to loop 2^41 times
+        with pytest.raises(ValueError, match="refusing to materialize"):
+            sq.index_set_views(sq.prefixes(), [8, 2 ** 41])
+        assert sq.index_sets(sq.geometric(2.0), 30).size == 2 ** 30
+
+
+class TestFiniteValues:
+    def test_names_the_first_non_finite_n(self):
+        # n^200 is finite up to n = 34 and inf from n = 35
+        a = sq.make_sequence(sq.power(200.0))
+        assert np.all(np.isfinite(sq.finite_values(a, sq.index_range(34))))
+        with pytest.raises(ValueError, match="at n = 35 is inf, not finite"):
+            sq.finite_values(a, np.arange(30, 40))
+
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError, match="at n = 3 is nan"):
+            sq.finite_values(lambda n: np.where(n == 3, np.nan, 1.0), np.arange(1, 6))

@@ -315,6 +315,21 @@ class TestPrecisionPolicy:
         with pytest.raises(ValueError):   # b(800) = inf
             wy.TowerCoord(X, sq.custom("exp(n)"), 1.5).fracs(np.array([1, 800]))
 
+    @pytest.mark.parametrize("g", [math.inf, math.nan, 1.0, 0.5])
+    def test_power_tower_frac_mp_refuses_base(self, g):
+        # an infinite base used to raise OverflowError
+        with pytest.raises(ValueError, match="must be finite and exceed 1"):
+            power_tower_frac_mp(g, 2.5)
+        with pytest.raises(ValueError, match="must be finite and exceed 1"):
+            numerics.power_tower_fracs_fixed(g, [1, 2])
+
+    def test_non_finite_exponent_and_product_name_n(self):
+        with pytest.raises(ValueError, match="at n = 35 is inf"):
+            wy.TowerCoord(X, sq.power(200.0), 1.5).fracs(np.arange(1, 100))
+        # product coordinates used to warn and go on to NaN points
+        with pytest.raises(ValueError, match="at n = 35 is inf"):
+            wy.ProductCoord(sq.power(200.0), X, 0.3).fracs(np.arange(1, 100))
+
     def test_product_fracs_match_high_precision(self):
         # fractional parts of n*x for n up to 10^7: double-double keeps
         # them where a plain double product loses the low bits
