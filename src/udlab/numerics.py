@@ -22,6 +22,9 @@ import mpmath
 TOWER_GUARD_BITS = 96
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+# The split range of two_prod: while |a|, |b| and |a*b| stay within it, no
+# step overflows (134217729 * 2**996 < 2**1024).
+SPLIT_MAX = 2.0 ** 996
 
 
 def check_interval(interval) -> Tuple[float, float]:
@@ -65,8 +68,8 @@ def e_phase(t):
 
 
 def two_prod(a, b):
-    """Dekker product: returns (p, err) with a*b == p + err exactly
-    (barring overflow). Works elementwise on arrays."""
+    """Dekker product: returns (p, err) with a*b == p + err exactly while
+    |a|, |b| and |a*b| lie within SPLIT_MAX. Works elementwise on arrays."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     p = a * b

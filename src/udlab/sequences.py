@@ -37,17 +37,22 @@ from . import expr as ex
 COMPOSE_DERIVATIVE_FLOOR = 1e-3
 _COMPOSE_SAMPLES = 64
 
-_MAX_MATERIALIZE = 1 << 26
+MAX_MATERIALIZE = 1 << 26
+
+
+def check_index_count(count: int) -> None:
+    """Refuse more than MAX_MATERIALIZE indices."""
+    if count > MAX_MATERIALIZE:
+        raise ValueError(f"refusing to materialize {count} indices")
 
 
 def index_range(N: int, start: int = 1) -> np.ndarray:
     """The indices start..N as an int64 array. N < start, or more than
-    _MAX_MATERIALIZE indices, is refused before anything is allocated."""
+    MAX_MATERIALIZE indices, is refused before anything is allocated."""
     count = int(N) - start + 1
     if count < 1:
         raise ValueError(f"need N >= {start}, got {N}")
-    if count > _MAX_MATERIALIZE:
-        raise ValueError(f"refusing to materialize {count} indices")
+    check_index_count(count)
     return np.arange(start, start + count, dtype=np.int64)
 
 

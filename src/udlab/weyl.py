@@ -13,11 +13,16 @@ Point coordinates come in three recipes:
               in mpmath at ceil(b * log2 g) plus guard bits
   raw         caller-supplied vectors
 
-Every average goes through numerics.prefix_means, one running sum in
-index order: F_N is the same float whether it is computed alone or along
-a grid of prefixes. A frequency whose first nonzero entry is positive is
-summed as the conjugate of its negation, so F_N(-v) == conj F_N(v) bit for
-bit and the box maximum scans one of each pair v, -v. Non-finite points raise.
+Every average goes through one kernel, _weyl_means. Characters are
+multiplicative, e(v . x) = prod_c e(x_c)**v_c, so it tabulates e(frac(j x_c))
+once per column c and |j| in use, each j with its own phase reduction,
+forms the terms of a frequency as a product of table rows in column order,
+with a row's conj for -j, and sums them with numerics.prefix_means, one
+running sum in index order: F_N is the same float whether it is computed
+alone or along a grid of prefixes. The conj of a product is the product of
+the conjs, so F_N(-v) == conj F_N(v) bit for bit and the box maximum scans
+one of each pair v, -v. A column equal to an earlier one is folded into it,
+so the diagonal at v = (1, -1) sums exact ones. Non-finite points raise.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ import numpy as np
 from . import expr as ex
 from . import numerics
 from . import sequences as sq
-from .numerics import (TOWER_GUARD_BITS, check_tower_base, e_phase, frac_product,
-                       power_tower_fracs_fixed, prefix_means)
+from .numerics import (SPLIT_MAX, TOWER_GUARD_BITS, check_tower_base, e_phase,
+                       frac_product, power_tower_fracs_fixed, prefix_means)
 
 
 # ---------------------------------------------------------------------------
@@ -48,11 +53,26 @@ class ProductCoord:
         self.f = f
         self.x = float(x)
         self._seq = sq.make_sequence(seq_spec)
-        self._fx = float(ex.evaluate(f, self.x))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            self._fx = float(ex.evaluate(f, self.x))
+        if not math.isfinite(self._fx):
+            raise ValueError(f"f(x) at x = {self.x!r} is {self._fx}, not finite")
         self.precision_bits = 104  # double-double mantissa
 
     def fracs(self, indices: np.ndarray) -> np.ndarray:
-        return frac_product(sq.finite_values(self._seq, indices), self._fx)
+        """a(n) * f(x) mod 1. An f(x) or a(n) that takes a factor or the
+        product outside the split range of numerics.two_prod raises,
+        naming x or n."""
+        if abs(self._fx) > SPLIT_MAX:
+            raise ValueError(f"f(x) at x = {self.x!r} is {self._fx}, outside the split range"
+                             " 2**996")
+        a = sq.finite_values(self._seq, indices)
+        outside = np.abs(a) > SPLIT_MAX / max(1.0, abs(self._fx))
+        if np.any(outside):
+            k = int(np.argmax(outside))
+            raise ValueError(f"sequence value at n = {int(indices[k])} is {float(a[k])}: a(n) * f(x)"
+                             f" with f(x) = {self._fx} leaves the split range 2**996")
+        return frac_product(a, self._fx)
 
     def describe(self) -> str:
         return f"prod:{sq.spec_to_text(self.seq_spec)}|{ex.to_text(self.f)}"
@@ -74,6 +94,12 @@ class TowerCoord:
         """Non-negative integer exponents go through exact fixed point,
         any other exponent through mpmath, point by point."""
         b = sq.finite_values(self._b, indices)
+        # ceil(b * log2 g) integer bits, compared without forming the product
+        over = b > sq.MAX_MATERIALIZE / math.log2(self._gx)
+        if np.any(over):
+            k = int(np.argmax(over))
+            raise ValueError(f"tower exponent at n = {int(indices[k])} is {float(b[k])}: g(x)**b"
+                             f" needs more than 2**26 integer bits")
         out = np.empty(len(b))
         whole = (b >= 0) & (b == np.floor(b))
         if np.any(whole):
@@ -140,27 +166,46 @@ def _check_frequency(v, dim: int) -> np.ndarray:
     return v
 
 
-def _prefix_weyl_means(points: np.ndarray, v: np.ndarray,
-                       grid: Sequence[int]) -> np.ndarray:
-    """F_N over the first N points, for each N in the grid. A frequency whose
-    first nonzero entry is positive is summed as the conjugate of its
-    negation, so F_N(-v) == conj F_N(v) exactly."""
-    if v[np.flatnonzero(v)[0]] > 0:
-        return np.conj(_prefix_weyl_means(points, -v, grid))
-    # BLAS rounds a one-row product (dot kernel) unlike longer arrays
-    # (gemv kernel); a doubled lone row keeps F_1 equal to longer series
-    rows = points if len(points) > 1 else np.repeat(points, 2, axis=0)
-    phase = (rows @ v.astype(float))[:len(points)]
-    if not np.all(np.isfinite(phase)):
+def _weyl_means(points: np.ndarray, freqs: np.ndarray, grid: Sequence[int]):
+    """Prefix means F_N(v) along the grid for each frequency v of freqs in
+    turn (see the module docstring). Each product goes to a buffer that is
+    neither of its operands: numpy may round an in-place complex product of
+    one element unlike a longer one, and F_1 alone must equal the first
+    entry of a longer series."""
+    if not np.all(np.isfinite(points)):
         raise ValueError("point coordinates must be finite")
-    return prefix_means(e_phase(phase - np.floor(phase)), grid)
+    n, dim = points.shape
+    folded = np.zeros((len(freqs), dim), dtype=np.int64)
+    for c in range(dim):
+        owner = next(d for d in range(c + 1) if np.array_equal(points[:, d], points[:, c]))
+        folded[:, owner] += freqs[:, c]
+    table = {}
+    for c, j in {(c, abs(int(w[c]))) for w in folded for c in np.flatnonzero(w)}:
+        t = j * points[:, c]
+        table[c, j] = e_phase(t - np.floor(t))
+    buffers = [np.empty(n, dtype=complex) for _ in range(3)]
+
+    def spare(*used):
+        return next(b for b in buffers if all(b is not u for u in used))
+
+    for w in folded:
+        terms = None
+        for c in np.flatnonzero(w):
+            row = table[c, abs(int(w[c]))]
+            if w[c] < 0:
+                row = np.conj(row, out=spare(terms))
+            terms = row if terms is None else np.multiply(terms, row, out=spare(terms, row))
+        yield prefix_means(np.ones(n, dtype=complex) if terms is None else terms, grid)
+
+
+def _one_frequency(points: np.ndarray, v: np.ndarray, grid: Sequence[int]) -> List[complex]:
+    return [complex(f) for f in next(_weyl_means(points, v[None, :], grid))]
 
 
 def weyl_sum(gen: PointGenerator, v, N: int) -> complex:
     """(1/N) sum_{n<=N} e(v . x_n) with v a nonzero integer vector."""
     v = _check_frequency(v, gen.dim)
-    points = gen.fracs(sq.index_range(N))
-    return complex(_prefix_weyl_means(points, v, [N])[0])
+    return _one_frequency(gen.fracs(sq.index_range(N)), v, [N])[0]
 
 
 @dataclass
@@ -184,7 +229,7 @@ def weyl_sum_over_sets(gen: PointGenerator, v, family: sq.IndexSetFamily,
     v = _check_frequency(v, gen.dim)
     views = sq.index_set_views(family, grid)
     points = gen.fracs(max(views, key=lambda w: w.size).members())
-    averages = [complex(f) for f in _prefix_weyl_means(points, v, [w.size for w in views])]
+    averages = _one_frequency(points, v, [w.size for w in views])
     return WeylSumSeries(v, [w.N for w in views], averages, [abs(f) for f in averages],
                          [w.size for w in views], [w.partial_inverse_sum for w in views],
                          gen.precision_bits, family)
@@ -193,8 +238,7 @@ def weyl_sum_over_sets(gen: PointGenerator, v, family: sq.IndexSetFamily,
 def prefix_weyl_series(points: np.ndarray, v, grid: Sequence[int]) -> List[complex]:
     """F_N along prefixes {1..N} for each N in the grid, reusing one point
     array. Each F_N equals weyl_sum at that N bit for bit."""
-    v = _check_frequency(v, points.shape[1])
-    return [complex(f) for f in _prefix_weyl_means(points, v, grid)]
+    return _one_frequency(points, _check_frequency(v, points.shape[1]), grid)
 
 
 def frequency_box(dim: int, V: int):
@@ -221,8 +265,7 @@ def max_weyl_series(points: np.ndarray, V: int, grid: Sequence[int]
     box = box[:len(box) // 2]
     best = np.full(len(grid), -1.0)
     best_k = np.zeros(len(grid), dtype=np.int64)
-    for k, v in enumerate(box):
-        f = _prefix_weyl_means(points, v, grid)
+    for k, f in enumerate(_weyl_means(points, np.array(box), grid)):
         # hypot rounds as abs(complex) does; np.abs of complex128 may not
         mags = np.hypot(f.real, f.imag)
         better = mags > best

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -7,6 +8,7 @@ import pytest
 
 from udlab import cli, lab
 from udlab import sequences as sq
+from udlab import weyl as wy
 from udlab.numerics import derive_seed
 
 
@@ -37,6 +39,33 @@ class TestGridAndGeneratorSpecs:
                     "sublacunary:1:100"]:  # EPS = 1 used to search for r forever
             with pytest.raises(ValueError, match=f"grid '{re.escape(bad)}' is not one of"):
                 lab.parse_grid(bad)
+
+    @staticmethod
+    def searched_sublacunary(eps, nmax):
+        """The grid by the step-by-step search for the last r."""
+        r = 2
+        while math.exp((r + 1) ** (1.0 - eps)) <= nmax:
+            r += 1
+        return [n for n in wy.sublacunary_grid(eps, r) if n < nmax] + [nmax]
+
+    def test_sublacunary_last_step_in_closed_form(self):
+        for eps in (0.01, 0.25, 0.5, 0.7):
+            for nmax in (1, 3, 7, 8, 21, 100, 20000, 65536, 10 ** 5):
+                assert lab.parse_grid(f"sublacunary:{eps}:{nmax}") == \
+                    self.searched_sublacunary(eps, nmax), (eps, nmax)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("sublacunary:0.99:1000000", "more than 2\\*\\*26 steps r"),
+        ("sublacunary:0.5:100000000", "refusing to materialize 100000000 indices"),
+        (f"pow2:0..{10 ** 12}", "refusing to materialize"),
+        ("pow2:20..27", f"refusing to materialize {2 ** 27} indices"),
+    ])
+    def test_grid_past_cap_is_refused_before_it_is_built(self, spec, message):
+        # the first used to search r one step at a time for about 13.8^100
+        # steps, the third to build 2^k for every k up to 10^12
+        with pytest.raises(ValueError, match=message):
+            lab.parse_grid(spec)
+        assert lab.parse_grid("pow2:20..26")[-1] == 2 ** 26
 
     def test_generator_spec(self):
         gen = lab.parse_generator("x=0.3; prod:identity|x; prod:identity|x^2")
@@ -341,6 +370,22 @@ class TestCli:
         # n^200 overflows from n = 35; product coordinates used to warn and
         # go on (a RuntimeWarning is an error under pytest)
         assert "at n = 35 is inf" in self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["weylsum", "--gen", "x=0.3; prod:power:eps=200|x", "--v", "1", "--grid", "10,33"],
+         "sequence value at n = 32 is 1.07"),
+        (["weylsum", "--gen", "x=0.3; prod:identity|exp(1000)", "--v", "1", "--grid", "10,33"],
+         "f(x) at x = 0.3 is inf"),
+        (["weylsum", "--gen", "x=1.5; tower:x|power:eps=200", "--v", "1", "--grid", "10,33"],
+         "tower exponent at n = 2 is 1.6"),
+        (["scatter", "--seq", "identity", "--delta", "1", "--grid",
+          "sublacunary:0.99:1000000"], "more than 2**26 steps r"),
+    ], ids=["product-split-range", "product-f-overflow", "tower-bit-budget",
+            "sublacunary-steps"])
+    def test_out_of_range_input_exits_2(self, argv, message, capsys):
+        # finite but huge a(n), f(x) or b(n) used to warn on overflow or on
+        # an int64 cast, and the grid to search r for about 13.8^100 steps
+        assert message in self.assert_usage_error(argv, capsys)
 
     @pytest.mark.parametrize("argv", [
         ["scatter", "--seq", "identity", "--delta", "1", "--grid", "pow2:40..44"],

@@ -234,6 +234,85 @@ class TestMaxWeylSum:
         assert abs(v[0]) == 1 and v[1] == -v[0]
 
 
+class TestCharacterKernel:
+    """Every entry point sums through one table of characters per column."""
+
+    @staticmethod
+    def raw_gen(points):
+        # RawCoord reduces x - floor(x), the identity on [0, 1)
+        return wy.PointGenerator([wy.RawCoord(lambda n, col=col: col[n - 1])
+                                  for col in points.T])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_entry_points_agree_bit_for_bit(self, data):
+        k = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 80))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        columns = []
+        for c in range(k):
+            kind = data.draw(st.sampled_from(["fresh", "repeat", "zero"]))
+            if kind == "repeat" and c:
+                columns.append(columns[data.draw(st.integers(0, c - 1))].copy())
+            else:
+                columns.append(np.zeros(n) if kind == "zero" else rng.random(n))
+        points = np.column_stack(columns)
+        grid = sorted({1, n} | set(data.draw(st.lists(st.integers(1, n), max_size=4))))
+        v = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+                               .filter(any)))
+        gen = self.raw_gen(points)
+        V = 1 if k == 3 else 2
+        box = list(wy.frequency_box(k, V))
+        rows = []
+        for w in [v] + box:
+            series = wy.prefix_weyl_series(points, w, grid)
+            assert series == [wy.weyl_sum(gen, w, N) for N in grid]
+            assert wy.prefix_weyl_series(points, -w, grid) == [f.conjugate() for f in series]
+            rows.append([abs(f) for f in series])
+        mags, argmax = wy.max_weyl_series(points, V, grid)
+        for i, column in enumerate(zip(*rows[1:])):
+            assert mags[i] == max(column)
+            assert np.array_equal(argmax[i], box[column.index(max(column))])
+
+    def test_equal_columns_fold(self):
+        rng = np.random.default_rng(21)
+        x, y = rng.random(700), rng.random(700)
+        grid = [1, 2, 50, 699, 700]
+        for a in (1, -3, 5):
+            for b in (1, -2, 4):
+                assert wy.prefix_weyl_series(np.column_stack([x, x, y]), [a, -a, b], grid) \
+                    == wy.prefix_weyl_series(y[:, None], [b], grid)
+            # all columns fold to frequency 0: the mean of exact ones
+            assert wy.prefix_weyl_series(np.column_stack([x, y, x]), [a, 0, -a], grid) \
+                == [1.0] * len(grid)
+
+    def test_matches_120_bit_reference(self):
+        """Against the exact mean of the same double points, each component
+        of F_N errs by at most N * 2**-52 from the running sum (see
+        numerics.prefix_means), plus the error of one term. With u = 2**-53
+        and x in [0, 1): j * x rounds by at most u * j cycles, and frac is
+        exact; e_phase rounds 2 pi t by at most 4 pi u and each of cos, sin
+        by at most 2u; each of the k - 1 complex products adds at most
+        sqrt(5) u. So a term errs by at most
+        2 pi u sum_c |v_c| + k (4 pi + 3) u + 3 (k - 1) u."""
+        N, u = 2000, 2.0 ** -53
+        points = curve_gen(0.7548776662466927).fracs(np.arange(1, N + 1))
+        for v in ([1, 0], [0, 1], [3, -5], [-2, 7], [5, 5], [-1, -4]):
+            got = wy.prefix_weyl_series(points, v, [N])[0]
+            with mpmath.workprec(120):
+                total = mpmath.mpc(0)
+                for row in points:
+                    total += mpmath.expjpi(2 * (v[0] * mpmath.mpf(row[0])
+                                                + v[1] * mpmath.mpf(row[1])))
+                want = total / N
+            k = len(v)
+            term = (2 * math.pi * u * sum(map(abs, v)) + k * (4 * math.pi + 3) * u
+                    + 3 * (k - 1) * u)
+            bound = N * 2.0 ** -52 + term
+            assert abs(got.real - want.real) <= bound, v
+            assert abs(got.imag - want.imag) <= bound, v
+
+
 class TestNonFinite:
     def test_non_finite_coordinates_raise(self):
         gen = wy.PointGenerator([wy.RawCoord(lambda n: n * PHI),
@@ -329,6 +408,25 @@ class TestPrecisionPolicy:
         # product coordinates used to warn and go on to NaN points
         with pytest.raises(ValueError, match="at n = 35 is inf"):
             wy.ProductCoord(sq.power(200.0), X, 0.3).fracs(np.arange(1, 100))
+
+    def test_values_outside_the_split_range_raise(self):
+        # a 134217729 * a split overflows past about 1.3e300
+        with pytest.raises(ValueError, match="at n = 32 is 1.07"):
+            wy.ProductCoord(sq.power(200.0), X, 0.3).fracs(np.arange(1, 34))
+        with pytest.raises(ValueError, match="at n = 7 is 7.0"):  # a(n) f(x) = 7e299
+            wy.ProductCoord(sq.custom("1e199*n"), X, 1e100).fracs(np.arange(1, 9))
+        with pytest.raises(ValueError, match="f\\(x\\) at x = 1000.0 is inf"):
+            wy.ProductCoord(sq.identity(), ex.parse_expr("exp(x)"), 1000.0)
+        with pytest.raises(ValueError, match="f\\(x\\) at x = 1e\\+300 is 1e\\+300"):
+            wy.ProductCoord(sq.identity(), X, 1e300).fracs(np.arange(1, 4))
+
+    def test_tower_exponent_bit_budget(self):
+        # b * log2(g) integer bits above 2**26 are refused before either route
+        with pytest.raises(ValueError, match="tower exponent at n = 3 is 3000000000000.0"):
+            wy.TowerCoord(X, sq.custom("1e12*n"), 1.5).fracs(np.array([3, 1]))
+        with pytest.raises(ValueError, match="tower exponent at n = 1 is 1e\\+300"):
+            wy.TowerCoord(X, sq.custom("1e300*n - 0.5"), 1.5).fracs(np.array([1]))
+        assert wy.TowerCoord(X, sq.identity(), 1.5).fracs(np.array([5000])).shape == (1,)
 
     def test_product_fracs_match_high_precision(self):
         # fractional parts of n*x for n up to 10^7: double-double keeps
