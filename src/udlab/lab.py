@@ -46,22 +46,6 @@ _KIND_TOWERS = {"power-tower-curve": 1, "power-tower-pair": 2}
 # Grid / generator textual specs (shared by configs and the CLI)
 
 
-def _sublacunary_steps(eps: float, nmax: int) -> int:
-    """The last r >= 2 with exp(r**(1 - eps)) <= nmax (2 if there is none),
-    from r <= (ln nmax)**(1/(1 - eps)), refused above MAX_MATERIALIZE."""
-    if nmax < 3:  # exp(r**(1 - eps)) >= e for every r >= 1
-        return 2
-    if math.log(math.log(nmax)) / (1.0 - eps) > math.log(sq.MAX_MATERIALIZE):
-        raise ValueError(f"sublacunary:{eps!r}:{nmax} takes more than 2**26 steps r")
-    r = max(2, math.floor(math.log(nmax) ** (1.0 / (1.0 - eps))))
-    # the closed form may be off by one either way in rounding
-    while r > 2 and math.exp(r ** (1.0 - eps)) > nmax:
-        r -= 1
-    while math.exp((r + 1) ** (1.0 - eps)) <= nmax:
-        r += 1
-    return r
-
-
 def parse_grid(text: str) -> List[int]:
     """Grid specs: "sublacunary:EPS:NMAX" (ends at NMAX), "pow2:A..B",
     "linear:START:STOP:COUNT", or an explicit comma list. Text in none of
@@ -89,8 +73,13 @@ def parse_grid(text: str) -> List[int]:
                          " 0 < EPS < 1, linear:START:STOP:COUNT or a comma list") from None
     sq.check_index_count(top)
     if text.startswith("sublacunary:"):
-        grid = [n for n in wy.sublacunary_grid(eps, _sublacunary_steps(eps, top))
-                if n < top] + [top]
+        # the last step r is near (ln NMAX)**(1/(1 - EPS)); refuse a search past the cap
+        if top > 2 and math.log(math.log(top)) / (1.0 - eps) > math.log(sq.MAX_MATERIALIZE):
+            raise ValueError(f"sublacunary:{eps!r}:{top} takes more than 2**26 steps r")
+        r = 2
+        while math.exp((r + 1) ** (1.0 - eps)) <= top:
+            r += 1
+        grid = [n for n in wy.sublacunary_grid(eps, r) if n < top] + [top]
     elif text.startswith("pow2:"):
         grid = [2 ** k for k in range(a, b + 1)]
     if not grid or grid[0] < 1:

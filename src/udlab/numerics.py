@@ -53,10 +53,16 @@ def prefix_means(values: np.ndarray, grid: Sequence[int]) -> np.ndarray:
     Numerical Algorithms, sec. 4.2); for values of modulus at most 1 each
     component of the mean is within N * 2**-52 of the exact mean."""
     values = np.asarray(values)
-    grid = np.asarray(grid, dtype=np.int64)
-    if np.any((grid < 1) | (grid > len(values))):
-        raise ValueError(f"prefix lengths must lie in [1, {len(values)}]")
+    grid = check_prefix_lengths(grid, len(values))
     return np.cumsum(values[:grid.max(initial=0)])[grid - 1] / grid
+
+
+def check_prefix_lengths(grid: Sequence[int], n: int) -> np.ndarray:
+    """Prefix lengths as an int64 array, each in [1, n]."""
+    grid = np.asarray(grid, dtype=np.int64)
+    if np.any((grid < 1) | (grid > n)):
+        raise ValueError(f"prefix lengths must lie in [1, {n}]")
+    return grid
 
 
 def e_phase(t):

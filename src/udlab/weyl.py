@@ -17,12 +17,15 @@ Every average goes through one kernel, _weyl_means. Characters are
 multiplicative, e(v . x) = prod_c e(x_c)**v_c, so it tabulates e(frac(j x_c))
 once per column c and |j| in use, each j with its own phase reduction,
 forms the terms of a frequency as a product of table rows in column order,
-with a row's conj for -j, and sums them with numerics.prefix_means, one
-running sum in index order: F_N is the same float whether it is computed
-alone or along a grid of prefixes. The conj of a product is the product of
-the conjs, so F_N(-v) == conj F_N(v) bit for bit and the box maximum scans
-one of each pair v, -v. A column equal to an earlier one is folded into it,
-so the diagonal at v = (1, -1) sums exact ones. Non-finite points raise.
+with a row's conj for -j, and sums them in one running sum in index order,
+as numerics.prefix_means does. Each term depends on its own point only and
+the sum on the terms up to N only, so F_N is the same float whether it is
+computed alone or along a grid of prefixes. The conj of a product is the
+product of the conjs, so F_N(-v) == conj F_N(v) bit for bit and the box
+maximum scans one of each pair v, -v. Within each point, a coordinate
+equal to an earlier one is folded into it, so the diagonal at v = (1, -1)
+sums exact ones. The tables cover a block of points at a time, so their
+memory does not grow with N. Non-finite points raise.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ import numpy as np
 from . import expr as ex
 from . import numerics
 from . import sequences as sq
-from .numerics import (SPLIT_MAX, TOWER_GUARD_BITS, check_tower_base, e_phase,
-                       frac_product, power_tower_fracs_fixed, prefix_means)
+from .numerics import (SPLIT_MAX, TOWER_GUARD_BITS, check_prefix_lengths, check_tower_base,
+                       e_phase, frac_product, power_tower_fracs_fixed, prefix_means)
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +97,19 @@ class TowerCoord:
         """Non-negative integer exponents go through exact fixed point,
         any other exponent through mpmath, point by point."""
         b = sq.finite_values(self._b, indices)
-        # ceil(b * log2 g) integer bits, compared without forming the product
-        over = b > sq.MAX_MATERIALIZE / math.log2(self._gx)
+        whole = (b >= 0) & (b == np.floor(b))
+        # The largest number either route forms: g**b to ceil(b * log2 g)
+        # integer bits in mpmath, the factor M**b with g = M / 2**k in fixed
+        # point. Compared without forming the products; b <= 2**26 then fits
+        # int64.
+        bits_per_unit = np.where(whole, math.log2(self._gx.as_integer_ratio()[0]),
+                                 math.log2(self._gx))
+        over = b > sq.MAX_MATERIALIZE / bits_per_unit
         if np.any(over):
             k = int(np.argmax(over))
             raise ValueError(f"tower exponent at n = {int(indices[k])} is {float(b[k])}: g(x)**b"
-                             f" needs more than 2**26 integer bits")
+                             f" needs numbers of more than 2**26 bits")
         out = np.empty(len(b))
-        whole = (b >= 0) & (b == np.floor(b))
         if np.any(whole):
             out[whole], bits = power_tower_fracs_fixed(
                 self._gx, b[whole].astype(np.int64))
@@ -166,40 +174,88 @@ def _check_frequency(v, dim: int) -> np.ndarray:
     return v
 
 
-def _weyl_means(points: np.ndarray, freqs: np.ndarray, grid: Sequence[int]):
-    """Prefix means F_N(v) along the grid for each frequency v of freqs in
-    turn (see the module docstring). Each product goes to a buffer that is
-    neither of its operands: numpy may round an in-place complex product of
-    one element unlike a longer one, and F_1 alone must equal the first
-    entry of a longer series."""
-    if not np.all(np.isfinite(points)):
-        raise ValueError("point coordinates must be finite")
-    n, dim = points.shape
-    folded = np.zeros((len(freqs), dim), dtype=np.int64)
-    for c in range(dim):
-        owner = next(d for d in range(c + 1) if np.array_equal(points[:, d], points[:, c]))
-        folded[:, owner] += freqs[:, c]
-    table = {}
-    for c, j in {(c, abs(int(w[c]))) for w in folded for c in np.flatnonzero(w)}:
-        t = j * points[:, c]
-        table[c, j] = e_phase(t - np.floor(t))
-    buffers = [np.empty(n, dtype=complex) for _ in range(3)]
+# Rows per character table: the table and buffers take about
+# (dim * V + 4) * 2**20 bytes whatever N is.
+_BLOCK = 1 << 16
+
+
+def _fold_groups(block: np.ndarray):
+    """The rows of a block grouped by which of their coordinates are equal,
+    each group with its owner map: column c -> the first column equal to c
+    in those rows. Folding per row keeps F_N free of the rows past N."""
+    owner = np.tile(np.arange(block.shape[1]), (len(block), 1))
+    for c in range(1, block.shape[1]):
+        for d in reversed(range(c)):
+            owner[block[:, d] == block[:, c], c] = d
+    if np.all(owner == owner[0]):
+        return [(slice(None), owner[0])]
+    maps, group = np.unique(owner, axis=0, return_inverse=True)
+    return [(np.flatnonzero(group == i), m) for i, m in enumerate(maps)]
+
+
+def _terms(table: dict, w: np.ndarray, n: int, buffers: list):
+    """e(w . x) for the rows of one fold group: the product of the table
+    rows of w in column order, a row's conj for negative w_c, and exact ones
+    for w = 0. Each product goes to a buffer that is neither of its
+    operands: numpy may round an in-place complex product of one element
+    unlike a longer one, and F_1 alone must equal the first entry of a
+    longer series."""
+    buffers = [b[:n] for b in buffers]
 
     def spare(*used):
         return next(b for b in buffers if all(b is not u for u in used))
 
-    for w in folded:
-        terms = None
-        for c in np.flatnonzero(w):
-            row = table[c, abs(int(w[c]))]
-            if w[c] < 0:
-                row = np.conj(row, out=spare(terms))
-            terms = row if terms is None else np.multiply(terms, row, out=spare(terms, row))
-        yield prefix_means(np.ones(n, dtype=complex) if terms is None else terms, grid)
+    terms = None
+    for c in np.flatnonzero(w):
+        row = table[c, abs(int(w[c]))]
+        if w[c] < 0:
+            row = np.conj(row, out=spare(terms))
+        terms = row if terms is None else np.multiply(terms, row, out=spare(terms, row))
+    return 1.0 if terms is None else terms
+
+
+def _weyl_means(points: np.ndarray, freqs: np.ndarray, grid: Sequence[int]) -> np.ndarray:
+    """F_N(v) along the grid for each frequency v of freqs, as an array of
+    shape (len(freqs), len(grid)) (see the module docstring). The points
+    are tabulated _BLOCK rows at a time; each frequency's running sum is
+    carried from block to block, so it is the one sequential sum of
+    numerics.prefix_means over all rows."""
+    if not np.all(np.isfinite(points)):
+        raise ValueError("point coordinates must be finite")
+    grid = check_prefix_lengths(grid, len(points))
+    stop = int(grid.max(initial=0))
+    means = np.empty((len(freqs), len(grid)), dtype=complex)
+    carry = np.zeros(len(freqs), dtype=complex)
+    buffers = [np.empty(min(stop, _BLOCK), dtype=complex) for _ in range(3)]
+    sums = np.empty(min(stop, _BLOCK) + 1, dtype=complex)
+    for lo in range(0, stop, _BLOCK):
+        block = points[lo:min(stop, lo + _BLOCK)]
+        groups = []
+        for rows, owner in _fold_groups(block):
+            w = np.zeros_like(freqs)
+            for c, d in enumerate(owner):
+                w[:, d] += freqs[:, c]
+            x = block[rows]
+            table = {}
+            for c, j in {(c, abs(int(wk[c]))) for wk in w for c in np.flatnonzero(wk)}:
+                t = j * x[:, c]
+                table[c, j] = e_phase(t - np.floor(t))
+            groups.append((rows, len(x), w, table))
+        n = len(block)
+        at = (grid > lo) & (grid <= lo + n)
+        first = 0 if lo else 1  # a carry of 0.0 would turn a first -0.0 into 0.0
+        for k in range(len(freqs)):
+            for rows, size, w, table in groups:
+                sums[1:n + 1][rows] = _terms(table, w[k], size, buffers)
+            sums[0] = carry[k]
+            np.cumsum(sums[first:n + 1], out=sums[first:n + 1])
+            carry[k] = sums[n]
+            means[k, at] = sums[grid[at] - lo] / grid[at]
+    return means
 
 
 def _one_frequency(points: np.ndarray, v: np.ndarray, grid: Sequence[int]) -> List[complex]:
-    return [complex(f) for f in next(_weyl_means(points, v[None, :], grid))]
+    return [complex(f) for f in _weyl_means(points, v[None, :], grid)[0]]
 
 
 def weyl_sum(gen: PointGenerator, v, N: int) -> complex:

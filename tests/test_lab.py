@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import re
 
@@ -8,7 +7,6 @@ import pytest
 
 from udlab import cli, lab
 from udlab import sequences as sq
-from udlab import weyl as wy
 from udlab.numerics import derive_seed
 
 
@@ -39,20 +37,6 @@ class TestGridAndGeneratorSpecs:
                     "sublacunary:1:100"]:  # EPS = 1 used to search for r forever
             with pytest.raises(ValueError, match=f"grid '{re.escape(bad)}' is not one of"):
                 lab.parse_grid(bad)
-
-    @staticmethod
-    def searched_sublacunary(eps, nmax):
-        """The grid by the step-by-step search for the last r."""
-        r = 2
-        while math.exp((r + 1) ** (1.0 - eps)) <= nmax:
-            r += 1
-        return [n for n in wy.sublacunary_grid(eps, r) if n < nmax] + [nmax]
-
-    def test_sublacunary_last_step_in_closed_form(self):
-        for eps in (0.01, 0.25, 0.5, 0.7):
-            for nmax in (1, 3, 7, 8, 21, 100, 20000, 65536, 10 ** 5):
-                assert lab.parse_grid(f"sublacunary:{eps}:{nmax}") == \
-                    self.searched_sublacunary(eps, nmax), (eps, nmax)
 
     @pytest.mark.parametrize("spec, message", [
         ("sublacunary:0.99:1000000", "more than 2\\*\\*26 steps r"),

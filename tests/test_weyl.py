@@ -243,7 +243,7 @@ class TestCharacterKernel:
         return wy.PointGenerator([wy.RawCoord(lambda n, col=col: col[n - 1])
                                   for col in points.T])
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=80, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_entry_points_agree_bit_for_bit(self, data):
         k = data.draw(st.integers(1, 3))
@@ -251,12 +251,24 @@ class TestCharacterKernel:
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         columns = []
         for c in range(k):
-            kind = data.draw(st.sampled_from(["fresh", "repeat", "zero"]))
-            if kind == "repeat" and c:
-                columns.append(columns[data.draw(st.integers(0, c - 1))].copy())
+            kind = data.draw(st.sampled_from(["fresh", "repeat", "prefix", "zero"]))
+            if kind in ("repeat", "prefix") and c:
+                # a copy of an earlier column, whole or on its first m rows only
+                col = columns[data.draw(st.integers(0, c - 1))].copy()
+                if kind == "prefix":
+                    m = data.draw(st.integers(0, n))
+                    col[m:] = rng.random(n - m)
+                columns.append(col)
             else:
                 columns.append(np.zeros(n) if kind == "zero" else rng.random(n))
         points = np.column_stack(columns)
+        with pytest.MonkeyPatch.context() as mp:
+            # small blocks carry the running sums across block ends
+            mp.setattr(wy, "_BLOCK", data.draw(st.sampled_from([1, 7, wy._BLOCK])))
+            self.check_entry_points(data, points)
+
+    def check_entry_points(self, data, points):
+        n, k = points.shape
         grid = sorted({1, n} | set(data.draw(st.lists(st.integers(1, n), max_size=4))))
         v = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k)
                                .filter(any)))
@@ -273,6 +285,27 @@ class TestCharacterKernel:
         for i, column in enumerate(zip(*rows[1:])):
             assert mags[i] == max(column)
             assert np.array_equal(argmax[i], box[column.index(max(column))])
+
+    def test_columns_equal_on_a_prefix_fold_per_row(self):
+        # a(1) = 1 in both columns, so only the first points have equal
+        # coordinates; F_N must not depend on the rows past N
+        gen = wy.PointGenerator([wy.ProductCoord(sq.identity(), X, 0.3),
+                                 wy.ProductCoord(sq.power(2), X, 0.3)])
+        points = gen.fracs(np.arange(1, 11))
+        for v in ([1, 1], [2, 3], [3, 3], [1, -1], [-4, 2]):
+            series = wy.prefix_weyl_series(points, v, range(1, 11))
+            assert series == [wy.weyl_sum(gen, v, N) for N in range(1, 11)], v
+        assert wy.prefix_weyl_series(points, [1, -1], [1]) == [1.0]
+
+    def test_running_sum_is_carried_across_blocks(self):
+        # one column at frequency 1 has terms e_phase(x): the blocked sum
+        # equals prefix_means over all terms at once, bit for bit
+        x = np.random.default_rng(8).random(2 * wy._BLOCK + 100)
+        grid = [1, wy._BLOCK - 1, wy._BLOCK, wy._BLOCK + 1, 2 * wy._BLOCK + 1, len(x)]
+        assert wy.prefix_weyl_series(x[:, None], [1], grid) == \
+            [complex(f) for f in prefix_means(e_phase(x), grid)]
+        mags, _ = wy.max_weyl_series(x[:, None], 1, grid)
+        assert mags == [abs(f) for f in prefix_means(e_phase(x), grid)]
 
     def test_equal_columns_fold(self):
         rng = np.random.default_rng(21)
@@ -426,6 +459,13 @@ class TestPrecisionPolicy:
             wy.TowerCoord(X, sq.custom("1e12*n"), 1.5).fracs(np.array([3, 1]))
         with pytest.raises(ValueError, match="tower exponent at n = 1 is 1e\\+300"):
             wy.TowerCoord(X, sq.custom("1e300*n - 0.5"), 1.5).fracs(np.array([1]))
+        # integer exponents: the fixed-point factor M**b has b * log2(M)
+        # bits with g = M / 2**k, about 52 per unit for g = 1.1 and for a
+        # base next to 1, where b * log2(g) alone would admit b past 2**63
+        with pytest.raises(ValueError, match="tower exponent at n = 1 is 100000000.0"):
+            wy.TowerCoord(X, sq.custom("1e8*n"), 1.1).fracs(np.array([1]))
+        with pytest.raises(ValueError, match="tower exponent at n = 30 is 1.59"):
+            wy.TowerCoord(X, sq.power(13), 1.000000000001).fracs(np.array([1, 30]))
         assert wy.TowerCoord(X, sq.identity(), 1.5).fracs(np.array([5000])).shape == (1,)
 
     def test_product_fracs_match_high_precision(self):
