@@ -46,12 +46,23 @@ _KIND_TOWERS = {"power-tower-curve": 1, "power-tower-pair": 2}
 # Grid / generator textual specs (shared by configs and the CLI)
 
 
+GRID_LENGTH_CAP = 1 << 16  # entries per grid; every consumer works per entry
+
+
+def _check_grid_length(text: str, length: int) -> None:
+    """Refuse a grid of more than GRID_LENGTH_CAP entries; length may be
+    an upper bound taken before the grid is built."""
+    if length > GRID_LENGTH_CAP:
+        raise ValueError(f"grid '{text}' has up to {length} entries, more than "
+                         f"the cap of {GRID_LENGTH_CAP}")
+
+
 def parse_grid(text: str) -> List[int]:
     """Grid specs: "sublacunary:EPS:NMAX" (ends at NMAX), "pow2:A..B",
     "linear:START:STOP:COUNT", or an explicit comma list. Text in none of
     these forms, a spec that gives no N, or an N < 1 raises ValueError, and
-    so does an NMAX or 2**B above the index-count cap, before the grid is
-    built."""
+    so does an NMAX or 2**B above the index-count cap or a grid longer than
+    GRID_LENGTH_CAP, before the grid is built."""
     text = text.strip()
     top = 0
     try:
@@ -64,8 +75,9 @@ def parse_grid(text: str) -> List[int]:
             top = 2 ** min(b, 64)
         elif text.startswith("linear:"):
             _, start, stop, count = text.split(":")
-            vals = np.linspace(float(start), float(stop), int(count))
-            grid = sorted(set(int(round(v)) for v in vals))
+            lo, hi, count = float(start), float(stop), max(int(count), 0)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(text)
         else:
             grid = sorted(set(int(v) for v in text.split(",")))
     except (ValueError, OverflowError):
@@ -76,14 +88,21 @@ def parse_grid(text: str) -> List[int]:
         # the last step r is near (ln NMAX)**(1/(1 - EPS)); refuse a search past the cap
         if top > 2 and math.log(math.log(top)) / (1.0 - eps) > math.log(sq.MAX_MATERIALIZE):
             raise ValueError(f"sublacunary:{eps!r}:{top} takes more than 2**26 steps r")
+        # each step r gives at most one entry, each a distinct N below NMAX
+        steps = math.log(top) ** (1.0 / (1.0 - eps)) if top > 1 else 0.0
+        _check_grid_length(text, min(int(steps) + 1, top))
         r = 2
         while math.exp((r + 1) ** (1.0 - eps)) <= top:
             r += 1
         grid = [n for n in wy.sublacunary_grid(eps, r) if n < top] + [top]
+    elif text.startswith("linear:"):
+        _check_grid_length(text, count)  # COUNT entries before duplicates merge
+        grid = sorted(set(int(round(v)) for v in np.linspace(lo, hi, count)))
     elif text.startswith("pow2:"):
         grid = [2 ** k for k in range(a, b + 1)]
     if not grid or grid[0] < 1:
         raise ValueError(f"grid '{text}' must give one or more N, all >= 1")
+    _check_grid_length(text, len(grid))
     return grid
 
 
@@ -333,11 +352,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     return ExperimentReport(config, grid, samples, med, q10, q90,
                             pass_fraction, verdict, exceptional, partial,
                             provenance)
-
-
-def evaluate_thresholds(report: ExperimentReport) -> Optional[str]:
-    """Recompute the verdict from a stored report (pure)."""
-    return _threshold_verdict(report.config, report.samples, report.dstar_median)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ keeps refining the worst panels until the error estimate meets the
 tolerance or the panel cap is hit (in which case the estimate is flagged
 unreliable). Error estimates are numerical diagnostics, not rigorous
 enclosures.
+
+Memory is O(panels) plus one rule block: bisection evaluates the phase
+jet at each level's new midpoints only, and the rule builds the 15 nodes
+of _RULE_BLOCK panels at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ PANEL_CAP = 1 << 20
 R_MAX = 1 << 16
 PHASE_VARIATION_PER_PANEL = 0.25  # cycles
 TOL_MIN, TOL_MAX = 1e-12, 1e-4
+_RULE_BLOCK = 1 << 12  # panels per rule block: 61k nodes, about 1 MB complex
 
 # Kronrod-15 abscissae and weights with the embedded Gauss-7 weights
 # (QUADPACK dqk15 constants).
@@ -91,6 +96,32 @@ def _phase_jet(fs: Sequence[ex.Node], lam: np.ndarray, xs: np.ndarray,
     return total
 
 
+def _phase_rows(fs: Sequence[ex.Node], lam: np.ndarray,
+                xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """phi and |phi'| at xs, as two 1-d rows."""
+    value, slope = _phase_jet(fs, lam, xs, 1)
+    return value, np.abs(slope)
+
+
+def _rule(fs: Sequence[ex.Node], lam: np.ndarray, a: np.ndarray,
+          b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """K15 value and |K15 - G7| of each panel [a, b], _RULE_BLOCK panels at
+    a time; each panel's sums depend on its own nodes only."""
+    k15 = np.empty(len(a), dtype=complex)
+    err = np.empty(len(a))
+    for lo in range(0, len(a), _RULE_BLOCK):
+        ab, bb = a[lo:lo + _RULE_BLOCK], b[lo:lo + _RULE_BLOCK]
+        half = 0.5 * (bb - ab)
+        mid = 0.5 * (ab + bb)
+        xs = mid[:, None] + half[:, None] * _NODES[None, :]
+        z = e_phase(_phase_jet(fs, lam, xs.ravel(), 0)[0].reshape(xs.shape))
+        block = k15[lo:lo + len(ab)]
+        np.multiply(half, np.einsum("pk,k->p", z, _WEIGHTS_K), out=block)  # no BLAS threads
+        g7 = half * np.einsum("pk,k->p", z, _WEIGHTS_G)
+        np.abs(block - g7, out=err[lo:lo + len(ab)])
+    return k15, err
+
+
 def _bisect(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Both halves of each panel [a, b]: all left halves, then all right."""
     mid = 0.5 * (a + b)
@@ -107,17 +138,13 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
     width_floor = (hi - lo) * 1e-14
     reliable = True
 
-    # phase-bounded bisection
-    a = np.array([lo])
-    b = np.array([hi])
+    # phase-bounded bisection: each level evaluates the jet at its new
+    # midpoints only; children inherit their ends' phi and |phi'|
+    a, mid, b = (np.array([x]) for x in (lo, 0.5 * (lo + hi), hi))
+    (pa, pm, pb), (da, dm, db) = (np.split(row, 3) for row in
+                                  _phase_rows(fs, lam, np.concatenate([a, mid, b])))
     done_a, done_b, done = [], [], 0
-    while len(a):
-        mid = 0.5 * (a + b)
-        pts = np.concatenate([a, mid, b])
-        jet = _phase_jet(fs, lam, pts, 1)
-        p = len(a)
-        pa, pm, pb = jet[0, :p], jet[0, p:2 * p], jet[0, 2 * p:]
-        da, dm, db = np.abs(jet[1, :p]), np.abs(jet[1, p:2 * p]), np.abs(jet[1, 2 * p:])
+    while True:
         var_vals = np.abs(pm - pa) + np.abs(pb - pm)
         var_simpson = (b - a) / 6.0 * (da + 4.0 * dm + db)
         var = np.maximum(var_vals, var_simpson)
@@ -128,20 +155,21 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
         done += np.count_nonzero(ok)
         done_a.append(a[ok])
         done_b.append(b[ok])
-        a, b = _bisect(a[~ok], b[~ok])
+        split = ~ok
+        if not np.any(split):
+            break
+        a, b = (np.concatenate([a[split], mid[split]]),
+                np.concatenate([mid[split], b[split]]))
+        pa, pb = (np.concatenate([pa[split], pm[split]]),
+                  np.concatenate([pm[split], pb[split]]))
+        da, db = (np.concatenate([da[split], dm[split]]),
+                  np.concatenate([dm[split], db[split]]))
+        mid = 0.5 * (a + b)
+        pm, dm = _phase_rows(fs, lam, mid)
     pa = np.concatenate(done_a)
     pb = np.concatenate(done_b)
 
-    def rule(a_arr: np.ndarray, b_arr: np.ndarray):
-        half = 0.5 * (b_arr - a_arr)
-        mid = 0.5 * (a_arr + b_arr)
-        xs = mid[:, None] + half[:, None] * _NODES[None, :]
-        z = e_phase(_phase_jet(fs, lam, xs.ravel(), 0)[0].reshape(xs.shape))
-        k15 = half * np.einsum("pk,k->p", z, _WEIGHTS_K)  # no BLAS threads
-        g7 = half * np.einsum("pk,k->p", z, _WEIGHTS_G)
-        return k15, np.abs(k15 - g7)
-
-    values, errors = rule(pa, pb)
+    values, errors = _rule(fs, lam, pa, pb)
     while float(np.sum(errors)) > tol and len(pa) < panel_cap:
         cut = max(float(np.max(errors)) * 0.5, tol / (2.0 * len(pa)))
         split = errors >= cut  # cut <= max(errors): never empty
@@ -151,7 +179,7 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
             split[np.argsort(errors)[-room:]] = True
         keep = ~split
         na, nb = _bisect(pa[split], pb[split])
-        nv, ne = rule(na, nb)
+        nv, ne = _rule(fs, lam, na, nb)
         pa = np.concatenate([pa[keep], na])
         pb = np.concatenate([pb[keep], nb])
         values = np.concatenate([values[keep], nv])

@@ -51,6 +51,19 @@ class TestGridAndGeneratorSpecs:
             lab.parse_grid(spec)
         assert lab.parse_grid("pow2:20..26")[-1] == 2 ** 26
 
+    def test_grid_length_cap(self):
+        # sublacunary:0.82:60000000 used to take about 9M steps to build
+        # 7,976,831 entries
+        for spec, length in [("sublacunary:0.82:60000000", r"\d{7}"),  # about 9.15M steps
+                             ("linear:1:10:100000000", 100000000),
+                             ("linear:1:65537:65537", 65537),
+                             (",".join(map(str, range(1, 65538))), 65537)]:
+            with pytest.raises(ValueError, match=f"has up to {length} entries, more than"
+                               f" the cap of {lab.GRID_LENGTH_CAP}"):
+                lab.parse_grid(spec)
+        assert len(lab.parse_grid("linear:1:65536:65536")) == lab.GRID_LENGTH_CAP
+        assert len(lab.parse_grid("sublacunary:0.7:60000000")) == 14964
+
     def test_generator_spec(self):
         gen = lab.parse_generator("x=0.3; prod:identity|x; prod:identity|x^2")
         assert gen.dim == 2
@@ -141,7 +154,8 @@ class TestRunExperiment:
 
     def test_threshold_verdict_is_pure(self):
         report = lab.run_experiment(small_config())
-        assert lab.evaluate_thresholds(report) == report.verdict
+        assert lab._threshold_verdict(report.config, report.samples,
+                                      report.dstar_median)[1] == report.verdict
 
     def test_tight_threshold_fails(self):
         report = lab.run_experiment(small_config(dstar_final_max=1e-6))

@@ -1,11 +1,14 @@
 import math
 import re
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from udlab import cli
 from udlab import expr as ex
+from udlab import oscillatory as osc
 from udlab.oscillatory import (decay_fit, osc_integral, vdc_bound_first,
                                vdc_bound_high, vdc_constant)
 
@@ -70,6 +73,61 @@ class TestOscIntegral:
         est = osc_integral([X2], [17.0], (0, 1), tol=1e-10)
         closed = abs(complex(*_fresnel_reference(17.0)))
         assert abs(est.magnitude - closed) <= max(est.error * 10, 1e-9)
+
+
+class TestStreamedRule:
+    """The K15/G7 rule runs _RULE_BLOCK panels at a time; bisection reuses
+    the phase jet at each panel's ends."""
+
+    # (phase, lambda, interval, tol, panel_cap, rule calls): bisection only,
+    # one refinement round, and the cap hit while refining
+    CASES = [("x^2", 300.0, (0.0, 1.0), 1e-12, osc.PANEL_CAP, 1),
+             ("sin(3*x) + x^2", 30.0, (0.1, 2.3), 1e-12, osc.PANEL_CAP, 2),
+             ("x^2", 2000.0, (0.0, 1.0), 1e-12, 256, 2)]
+
+    @pytest.mark.parametrize("text,lam,interval,tol,panel_cap,rounds", CASES)
+    def test_block_size_invariance(self, text, lam, interval, tol, panel_cap, rounds):
+        rule, rule_calls = osc._rule, []
+
+        def counting_rule(*args):
+            rule_calls.append(len(args[2]))
+            return rule(*args)
+
+        results = []
+        for block in (1, 7, osc._RULE_BLOCK):
+            rule_calls.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(osc, "_RULE_BLOCK", block)
+                mp.setattr(osc, "_rule", counting_rule)
+                est = osc_integral([ex.parse_expr(text)], [lam], interval, tol=tol,
+                                   panel_cap=panel_cap)
+            assert len(rule_calls) == rounds
+            results.append((est.value, est.error, est.panels, est.reliable))
+        assert results[0] == results[1] == results[2]
+        assert results[0][3] == (panel_cap == osc.PANEL_CAP)
+
+    @pytest.mark.parametrize("radius", [4.5, 32.5, 512.5, 8192.5, 64.0])
+    def test_linear_phase_closed_form(self, radius):
+        # int_1^2 e(Rx) dx = (e(2R) - e(R)) / (2 pi i R); 0 at whole R
+        est = osc_integral([X], [radius], (1.0, 2.0))
+        with mpmath.workprec(200):
+            r = mpmath.mpf(radius)
+            exact = (mpmath.expjpi(4 * r) - mpmath.expjpi(2 * r)) / (2j * mpmath.pi * r)
+            miss = abs(mpmath.mpc(est.value) - exact)
+        assert miss <= est.error
+        assert est.reliable
+
+    def test_peak_memory_is_a_few_arrays_per_panel(self):
+        # 262,160 panels; 15 nodes and their temporaries per panel took 132 MiB
+        fs = [X, X2]
+        tracemalloc.start()
+        try:
+            est = osc_integral(fs, [0.0, 16384.5], (1.0, 2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.panels == 262160 and est.reliable
+        assert peak <= 64 * 2 ** 20
 
 
 def _fresnel_reference(lam, n=200001):
