@@ -75,6 +75,39 @@ class TestOscIntegral:
         assert abs(est.magnitude - closed) <= max(est.error * 10, 1e-9)
 
 
+class TestKronrodConstants:
+    """The K15/G7 constants are carried to full double precision."""
+
+    @staticmethod
+    def rule_error(weights, degree):
+        # the double constants summed exactly against int_-1^1 x^degree dx
+        with mpmath.workprec(200):
+            total = mpmath.fsum(mpmath.mpf(float(w)) * mpmath.mpf(float(x)) ** degree
+                                for w, x in zip(weights, osc._NODES))
+            exact = mpmath.mpf(2) / (degree + 1) if degree % 2 == 0 else 0
+            return float(abs(total - exact))
+
+    @pytest.mark.parametrize("weights", ["_WEIGHTS_K", "_WEIGHTS_G"])
+    def test_weights_sum_to_two(self, weights):
+        # the 15-digit QUADPACK K15 weights summed to 2 - 6.0e-15
+        w = getattr(osc, weights)
+        assert abs(float(np.sum(w)) - 2.0) <= np.spacing(2.0)
+        assert abs(math.fsum(w) - 2.0) <= np.spacing(2.0)
+
+    @pytest.mark.parametrize("weights,degree", [("_WEIGHTS_K", 22), ("_WEIGHTS_G", 13)])
+    def test_exact_to_their_degree(self, weights, degree):
+        w = getattr(osc, weights)
+        assert max(self.rule_error(w, j) for j in range(degree + 1)) <= 2e-16
+        # and not beyond: odd degrees vanish by symmetry, the next even one does not
+        assert self.rule_error(w, degree + 2 - degree % 2) > 1e-12
+
+    def test_nodes_are_symmetric(self):
+        assert np.array_equal(osc._NODES, -osc._NODES[::-1])
+        assert np.array_equal(osc._WEIGHTS_K, osc._WEIGHTS_K[::-1])
+        assert np.array_equal(osc._WEIGHTS_G, osc._WEIGHTS_G[::-1])
+        assert np.count_nonzero(osc._WEIGHTS_G) == 7
+
+
 class TestStreamedRule:
     """The K15/G7 rule runs _RULE_BLOCK panels at a time; bisection reuses
     the phase jet at each panel's ends."""
