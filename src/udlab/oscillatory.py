@@ -98,13 +98,6 @@ def _phase_jet(fs: Sequence[ex.Node], lam: np.ndarray, xs: np.ndarray,
     return total
 
 
-def _phase_rows(fs: Sequence[ex.Node], lam: np.ndarray,
-                xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """phi and |phi'| at xs, as two 1-d rows."""
-    value, slope = _phase_jet(fs, lam, xs, 1)
-    return value, np.abs(slope)
-
-
 def _rule(fs: Sequence[ex.Node], lam: np.ndarray, a: np.ndarray,
           b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """K15 value and |K15 - G7| of each panel [a, b], _RULE_BLOCK panels at
@@ -141,14 +134,14 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
     reliable = True
 
     # phase-bounded bisection: each level evaluates the jet at its new
-    # midpoints only; children inherit their ends' phi and |phi'|
+    # midpoints only; children inherit their ends' phi and phi'
     a, mid, b = (np.array([x]) for x in (lo, 0.5 * (lo + hi), hi))
     (pa, pm, pb), (da, dm, db) = (np.split(row, 3) for row in
-                                  _phase_rows(fs, lam, np.concatenate([a, mid, b])))
+                                  _phase_jet(fs, lam, np.concatenate([a, mid, b]), 1))
     done_a, done_b, done = [], [], 0
     while True:
         var_vals = np.abs(pm - pa) + np.abs(pb - pm)
-        var_simpson = (b - a) / 6.0 * (da + 4.0 * dm + db)
+        var_simpson = (b - a) / 6.0 * (np.abs(da) + 4.0 * np.abs(dm) + np.abs(db))
         var = np.maximum(var_vals, var_simpson)
         ok = (var <= PHASE_VARIATION_PER_PANEL) | (b - a <= width_floor)
         if done + np.count_nonzero(ok) + 2 * np.count_nonzero(~ok) > panel_cap:
@@ -167,7 +160,7 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
         da, db = (np.concatenate([da[split], dm[split]]),
                   np.concatenate([dm[split], db[split]]))
         mid = 0.5 * (a + b)
-        pm, dm = _phase_rows(fs, lam, mid)
+        pm, dm = _phase_jet(fs, lam, mid, 1)
     pa = np.concatenate(done_a)
     pb = np.concatenate(done_b)
 
