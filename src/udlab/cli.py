@@ -26,21 +26,27 @@ from . import weyl as wy
 EXIT_OK, EXIT_THRESHOLD, EXIT_USAGE, EXIT_UNRELIABLE = 0, 1, 2, 3
 
 
+def _geom(text: str, lo: float, hi: float, count: int):
+    with np.errstate(invalid="ignore"):  # NaN radii, refused by decay_fit
+        return list(np.geomspace(lo, hi, count))
+
+
+_NONZERO = lab.checked(float, bool)  # np.geomspace refuses a 0 end
+_EXPONENT = lab.checked(int, lambda k: k < 1024)  # 2.0**k stays a double
+_RADII_FORMS = {
+    "geom": ("geom:LO:HI:COUNT", ":", (_NONZERO, _NONZERO, lab.checked(int, lambda c: c >= 0)),
+             _geom),
+    "halfpow2": ("halfpow2:A..B", "..", (_EXPONENT, _EXPONENT),
+                 lambda text, a, b: [2.0 ** k + 0.5 for k in range(a, b + 1)]),
+    None: ("a comma list of numbers", ",", float, lambda text, *radii: list(radii)),
+}
+_FREQUENCY_FORMS = {None: ("a comma list of integers", ",", int, lambda text, *v: list(v))}
+_INTERVAL_FORMS = {None: ("LO,HI", ",", (float, float), lambda text, lo, hi: (lo, hi))}
+
+
 def _parse_radii(text: str):
     """Radii specs "geom:LO:HI:COUNT", "halfpow2:A..B" or a comma list."""
-    text = text.strip()
-    try:
-        if text.startswith("geom:"):
-            _, lo, hi, count = text.split(":")
-            with np.errstate(invalid="ignore"):  # NaN radii, refused by decay_fit
-                return list(np.geomspace(float(lo), float(hi), int(count)))
-        if text.startswith("halfpow2:"):
-            a, b = text[len("halfpow2:"):].split("..")
-            return [2.0 ** k + 0.5 for k in range(int(a), int(b) + 1)]
-        return [float(v) for v in text.split(",")]
-    except (ValueError, OverflowError):
-        raise ValueError(f"radii '{text}' are not one of geom:LO:HI:COUNT, halfpow2:A..B"
-                         " or a comma list of numbers") from None
+    return lab.read_spec(text, _RADII_FORMS, "--radii")
 
 
 def _print_table(header, rows, csv_path) -> None:
@@ -81,7 +87,7 @@ def _cmd_growth(args) -> int:
 
 def _cmd_weylsum(args) -> int:
     gen = lab.parse_generator(args.gen)
-    v = [int(c) for c in args.v.split(",")]
+    v = lab.read_spec(args.v, _FREQUENCY_FORMS, "--v")
     grid = lab.parse_grid(args.grid)
     family = sq.parse_index_family(args.sets) if args.sets else sq.prefixes()
     series = wy.weyl_sum_over_sets(gen, v, family, grid)
@@ -103,7 +109,7 @@ def _cmd_discrepancy(args) -> int:
 
 def _cmd_oscdecay(args) -> int:
     fs = [ex.parse_expr(t) for t in args.f.split(";") if t.strip()]
-    lo, hi = (float(v) for v in args.interval.split(","))
+    lo, hi = lab.read_spec(args.interval, _INTERVAL_FORMS, "--interval")
     radii = _parse_radii(args.radii)
     fit = osc.decay_fit(fs, (lo, hi), radii, args.dirs, seed=args.seed, tol=args.tol)
     print(f"# functions: {'; '.join(ex.to_text(f) for f in fs)}  I=[{lo:g},{hi:g}]")

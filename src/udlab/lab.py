@@ -16,10 +16,11 @@ report is reproducible byte for byte from (config, seed).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +50,38 @@ _KIND_TOWERS = {"power-tower-curve": 1, "power-tower-pair": 2}
 GRID_LENGTH_CAP = 1 << 16  # entries per grid; every consumer works per entry
 
 
+def checked(read: Callable, ok: Callable) -> Callable:
+    """A read_spec field reader: read(text), refused unless ok(value)."""
+    def check(text: str):
+        if not ok(value := read(text)):
+            raise ValueError(text)
+        return value
+    return check
+
+
+def read_spec(text: str, forms: Dict, kind: str):
+    """What spec text gives. forms maps NAME to (usage, separator, field
+    readers, build), the last under None: "NAME:REST" gives build(text,
+    *fields) with REST split at the separator and field i read by reader
+    i; other text is read by the form under None, whose one reader reads
+    every field. A wrong field count, or a reader's ValueError or
+    OverflowError, refuses the text naming every usage."""
+    text = text.strip()
+    name, _, rest = text.partition(":")
+    if name not in forms:
+        name, rest = None, text
+    _, separator, readers, build = forms[name]
+    fields = rest.split(separator)
+    try:
+        readers = [readers] * len(fields) if callable(readers) else readers
+        values = [read(field) for read, field in zip(readers, fields, strict=True)]
+    except (ValueError, OverflowError):
+        *most, last = [form[0] for form in forms.values()]
+        listing = f"one of {', '.join(most)} or {last}" if most else last
+        raise ValueError(f"{kind} '{text}' is not {listing}") from None
+    return build(text, *values)
+
+
 def _check_grid_length(text: str, length: int) -> None:
     """Refuse a grid of more than GRID_LENGTH_CAP entries; length may be
     an upper bound taken before the grid is built."""
@@ -57,49 +90,46 @@ def _check_grid_length(text: str, length: int) -> None:
                          f"the cap of {GRID_LENGTH_CAP}")
 
 
+def _pow2(text: str, a: int, b: int) -> List[int]:
+    sq.check_index_count(2 ** min(b, 64))
+    return [2 ** k for k in range(a, b + 1)]
+
+
+def _sublacunary(text: str, eps: float, top: int) -> List[int]:
+    """The walk's N below NMAX, at most GRID_LENGTH_CAP of them, then NMAX."""
+    sq.check_index_count(top)
+    # the walk reaches NMAX near step r = (ln NMAX)**(1/(1 - EPS)); refuse one past 2**26
+    if top > 1 and math.log(top) > sq.MAX_MATERIALIZE ** (1.0 - eps):
+        raise ValueError(f"sublacunary:{eps!r}:{top} takes more than 2**26 steps r")
+    below = itertools.takewhile(lambda n: n < top, wy.sublacunary_walk(eps, sq.MAX_MATERIALIZE))
+    return list(itertools.islice(below, GRID_LENGTH_CAP)) + [top]
+
+
+def _linear(text: str, lo: float, hi: float, count: int) -> List[int]:
+    _check_grid_length(text, count)  # COUNT entries before duplicates merge
+    return sorted(set(int(round(v)) for v in np.linspace(lo, hi, count)))
+
+
+_finite = checked(float, math.isfinite)
+_GRID_FORMS = {
+    "pow2": ("pow2:A..B", "..", (int, int), _pow2),
+    "sublacunary": ("sublacunary:EPS:NMAX with 0 < EPS < 1", ":",
+                    (checked(float, lambda eps: 0.0 < eps < 1.0), lambda v: int(float(v))),
+                    _sublacunary),
+    "linear": ("linear:START:STOP:COUNT", ":", (_finite, _finite, lambda v: max(int(v), 0)),
+               _linear),
+    None: ("a comma list", ",", int, lambda text, *grid: sorted(set(grid))),
+}
+
+
 def parse_grid(text: str) -> List[int]:
     """Grid specs: "sublacunary:EPS:NMAX" (ends at NMAX), "pow2:A..B",
     "linear:START:STOP:COUNT", or an explicit comma list. Text in none of
     these forms, a spec that gives no N, or an N < 1 raises ValueError, and
     so does an NMAX or 2**B above the index-count cap or a grid longer than
-    GRID_LENGTH_CAP, before the grid is built."""
+    GRID_LENGTH_CAP, before more than one entry past the cap is built."""
     text = text.strip()
-    top = 0
-    try:
-        if text.startswith("sublacunary:"):
-            _, eps_s, nmax_s = text.split(":")
-            eps, top = float(eps_s), int(float(nmax_s))
-            wy.sublacunary_grid(eps, 2)  # refuses EPS outside (0, 1)
-        elif text.startswith("pow2:"):
-            a, b = map(int, text[len("pow2:"):].split(".."))
-            top = 2 ** min(b, 64)
-        elif text.startswith("linear:"):
-            _, start, stop, count = text.split(":")
-            lo, hi, count = float(start), float(stop), max(int(count), 0)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(text)
-        else:
-            grid = sorted(set(int(v) for v in text.split(",")))
-    except (ValueError, OverflowError):
-        raise ValueError(f"grid '{text}' is not one of pow2:A..B, sublacunary:EPS:NMAX with"
-                         " 0 < EPS < 1, linear:START:STOP:COUNT or a comma list") from None
-    sq.check_index_count(top)
-    if text.startswith("sublacunary:"):
-        # the last step r is near (ln NMAX)**(1/(1 - EPS)); refuse a search past the cap
-        if top > 2 and math.log(math.log(top)) / (1.0 - eps) > math.log(sq.MAX_MATERIALIZE):
-            raise ValueError(f"sublacunary:{eps!r}:{top} takes more than 2**26 steps r")
-        # each step r gives at most one entry, each a distinct N below NMAX
-        steps = math.log(top) ** (1.0 / (1.0 - eps)) if top > 1 else 0.0
-        _check_grid_length(text, min(int(steps) + 1, top))
-        r = 2
-        while math.exp((r + 1) ** (1.0 - eps)) <= top:
-            r += 1
-        grid = [n for n in wy.sublacunary_grid(eps, r) if n < top] + [top]
-    elif text.startswith("linear:"):
-        _check_grid_length(text, count)  # COUNT entries before duplicates merge
-        grid = sorted(set(int(round(v)) for v in np.linspace(lo, hi, count)))
-    elif text.startswith("pow2:"):
-        grid = [2 ** k for k in range(a, b + 1)]
+    grid = read_spec(text, _GRID_FORMS, "grid")
     if not grid or grid[0] < 1:
         raise ValueError(f"grid '{text}' must give one or more N, all >= 1")
     _check_grid_length(text, len(grid))

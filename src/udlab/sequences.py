@@ -395,7 +395,11 @@ def custom_nested(sets: Sequence[Sequence[int]]) -> IndexSetFamily:
     return IndexSetFamily("custom", (tuple(order), tuple(sizes)))
 
 
-def _geometric_size(N: int, params: tuple) -> int:
+def _geometric_size(N, params: tuple):
+    """ceil(rho^N) for an int N, or as doubles for each N of an index array.
+    Each power is Python's float pow: NumPy's may differ in the last bit."""
+    if np.ndim(N):
+        return np.array([_geometric_size(n, params) for n in N.tolist()], dtype=float)
     try:
         return math.ceil(params[0] ** N)
     except OverflowError:
@@ -403,8 +407,8 @@ def _geometric_size(N: int, params: tuple) -> int:
 
 
 # Keyed index-set families: NAME -> (constructor, {KEY: None (required)},
-# |S_N| of (N, params), index step of params). S_N is the first |S_N|
-# multiples of the step.
+# |S_N| of (N or an index array, params), index step of params). S_N is the
+# first |S_N| multiples of the step.
 _INDEX_FAMILIES = {
     "prefixes": (prefixes, {}, lambda N, p: N, lambda p: 1),
     "geometric": (geometric, {"rho": None}, _geometric_size, lambda p: 1),
@@ -417,18 +421,19 @@ def parse_index_family(text: str) -> IndexSetFamily:
     return parse_keyed(text, _INDEX_FAMILIES, "index-set")
 
 
-def index_set_size(family: IndexSetFamily, N: int) -> int:
-    """|S_N| without materializing the set."""
-    if N < 1:
+def index_set_size(family: IndexSetFamily, N):
+    """|S_N| without materializing the set; for an index array N, |S_N|
+    for each of its N."""
+    if np.min(N) < 1:
         raise ValueError("N must be >= 1")
     if family.family in _INDEX_FAMILIES:
         return _INDEX_FAMILIES[family.family][2](N, family.params)
     if family.family != "custom":
         raise ValueError(f"unknown index-set family '{family.family}'")
     sizes = family.params[1]
-    if N > len(sizes):
+    if np.max(N) > len(sizes):
         raise ValueError(f"custom-nested family has only {len(sizes)} sets")
-    return sizes[N - 1]
+    return np.asarray(sizes)[np.asarray(N) - 1]
 
 
 @dataclass(frozen=True)
@@ -457,12 +462,9 @@ def index_set_views(family: IndexSetFamily, grid: Sequence[int]) -> List[IndexSe
     """index_sets(family, N) for each N in the grid. The sums of 1/|S_M|
     come from one running sum over M = 1..max(grid), in index order."""
     grid = [int(N) for N in grid]
-    stops, partial, total = set(grid), {}, 0.0
-    for M in map(int, index_range(max(grid))):
-        total += 1.0 / index_set_size(family, M)
-        if M in stops:
-            partial[M] = total
-    return [IndexSetView(N, index_set_size(family, N), partial[N], family) for N in grid]
+    partial = np.cumsum(1.0 / index_set_size(family, index_range(max(grid))))  # adds in order
+    return [IndexSetView(N, int(index_set_size(family, N)), float(partial[N - 1]), family)
+            for N in grid]
 
 
 def index_sets(family: IndexSetFamily, N: int) -> IndexSetView:

@@ -341,19 +341,36 @@ def max_weyl_sum(gen: PointGenerator, V: int, N: int) -> Tuple[float, np.ndarray
 
 
 def sublacunary_grid(eps_prime: float, r_max: int) -> List[int]:
-    """N_r = ceil(exp(r**(1 - eps_prime))), deduplicated and increasing.
-    Consecutive ratios tend to 1, which is what lets subsequence limits
-    carry over to the full sequence."""
+    """N_r = ceil(exp(r**(1 - eps_prime))) for r = 1..r_max, deduplicated
+    and increasing. Consecutive ratios tend to 1, which is what lets
+    subsequence limits carry over to the full sequence."""
     if not (0.0 < eps_prime < 1.0):
         raise ValueError("eps_prime must lie in (0, 1)")
     if r_max < 2:
         raise ValueError("need r_max >= 2")
-    out = []
-    for r in range(1, r_max + 1):
-        n = math.ceil(math.exp(r ** (1.0 - eps_prime)))
-        if not out or n > out[-1]:
-            out.append(n)
-    return out
+    return list(sublacunary_walk(eps_prime, r_max))
+
+
+def sublacunary_walk(eps_prime: float, r_max: int):
+    """Yield each new N_r of sublacunary_grid for r <= r_max, lazily. Where
+    N_r climbs by less than one per step r, so that it hits every integer
+    and steps repeat values, the walk jumps from each N to the first r that
+    can give more, r = (ln N)**(1/(1 - eps_prime)), less 2 for rounding in
+    the power; so it takes a few steps per entry, not one per r. An N_r
+    past double range is refused."""
+    p, r, last = 1.0 - eps_prime, 1, 0
+    try:
+        while r <= r_max:
+            n = math.ceil(math.exp(r ** p))
+            if n > last:
+                yield n
+                if n == last + 1:
+                    r = max(r, int(math.log(n) ** (1.0 / p)) - 2)
+                last = n
+            r += 1
+    except OverflowError:
+        raise ValueError(f"sublacunary N_r = ceil(exp(r**(1 - {eps_prime!r}))) leaves double"
+                         f" range at r = {r}") from None
 
 
 def cesaro_gap(zs: Sequence[complex], N: int, M: int) -> Tuple[float, float]:

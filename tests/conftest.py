@@ -1,5 +1,8 @@
 """Shared helpers: a seeded generator of well-conditioned random
-expressions, used by the jet and round-trip tests."""
+expressions, used by the jet and round-trip tests, and the step-by-step
+sublacunary grid that the walk in weyl is checked against."""
+
+import math
 
 import numpy as np
 
@@ -58,3 +61,24 @@ def random_expr_and_point(rng: np.random.Generator, max_tries: int = 50):
             continue
         return node, x
     raise AssertionError("could not draw a well-conditioned expression")
+
+
+def stepwise_sublacunary(eps: float, r_max: int):
+    """N_r = ceil(exp(r**(1 - eps))) for every r = 1..r_max, each new value
+    kept: the loop sublacunary_grid ran before it walked."""
+    out = []
+    for r in range(1, r_max + 1):
+        n = math.ceil(math.exp(r ** (1.0 - eps)))
+        if not out or n > out[-1]:
+            out.append(n)
+    return out
+
+
+def stepwise_grid(eps: float, top: int):
+    """sublacunary:EPS:NMAX as parse_grid built it before the walk: a
+    search for the last step r with exp(r**(1 - EPS)) <= NMAX, then the
+    stepwise grid up to it, cut below NMAX, then NMAX."""
+    r = 2
+    while math.exp((r + 1) ** (1.0 - eps)) <= top:
+        r += 1
+    return [n for n in stepwise_sublacunary(eps, r) if n < top] + [top]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -7,7 +8,10 @@ import pytest
 
 from udlab import cli, lab
 from udlab import sequences as sq
+from udlab import weyl as wy
 from udlab.numerics import derive_seed
+
+from conftest import stepwise_grid
 
 
 def small_config(**overrides):
@@ -53,8 +57,8 @@ class TestGridAndGeneratorSpecs:
 
     def test_grid_length_cap(self):
         # sublacunary:0.82:60000000 used to take about 9M steps to build
-        # 7,976,831 entries
-        for spec, length in [("sublacunary:0.82:60000000", r"\d{7}"),  # about 9.15M steps
+        # 7,976,831 entries; the walk stops one entry past the cap
+        for spec, length in [("sublacunary:0.82:60000000", 65537),
                              ("linear:1:10:100000000", 100000000),
                              ("linear:1:65537:65537", 65537),
                              (",".join(map(str, range(1, 65538))), 65537)]:
@@ -63,6 +67,34 @@ class TestGridAndGeneratorSpecs:
                 lab.parse_grid(spec)
         assert len(lab.parse_grid("linear:1:65536:65536")) == lab.GRID_LENGTH_CAP
         assert len(lab.parse_grid("sublacunary:0.7:60000000")) == 14964
+        # the cap counts entries; the 66,615 steps r here used to count
+        assert len(lab.parse_grid("sublacunary:0.78:100000")) == 52163
+
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3, 0.5, 0.7, 0.8, 0.85, 0.9, 0.92, 0.95])
+    def test_sublacunary_grid_equals_stepwise_search(self, eps):
+        for top in [1, 2, 3, 4, 10, 100, 1000, 20000, 10 ** 6, 6 * 10 ** 7]:
+            if math.log(max(top, 2)) ** (1.0 / (1.0 - eps)) < 2e5:  # a short search
+                assert lab.parse_grid(f"sublacunary:{eps}:{top}") == stepwise_grid(eps, top)
+
+    @pytest.mark.parametrize("spec, entries", [("sublacunary:0.9:300", range(3, 301)),
+                                               ("sublacunary:0.92:60", range(3, 61))])
+    def test_sparse_sublacunary_grid_takes_few_steps_per_entry(self, spec, entries,
+                                                                monkeypatch):
+        # the stepwise search and build, about 3.6e7 and 4.5e7 steps r here,
+        # took about 30 s each and gave these grids; the walk takes 3 per entry
+        class CountingMath:
+            calls = 0
+
+            def exp(self, x):
+                CountingMath.calls += 1
+                return math.exp(x)
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+        monkeypatch.setattr(wy, "math", CountingMath())
+        assert lab.parse_grid(spec) == list(entries)
+        assert CountingMath.calls <= 4 * len(entries)
 
     def test_generator_spec(self):
         gen = lab.parse_generator("x=0.3; prod:identity|x; prod:identity|x^2")
@@ -337,6 +369,19 @@ class TestCli:
             "malformed-grid", "malformed-radii"])
     def test_malformed_spec_exits_2(self, argv, capsys):
         self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["oscdecay", "--f", "x", "--interval", "1", "--radii", "halfpow2:2..7", "--dirs", "1"],
+         "error: --interval '1' is not LO,HI"),
+        (["oscdecay", "--f", "x", "--interval", "1,2", "--radii", "geom:2:64", "--dirs", "1"],
+         "error: --radii 'geom:2:64' is not one of geom:LO:HI:COUNT, halfpow2:A..B or a comma"
+         " list of numbers"),
+        (["weylsum", "--gen", "x=0.3; prod:identity|x", "--v", "1,x", "--grid", "pow2:2..4"],
+         "error: --v '1,x' is not a comma list of integers"),
+    ], ids=["interval", "radii", "v"])
+    def test_malformed_list_names_option_and_text(self, argv, message, capsys):
+        # --interval 1 used to print an unpacking error, --v 1,x an int() error
+        assert self.assert_usage_error(argv, capsys) == message
 
     @pytest.mark.parametrize("edit", [
         lambda c: c.update(x_sample=3),

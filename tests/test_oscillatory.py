@@ -315,11 +315,21 @@ class TestDecayFit:
                 decay_fit([X], (1, 2), radii, 1)
         # malformed radii text used to surface as an unpacking or int() error
         for text in ["geom:2:64", "halfpow2:2", "halfpow2:a..b", "geom:2:64:x", "1,two",
-                     "halfpow2:2000..2010"]:
-            with pytest.raises(ValueError, match=f"radii '{re.escape(text)}' are not one of"):
+                     "halfpow2:2000..2010", "geom:0:64:6", "geom:2:64:-1", "geom:1:2:3:4",
+                     "halfpow2:1024..1024", "geom"]:
+            with pytest.raises(ValueError, match=f"--radii '{re.escape(text)}' is not one of"):
                 cli._parse_radii(text)
         with pytest.raises(ValueError, match="all finite and positive"):
             decay_fit([X], (1, 2), cli._parse_radii("geom:1:inf:6"), 1)
+
+    def test_radii_forms(self):
+        assert cli._parse_radii(" halfpow2:2..4 ") == [4.5, 8.5, 16.5]
+        assert cli._parse_radii("halfpow2:1023..1023") == [2.0 ** 1023 + 0.5]
+        assert cli._parse_radii("geom:2:64:6") == list(np.geomspace(2, 64, 6))
+        assert cli._parse_radii("3, 1.5") == [3.0, 1.5]
+        for text in ["geom:-2:64:6", "geom:nan:64:6"]:  # read, then refused by decay_fit
+            with pytest.raises(ValueError, match="all finite and positive"):
+                decay_fit([X], (1, 2), cli._parse_radii(text), 1)
 
 
 class TestNonFinitePhase:

@@ -295,6 +295,18 @@ class TestIndexSets:
         assert sq.index_set_size(sq.geometric(2.0), 1023) == 2 ** 1023
         with pytest.raises(ValueError, match="double range"):
             sq.index_set_size(sq.geometric(2.0), 1024)
+        # the running sum over an index array stops at the same N, with no
+        # overflow RuntimeWarning
+        with pytest.raises(ValueError, match=r"ceil\(2\^1024\) exceeds double range"):
+            sq.index_set_views(sq.geometric(2.0), [3, 1100])
+
+    def test_views_equal_scalar_sizes_and_running_sum(self):
+        # the views evaluate |S_M| on an index array; NumPy's power differs
+        # from float pow in the last bit at dozens of these N
+        fam, running = sq.geometric(1.1), 0.0
+        for N, view in enumerate(sq.index_set_views(fam, range(1, 1501)), start=1):
+            running += 1.0 / sq.index_set_size(fam, N)
+            assert (view.size, view.partial_inverse_sum) == (sq.index_set_size(fam, N), running)
 
     def test_size_without_materializing(self):
         # 2^200 elements: size is computable, materializing would be absurd
@@ -333,6 +345,10 @@ class TestIndexCount:
         # the running sum of 1/|S_M| used to loop 2^41 times
         with pytest.raises(ValueError, match="refusing to materialize"):
             sq.index_set_views(sq.prefixes(), [8, 2 ** 41])
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            sq.index_set_views(sq.prefixes(), [0, 8])
+        with pytest.raises(ValueError, match="custom-nested family has only 2 sets"):
+            sq.index_set_views(sq.custom_nested([[1], [1, 2]]), [1, 3])
         assert sq.index_sets(sq.geometric(2.0), 30).size == 2 ** 30
 
 

@@ -13,6 +13,8 @@ from udlab import weyl as wy
 from udlab.numerics import (e_phase, frac_product, power_tower_frac_mp,
                             prefix_means)
 
+from conftest import stepwise_sublacunary
+
 PHI = (1 + math.sqrt(5)) / 2
 X = ex.parse_expr("x")
 X2 = ex.parse_expr("x^2")
@@ -383,6 +385,22 @@ class TestSublacunaryGrid:
             wy.sublacunary_grid(0.0, 10)
         with pytest.raises(ValueError):
             wy.sublacunary_grid(0.5, 1)
+        # exp(r^0.99) leaves double range at r = 759; used to raise a bare
+        # OverflowError: math range error
+        with pytest.raises(ValueError, match=r"1 - 0\.01\)\)\) leaves double range at r = 759"):
+            wy.sublacunary_grid(0.01, 1000)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85,
+                                     0.9, 0.92, 0.95])
+    def test_walk_equals_stepwise_loop(self, eps):
+        for r_max in [2, 3, 10, 57, 500, 5000, 20000, 100000]:
+            try:
+                expected = stepwise_sublacunary(eps, r_max)
+            except OverflowError:
+                with pytest.raises(ValueError, match="leaves double range"):
+                    wy.sublacunary_grid(eps, r_max)
+            else:
+                assert wy.sublacunary_grid(eps, r_max) == expected, r_max
 
 
 class TestCesaroGap:
