@@ -115,6 +115,9 @@ def _cmd_oscdecay(args) -> int:
     print(f"# functions: {'; '.join(ex.to_text(f) for f in fs)}  I=[{lo:g},{hi:g}]")
     print(f"# delta_hat={fit.delta_hat:.4f} (sampled lower-confidence estimate)"
           f"  pooled slope={fit.pooled_slope:.4f}  pooled R^2={fit.pooled_r_squared:.4f}")
+    for i in np.flatnonzero(np.isnan(fit.slopes)):
+        print(f"# direction {i}: {np.count_nonzero(fit.below_noise[i])} of {len(fit.radii)}"
+              " cells below the quadrature noise; no slope fitted")
     if fit.degenerate_direction is not None:
         print(f"# degenerate direction flagged: {fit.degenerate_direction}"
               f" (phase constant; magnitude pins at |I|)")

@@ -26,6 +26,7 @@ EXACT_KD_MAX_N = 4096
 GRID_M_DEFAULT_2D = 256
 GRID_M_DEFAULT_3D = 64
 CORNER_BLOCK = 2 ** 17  # cells per row block of a corner count table
+LATTICE_CORNER_CAP = 2 ** 24  # m^k corners per prefix: 4096^2, the largest exact 2-d table
 
 
 def _check_unit(points: np.ndarray):
@@ -87,10 +88,6 @@ def _exact_dstar(points: np.ndarray, grid: Sequence[int]) -> List[float]:
     """Exact D* of points[:N] for each N in the grid (see dstar_trend)."""
     points = np.asarray(points, dtype=float)
     k = points.shape[1]
-    if k > 2:
-        raise ValueError("exact method supports k <= 2 only")
-    if k == 2 and grid[-1] > EXACT_KD_MAX_N:
-        raise ValueError(f"exact 2-d method capped at N = {EXACT_KD_MAX_N}")
     values = []
     for N in grid:
         if k == 1:
@@ -107,14 +104,38 @@ def _exact_dstar(points: np.ndarray, grid: Sequence[int]) -> List[float]:
 def star_discrepancy_kd(points, method: str = "exact",
                         m: Optional[int] = None) -> Tuple[float, float]:
     """Star discrepancy of a k-dimensional point set and its additive error
-    bound: dstar_trend at N = len(points), method "exact" or "grid"."""
+    bound: dstar_trend at N = len(points)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         raise ValueError("need at least one point")
-    if method not in ("exact", "grid"):
-        raise ValueError(f"unknown method '{method}'")
     rep = dstar_trend(points, [len(points)], method, m)
     return rep.values[0], rep.error_bounds[0]
+
+
+def check_method(method: str, k: int, n_max: int, m: Optional[int] = None
+                 ) -> Tuple[str, Optional[int]]:
+    """The method ("exact" or "grid") and lattice size m that dstar_trend
+    runs on k-dimensional points up to N = n_max, "auto" resolved and m
+    defaulted. Refuses an unknown method, exact with k > 2 or a 2-d N past
+    EXACT_KD_MAX_N, and a lattice with m < 2 or more than
+    LATTICE_CORNER_CAP corners, by arithmetic alone."""
+    if method == "auto":
+        method = "exact" if k == 1 else "grid"
+    if method == "exact":
+        if k > 2:
+            raise ValueError(f"exact method supports k <= 2 only, got k = {k}")
+        if k == 2 and n_max > EXACT_KD_MAX_N:
+            raise ValueError(f"exact 2-d method capped at N = {EXACT_KD_MAX_N}, got N = {n_max}")
+        return method, None
+    if method != "grid":
+        raise ValueError(f"unknown method '{method}'")
+    m = (GRID_M_DEFAULT_2D if k <= 2 else GRID_M_DEFAULT_3D) if m is None else m
+    if m < 2:
+        raise ValueError(f"need m >= 2 grid cells per axis, got m = {m}")
+    if m ** k > LATTICE_CORNER_CAP:
+        raise ValueError(f"lattice of m^k = {m}^{k} corners is more than the cap of"
+                         f" {LATTICE_CORNER_CAP} = 4096^2")
+    return method, m
 
 
 @dataclass
@@ -151,18 +172,12 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
     if grid[-1] > len(points):
         raise ValueError(f"grid reaches N = {grid[-1]} but only {len(points)} points given")
     k = points.shape[1]
-    if method == "auto":
-        method = "exact" if k == 1 else "grid"
-    if method not in ("exact", "grid"):
-        raise ValueError(f"unknown method '{method}'")
+    method, m = check_method(method, k, grid[-1], m)
     _check_unit(points[:grid[-1]])
     if method == "exact":
         values = _exact_dstar(points, grid)
         err, label = 0.0, "exact-1d" if k == 1 else "exact-kd"
     else:
-        m = (GRID_M_DEFAULT_2D if k <= 2 else GRID_M_DEFAULT_3D) if m is None else m
-        if m < 2:
-            raise ValueError("need m >= 2 grid cells per axis")
         scaled = points[:grid[-1]] * m
         values = _corner_dstar(np.floor(scaled).astype(np.int64),
                                (np.ceil(scaled) - 1).astype(np.int64),
@@ -176,6 +191,8 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
 
 def ud_trend(gen, grid: Sequence[int], method: str = "auto",
              m: Optional[int] = None) -> DiscrepancyReport:
-    """D*_N along prefixes of a point generator; see dstar_trend."""
+    """D*_N along prefixes of a point generator; see dstar_trend. The
+    method is checked before any point is made."""
+    check_method(method, gen.dim, max(grid, default=1), m)
     points = gen.fracs(index_range(max(grid, default=1)))
     return dstar_trend(points, grid, method, m, gen.describe())

@@ -492,22 +492,19 @@ class IndependenceReport:
     null_direction: Optional[np.ndarray]  # coefficients on [1, f_1, ..., f_k]
 
 
-def check_linear_independence(fs: Sequence[Node], interval, m: Optional[int] = None,
-                              threshold: float = INDEPENDENCE_THRESHOLD) -> IndependenceReport:
+def check_linear_independence(fs: Sequence[Node], interval) -> IndependenceReport:
     """Sampled test of linear independence of {1, f_1, ..., f_k}.
 
-    Builds the m x (k+1) sample matrix at Chebyshev points (avoiding
-    endpoint-clustered ill-conditioning), normalizes each column to unit
-    norm, and reads off the smallest singular value. The reported null
+    Builds the m x (k+1) sample matrix at m = max(64, 2(k+1)) Chebyshev
+    points (avoiding endpoint-clustered ill-conditioning), normalizes each
+    column to unit norm, and reads off the smallest singular value; below
+    INDEPENDENCE_THRESHOLD the family is dependent. The reported null
     direction is mapped back to coefficients on the unnormalized functions
     and has unit Euclidean norm.
     """
     lo, hi = check_interval(interval)
     k = len(fs)
-    if m is None:
-        m = max(64, 2 * (k + 1))
-    if m < 2 * (k + 1):
-        raise ValueError(f"need at least {2 * (k + 1)} sample points, got {m}")
+    m = max(64, 2 * (k + 1))
     xs = chebyshev_nodes(lo, hi, m)
     with np.errstate(over="ignore", invalid="ignore"):
         cols = [np.ones(m)] + [np.asarray(evaluate(f, xs), dtype=float) for f in fs]
@@ -522,7 +519,7 @@ def check_linear_independence(fs: Sequence[Node], interval, m: Optional[int] = N
         return IndependenceReport("dependent", 0.0, direction)
     sigma = np.linalg.svd(matrix / norms, compute_uv=False)
     sigma_min = float(sigma[-1])
-    if sigma_min >= threshold:
+    if sigma_min >= INDEPENDENCE_THRESHOLD:
         return IndependenceReport("independent", sigma_min, None)
     _, _, vt = np.linalg.svd(matrix / norms)
     direction = vt[-1] / norms

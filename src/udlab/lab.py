@@ -91,17 +91,16 @@ def _check_grid_length(text: str, length: int) -> None:
 
 
 def _pow2(text: str, a: int, b: int) -> List[int]:
-    sq.check_index_count(2 ** min(b, 64))
-    return [2 ** k for k in range(a, b + 1)]
+    return [2 ** k for k in range(a, b + 1)[:64]]  # no accepted grid has more: 1 <= N <= 2**26
 
 
 def _sublacunary(text: str, eps: float, top: int) -> List[int]:
     """The walk's N below NMAX, at most GRID_LENGTH_CAP of them, then NMAX."""
-    sq.check_index_count(top)
     # the walk reaches NMAX near step r = (ln NMAX)**(1/(1 - EPS)); refuse one past 2**26
     if top > 1 and math.log(top) > sq.MAX_MATERIALIZE ** (1.0 - eps):
         raise ValueError(f"sublacunary:{eps!r}:{top} takes more than 2**26 steps r")
-    below = itertools.takewhile(lambda n: n < top, wy.sublacunary_walk(eps, sq.MAX_MATERIALIZE))
+    end = min(top, sq.MAX_MATERIALIZE)  # past the index cap, parse_grid refuses NMAX
+    below = itertools.takewhile(lambda n: n < end, wy.sublacunary_walk(eps, sq.MAX_MATERIALIZE))
     return list(itertools.islice(below, GRID_LENGTH_CAP)) + [top]
 
 
@@ -126,12 +125,13 @@ def parse_grid(text: str) -> List[int]:
     """Grid specs: "sublacunary:EPS:NMAX" (ends at NMAX), "pow2:A..B",
     "linear:START:STOP:COUNT", or an explicit comma list. Text in none of
     these forms, a spec that gives no N, or an N < 1 raises ValueError, and
-    so does an NMAX or 2**B above the index-count cap or a grid longer than
+    so does a largest N above the index-count cap or a grid longer than
     GRID_LENGTH_CAP, before more than one entry past the cap is built."""
     text = text.strip()
     grid = read_spec(text, _GRID_FORMS, "grid")
     if not grid or grid[0] < 1:
         raise ValueError(f"grid '{text}' must give one or more N, all >= 1")
+    sq.check_index_count(grid[-1])
     _check_grid_length(text, len(grid))
     return grid
 
@@ -212,9 +212,15 @@ class ExperimentConfig:
                 and len(self.functions) != len(self.sequences)):
             raise ValueError(f"{self.kind} needs one sequence per function")
         check_interval(self.x_interval)
-        if not _config_coordinates(self):  # malformed spec text fails here, not per sample
+        if self.x_samples < 1:
+            raise ValueError(f"x_samples must be >= 1, got {self.x_samples}")
+        # malformed specs and out-of-range settings fail here, not per sample
+        k = len(_config_coordinates(self))
+        if not k:
             raise ValueError(f"{self.kind} config has no coordinates")
-        parse_grid(self.n_grid)  # and so does a malformed grid
+        grid = parse_grid(self.n_grid)
+        dc.check_method(self.discrepancy_method, k, grid[-1], self.grid_m)
+        wy.check_frequency_box(k, self.frequency_bound)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
@@ -430,9 +436,10 @@ def decay_csv_rows(fit) -> Tuple[List[str], List[List]]:
     for i, omega in enumerate(fit.directions):
         otext = ";".join(repr(float(c)) for c in omega)
         for j, r in enumerate(fit.radii):
-            flag = "unreliable" if fit.unreliable[i, j] else ""
+            flags = [name for name, on in (("unreliable", fit.unreliable[i, j]),
+                                           ("below noise", fit.below_noise[i, j])) if on]
             rows.append([i, otext, float(r), float(fit.magnitudes[i, j]),
-                         float(fit.errors[i, j]), flag])
+                         float(fit.errors[i, j]), ";".join(flags)])
     if fit.degenerate_direction is not None:
         otext = ";".join(repr(float(c)) for c in fit.degenerate_direction)
         for j, r in enumerate(fit.radii):

@@ -7,9 +7,9 @@ and the derivative-test bounds consume phi = lambda . f directly, with no
 variation per panel is at most a quarter cycle, then applies a 15-point
 Kronrod rule with its embedded 7-point Gauss rule as error estimate, and
 keeps refining the worst panels until the error estimate meets the
-tolerance or the panel cap is hit (in which case the estimate is flagged
-unreliable). Error estimates are numerical diagnostics, not rigorous
-enclosures.
+tolerance or PANEL_CAP panels are in use. The estimate is reliable when
+its error estimate meets the tolerance. Error estimates are numerical
+diagnostics, not rigorous enclosures.
 
 Memory is O(panels) plus one rule block: bisection evaluates the phase
 jet at each level's new midpoints only, and the rule builds the 15 nodes
@@ -75,13 +75,6 @@ class OscillatoryEstimate:
         return abs(self.value)
 
 
-def _as_lambda(lam, k: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    if len(arr) != k:
-        raise ValueError(f"lambda has length {len(arr)}, expected {k}")
-    return arr
-
-
 def _phase_jet(fs: Sequence[ex.Node], lam: np.ndarray, xs: np.ndarray,
                order: int) -> np.ndarray:
     """Rows 0..order of phi = lambda . f at xs; row 0 is the phase itself.
@@ -117,73 +110,66 @@ def _rule(fs: Sequence[ex.Node], lam: np.ndarray, a: np.ndarray,
     return k15, err
 
 
-def _bisect(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Both halves of each panel [a, b]: all left halves, then all right."""
-    mid = 0.5 * (a + b)
-    return np.concatenate([a, mid]), np.concatenate([mid, b])
+def _halve(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray,
+           split: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends of both halves of the panels [lo, hi] that the
+    mask split selects, cut at mid: all left halves, then all right. Works
+    along the last axis, so rows (x, phi, phi') halve together."""
+    lo, mid, hi = (ends.compress(split, axis=-1) for ends in (lo, mid, hi))
+    return np.concatenate([lo, mid], axis=-1), np.concatenate([mid, hi], axis=-1)
 
 
-def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9,
-                 panel_cap: int = PANEL_CAP) -> OscillatoryEstimate:
+def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9) -> OscillatoryEstimate:
     """Adaptive phase-bounded quadrature for int_I e(lambda . f) dx."""
     lo, hi = check_interval(interval)
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
-    lam = _as_lambda(lam, len(fs))
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if len(lam) != len(fs):
+        raise ValueError(f"lambda has length {len(lam)}, expected {len(fs)}")
     width_floor = (hi - lo) * 1e-14
-    reliable = True
 
-    # phase-bounded bisection: each level evaluates the jet at its new
-    # midpoints only; children inherit their ends' phi and phi'
-    a, mid, b = (np.array([x]) for x in (lo, 0.5 * (lo + hi), hi))
-    (pa, pm, pb), (da, dm, db) = (np.split(row, 3) for row in
-                                  _phase_jet(fs, lam, np.concatenate([a, mid, b]), 1))
+    # phase-bounded bisection on the rows (x, phi, phi') at each panel's
+    # ends a, b and midpoint m: each level evaluates the jet at its new
+    # midpoints only, and children inherit their ends' rows. Splitting
+    # stops as a whole once it would pass PANEL_CAP.
+    xs = np.array([lo, 0.5 * (lo + hi), hi])
+    a, m, b = np.split(np.vstack([xs, _phase_jet(fs, lam, xs, 1)]), 3, axis=1)
     done_a, done_b, done = [], [], 0
     while True:
-        var_vals = np.abs(pm - pa) + np.abs(pb - pm)
-        var_simpson = (b - a) / 6.0 * (np.abs(da) + 4.0 * np.abs(dm) + np.abs(db))
-        var = np.maximum(var_vals, var_simpson)
-        ok = (var <= PHASE_VARIATION_PER_PANEL) | (b - a <= width_floor)
-        if done + np.count_nonzero(ok) + 2 * np.count_nonzero(~ok) > panel_cap:
-            reliable = False
+        var_vals = np.abs(m[1] - a[1]) + np.abs(b[1] - m[1])
+        var_simpson = (b[0] - a[0]) / 6.0 * (np.abs(a[2]) + 4.0 * np.abs(m[2]) + np.abs(b[2]))
+        ok = ((np.maximum(var_vals, var_simpson) <= PHASE_VARIATION_PER_PANEL)
+              | (b[0] - a[0] <= width_floor))
+        if done + np.count_nonzero(ok) + 2 * np.count_nonzero(~ok) > PANEL_CAP:
             ok[:] = True
         done += np.count_nonzero(ok)
-        done_a.append(a[ok])
-        done_b.append(b[ok])
-        split = ~ok
-        if not np.any(split):
+        done_a.append(a[0][ok])
+        done_b.append(b[0][ok])
+        if np.all(ok):
             break
-        a, b = (np.concatenate([a[split], mid[split]]),
-                np.concatenate([mid[split], b[split]]))
-        pa, pb = (np.concatenate([pa[split], pm[split]]),
-                  np.concatenate([pm[split], pb[split]]))
-        da, db = (np.concatenate([da[split], dm[split]]),
-                  np.concatenate([dm[split], db[split]]))
-        mid = 0.5 * (a + b)
-        pm, dm = _phase_jet(fs, lam, mid, 1)
-    pa = np.concatenate(done_a)
-    pb = np.concatenate(done_b)
+        a, b = _halve(a, m, b, ~ok)
+        mid = 0.5 * (a[0] + b[0])
+        m = np.vstack([mid, _phase_jet(fs, lam, mid, 1)])
 
-    values, errors = _rule(fs, lam, pa, pb)
-    while float(np.sum(errors)) > tol and len(pa) < panel_cap:
-        cut = max(float(np.max(errors)) * 0.5, tol / (2.0 * len(pa)))
+    # refinement: halve the panels with the largest errors that still fit
+    a, b = np.concatenate(done_a), np.concatenate(done_b)
+    values, errors = _rule(fs, lam, a, b)
+    while float(np.sum(errors)) > tol and len(a) < PANEL_CAP:
+        cut = max(float(np.max(errors)) * 0.5, tol / (2.0 * len(a)))
         split = errors >= cut  # cut <= max(errors): never empty
-        room = panel_cap - len(pa)  # each split adds one panel
+        room = PANEL_CAP - len(a)  # each split adds one panel
         if np.count_nonzero(split) > room:
             split[:] = False
             split[np.argsort(errors)[-room:]] = True
         keep = ~split
-        na, nb = _bisect(pa[split], pb[split])
+        na, nb = _halve(a, 0.5 * (a + b), b, split)
         nv, ne = _rule(fs, lam, na, nb)
-        pa = np.concatenate([pa[keep], na])
-        pb = np.concatenate([pb[keep], nb])
-        values = np.concatenate([values[keep], nv])
-        errors = np.concatenate([errors[keep], ne])
-    err_total = float(np.sum(errors))
-    if err_total > tol:
-        reliable = False
-    return OscillatoryEstimate(lam, (lo, hi), complex(np.sum(values)),
-                               err_total, len(pa), reliable)
+        a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
+        values, errors = np.concatenate([values[keep], nv]), np.concatenate([errors[keep], ne])
+    error = float(np.sum(errors))
+    return OscillatoryEstimate(lam, (lo, hi), complex(np.sum(values)), error, len(a),
+                               error <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +236,21 @@ def vdc_bound_high(f: ex.Node, lam: float, interval, d: int) -> float:
 # ---------------------------------------------------------------------------
 # Decay-exponent fit
 
+MIN_FIT_CELLS = 3
+
 
 @dataclass
 class OscillatoryDecayFit:
     """|int_I e(R * omega . f)| over directions and radii with per-direction
     and pooled log-log fits.
 
-    delta_hat is the minimum per-direction slope magnitude over the
-    sampled directions: a sampled lower-confidence estimate of the true
-    exponent, which depends on vanishing orders a finite sample can miss.
-    Only the fitted intercept is reported for the constant."""
+    A cell whose |I| does not exceed its error estimate is below the
+    quadrature noise and left out of every fit; a direction with fewer
+    than MIN_FIT_CELLS cells above it has NaN slope, intercept and R^2.
+    delta_hat is the minimum slope magnitude over the fitted directions:
+    a sampled lower-confidence estimate of the true exponent, which
+    depends on vanishing orders a finite sample can miss. Only the fitted
+    intercept is reported for the constant."""
 
     directions: List[np.ndarray]
     radii: np.ndarray
@@ -273,6 +264,7 @@ class OscillatoryDecayFit:
     delta_hat: float
     unreliable: np.ndarray        # bool (directions, radii)
     errors: np.ndarray            # quadrature error estimates (directions, radii)
+    below_noise: np.ndarray       # bool (directions, radii): |I| <= error estimate
     degenerate_direction: Optional[np.ndarray] = None
     degenerate_magnitudes: Optional[np.ndarray] = None
 
@@ -294,6 +286,7 @@ def decay_fit(fs: Sequence[ex.Node], interval, radii: Sequence[float],
     function family is linearly dependent, the null direction (restricted
     to the lambda components and normalized) is evaluated separately and
     flagged; along it the phase is constant so the magnitude pins at |I|.
+    A ValueError names the cells below the noise when no direction is fitted.
     """
     k = len(fs)
     radii = np.asarray(sorted(float(r) for r in radii))
@@ -316,21 +309,24 @@ def decay_fit(fs: Sequence[ex.Node], interval, radii: Sequence[float],
             errors[i, j] = est.error
             unreliable[i, j] = not est.reliable
 
+    below = mags <= errors
     logr = np.log(radii)
-    slopes = np.zeros(len(directions))
-    intercepts = np.zeros(len(directions))
-    r2s = np.zeros(len(directions))
-    for i in range(len(directions)):
-        slopes[i], intercepts[i], r2s[i] = _fit_line(
-            logr, np.log(np.maximum(mags[i], 1e-300)))
-    pooled = _fit_line(np.tile(logr, len(directions)),
-                       np.log(np.maximum(mags, 1e-300)).ravel())
-    delta_hat = float(np.min(np.abs(slopes)))
+    fits = np.full((len(directions), 3), np.nan)  # slope, intercept, R^2
+    for i, signal in enumerate(~below):
+        if np.count_nonzero(signal) >= MIN_FIT_CELLS:
+            fits[i] = _fit_line(logr[signal], np.log(mags[i, signal]))
+    fitted = ~np.isnan(fits[:, 0])
+    if not np.any(fitted):
+        cells = "; ".join(f"direction {i} at R = {', '.join(f'{r:g}' for r in radii[row])}"
+                          for i, row in enumerate(below) if np.any(row))
+        raise ValueError(f"no direction has {MIN_FIT_CELLS} cells above the quadrature"
+                         f" noise; |I| <= its error estimate at {cells}")
+    pooled = _fit_line(np.tile(logr, len(directions))[~below.ravel()], np.log(mags[~below]))
+    delta_hat = float(np.min(np.abs(fits[fitted, 0])))
 
-    degen_dir = None
-    degen_mags = None
+    degen_dir = degen_mags = None
     report = ex.check_linear_independence(fs, interval)
-    if report.verdict == "dependent" and report.null_direction is not None:
+    if report.verdict == "dependent":
         lam_part = report.null_direction[1:]
         norm = np.linalg.norm(lam_part)
         if norm > 1e-12:
@@ -338,6 +334,5 @@ def decay_fit(fs: Sequence[ex.Node], interval, radii: Sequence[float],
             degen_mags = np.array([
                 osc_integral(fs, r * degen_dir, interval, tol=tol).magnitude
                 for r in radii])
-    return OscillatoryDecayFit(directions, radii, mags, slopes, intercepts,
-                               r2s, pooled[0], pooled[1], pooled[2], delta_hat,
-                               unreliable, errors, degen_dir, degen_mags)
+    return OscillatoryDecayFit(directions, radii, mags, *fits.T, *pooled, delta_hat,
+                               unreliable, errors, below, degen_dir, degen_mags)

@@ -231,8 +231,10 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
     """
     if N < 8:
         raise ValueError("need N >= 8")
-    if not (eps > 0 and g > 0):
-        raise ValueError("eps and g must be positive")
+    if not (0 < eps < math.inf and 0 < g < math.inf):
+        raise ValueError(f"eps and g must be finite and positive, got eps = {eps}, g = {g}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     ns_all = sq.index_range(N, 2)
     m0 = growth_threshold(ns_all, eps)
     total = int(np.sum(np.maximum(0, N - m0 + 1)))  # m0 may be inf, never NaN

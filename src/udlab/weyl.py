@@ -297,6 +297,20 @@ def prefix_weyl_series(points: np.ndarray, v, grid: Sequence[int]) -> List[compl
     return _one_frequency(points, _check_frequency(v, points.shape[1]), grid)
 
 
+FREQUENCY_BOX_CAP = 1 << 16  # frequencies in the scanned half box
+
+
+def check_frequency_box(dim: int, V: int) -> None:
+    """Refuse V < 1, or a box whose half, ((2V+1)^dim - 1)/2 frequencies,
+    is more than FREQUENCY_BOX_CAP, by arithmetic alone."""
+    if V < 1:
+        raise ValueError(f"need frequency bound V >= 1, got V = {V}")
+    half = ((2 * V + 1) ** dim - 1) // 2
+    if half > FREQUENCY_BOX_CAP:
+        raise ValueError(f"frequency box |v| <= {V} in {dim} dimensions has {half}"
+                         f" frequencies up to sign, more than the cap of {FREQUENCY_BOX_CAP}")
+
+
 def frequency_box(dim: int, V: int):
     """Nonzero integer vectors with sup-norm <= V, in lexicographic order."""
     for v in itertools.product(range(-V, V + 1), repeat=dim):
@@ -315,8 +329,7 @@ def max_weyl_series(points: np.ndarray, V: int, grid: Sequence[int]
     second half holds their negations, and |F_N(-v)| == |F_N(v)| exactly,
     so none of it can improve strictly on its earlier partner.
     """
-    if V < 1:
-        raise ValueError("need V >= 1")
+    check_frequency_box(points.shape[1], V)
     box = list(frequency_box(points.shape[1], V))
     box = box[:len(box) // 2]
     best = np.full(len(grid), -1.0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udlab import discrepancy as dc
 from udlab import expr as ex
 from udlab import sequences as sq
 from udlab import weyl as wy
@@ -159,6 +160,32 @@ class TestTwoDimensional:
             star_discrepancy_kd(rng.random((10, 3)), "exact")
         with pytest.raises(ValueError):
             star_discrepancy_kd(rng.random((5000, 2)), "exact")
+
+    @pytest.mark.parametrize("method, dim, top, m, message", [
+        ("grid", 2, 100, 20000, r"m\^k = 20000\^2 corners is more than the cap of 16777216"),
+        ("grid", 3, 100, 3000, r"m\^k = 3000\^3 corners is more than the cap"),
+        ("grid", 2, 100, 4097, r"m\^k = 4097\^2 corners"),
+        ("grid", 3, 100, 257, r"m\^k = 257\^3 corners"),
+        ("grid", 2, 100, 1, "need m >= 2 grid cells per axis, got m = 1"),
+        ("bogus", 2, 100, None, "unknown method 'bogus'"),
+        ("exact", 3, 100, None, "exact method supports k <= 2 only, got k = 3"),
+        ("exact", 2, 5000, None, "exact 2-d method capped at N = 4096, got N = 5000"),
+    ])
+    def test_method_refused_before_any_point(self, method, dim, top, m, message, monkeypatch):
+        # the lattice builds m^k corners per prefix: --m 20000 at k = 2 was
+        # still running after 20 s, --m 3000 at k = 3 after 10 s
+        gen = wy.PointGenerator([wy.ProductCoord(sq.identity(), ex.parse_expr("x"), 0.3)] * dim)
+
+        def no_points(self, indices):
+            raise AssertionError("points made before the method was checked")
+        monkeypatch.setattr(wy.PointGenerator, "fracs", no_points)
+        with pytest.raises(ValueError, match=message):
+            ud_trend(gen, [10, top], method, m)
+
+    def test_lattice_corner_cap_is_inclusive(self):
+        assert dc.check_method("grid", 2, 100, 4096) == ("grid", 4096)
+        assert dc.check_method("grid", 3, 100, 256) == ("grid", 256)
+        assert dc.check_method("auto", 3, 100) == ("grid", dc.GRID_M_DEFAULT_3D)
 
 
 class TestThreeDimensionalGrid:

@@ -280,10 +280,6 @@ class TestIndependence:
              ex.parse_expr("0.001*sin(x)")], (0, 2)).verdict
         assert base == perm == scaled == "independent"
 
-    def test_sample_count_precondition(self):
-        with pytest.raises(ValueError):
-            ex.check_linear_independence([ex.parse_expr("x")], (0, 1), m=3)
-
     def test_non_finite_samples_refused_before_the_svd(self):
         # exp(exp(x)) overflows on [6, 7]; the SVD used to fail on inf columns
         # with numpy's "SVD did not converge", naming no function

@@ -47,6 +47,8 @@ class TestGridAndGeneratorSpecs:
         ("sublacunary:0.5:100000000", "refusing to materialize 100000000 indices"),
         (f"pow2:0..{10 ** 12}", "refusing to materialize"),
         ("pow2:20..27", f"refusing to materialize {2 ** 27} indices"),
+        ("10,100000000", "refusing to materialize 100000000 indices"),
+        ("linear:1:100000000:3", "refusing to materialize 100000000 indices"),
     ])
     def test_grid_past_cap_is_refused_before_it_is_built(self, spec, message):
         # the first used to search r one step at a time for about 13.8^100
@@ -402,6 +404,34 @@ class TestCli:
         self.assert_usage_error(["experiment", "--config", str(cfg_path),
                                  "--out", str(tmp_path)], capsys)
         assert os.listdir(tmp_path) == ["cfg.json"]  # refused before any output
+
+    @pytest.mark.parametrize("change, message", [
+        ({"n_grid": "10,100000000"}, "refusing to materialize 100000000 indices"),
+        ({"frequency_bound": 0}, "need frequency bound V >= 1, got V = 0"),
+        ({"frequency_bound": 200}, "has 80400 frequencies up to sign, more than the cap"),
+        ({"grid_m": 1}, "need m >= 2 grid cells per axis, got m = 1"),
+        ({"grid_m": 5000}, "m^k = 5000^2 corners is more than the cap"),
+        ({"discrepancy_method": "bogus"}, "unknown method 'bogus'"),
+        ({"discrepancy_method": "exact", "functions": ["x"] * 3,
+          "sequences": ["identity"] * 3}, "exact method supports k <= 2 only, got k = 3"),
+        ({"discrepancy_method": "exact", "n_grid": "100,5000"},
+         "exact 2-d method capped at N = 4096, got N = 5000"),
+        ({"x_samples": 0}, "x_samples must be >= 1, got 0"),
+    ], ids=["index-cap", "no-frequencies", "frequency-box-cap", "m-below-2", "lattice-cap",
+            "unknown-method", "exact-3d", "exact-2d-past-4096", "no-samples"])
+    def test_out_of_range_config_exits_2_at_load(self, change, message, tmp_path, capsys,
+                                                 monkeypatch):
+        # each used to fail on every sample and exit 3 with five outputs
+        # (x_samples 0: exit 0 with empty outputs)
+        def no_sample(self, coords):
+            raise AssertionError("a sample was built before the config was checked")
+        monkeypatch.setattr(wy.PointGenerator, "__init__", no_sample)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**small_config().to_dict(), **change}))
+        err = self.assert_usage_error(["experiment", "--config", str(cfg_path),
+                                       "--out", str(tmp_path)], capsys)
+        assert message in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("argv", [
         ["weylsum", "--gen", "x=0.3; prod:power:eps=200|x", "--v", "1", "--grid", "10,100"],

@@ -8,6 +8,7 @@ import pytest
 
 from udlab import cli
 from udlab import expr as ex
+from udlab import lab
 from udlab import oscillatory as osc
 from udlab.oscillatory import (decay_fit, osc_integral, vdc_bound_first,
                                vdc_bound_high, vdc_constant)
@@ -61,13 +62,22 @@ class TestOscIntegral:
         with pytest.raises(ValueError):
             osc_integral([X], [1.0, 2.0], (0, 1))
 
-    def test_panel_cap_flags_unreliable(self):
+    def test_panel_cap_flags_unreliable(self, monkeypatch):
         # x^2 at 2000 meets the 64 cap while bisecting, 256 and 1024 while refining
         cases = [(X, 5000.0, 64), (X2, 2000.0, 64), (X2, 2000.0, 256), (X2, 2000.0, 1024)]
         for f, lam, panel_cap in cases:
-            est = osc_integral([f], [lam], (0, 1), tol=1e-12, panel_cap=panel_cap)
+            monkeypatch.setattr(osc, "PANEL_CAP", panel_cap)
+            est = osc_integral([f], [lam], (0, 1), tol=1e-12)
             assert not est.reliable
             assert est.panels <= panel_cap
+
+    def test_reliable_is_the_error_test_alone(self, monkeypatch):
+        # bisection stops at the 200 cap, then refinement meets tol with
+        # 140 panels; the bisection's stop used to flag this unreliable
+        monkeypatch.setattr(osc, "PANEL_CAP", 200)
+        est = osc_integral([X2], [50.0], (0, 1), tol=1e-12)
+        assert est.panels == 140 and est.error <= 1e-12
+        assert est.reliable
 
     def test_error_estimate_tracks_truth(self):
         est = osc_integral([X2], [17.0], (0, 1), tol=1e-10)
@@ -132,8 +142,8 @@ class TestStreamedRule:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(osc, "_RULE_BLOCK", block)
                 mp.setattr(osc, "_rule", counting_rule)
-                est = osc_integral([ex.parse_expr(text)], [lam], interval, tol=tol,
-                                   panel_cap=panel_cap)
+                mp.setattr(osc, "PANEL_CAP", panel_cap)
+                est = osc_integral([ex.parse_expr(text)], [lam], interval, tol=tol)
             assert len(rule_calls) == rounds
             results.append((est.value, est.error, est.panels, est.reliable))
         assert results[0] == results[1] == results[2]
@@ -296,6 +306,50 @@ class TestDecayFit:
         ratio = fit.degenerate_direction / expect
         assert np.allclose(ratio, ratio[0], atol=1e-8)
         assert np.all(np.abs(fit.degenerate_magnitudes - 1.0) <= 1e-9)
+        # 2R is an odd integer, so int_0^1 e(R(2x+1)) dx = 0: direction
+        # (0, 1) is all rounding noise, and its slope of +0.503 used to
+        # set delta_hat
+        assert np.array_equal(fit.directions[1], [0, 1])
+        assert np.all(fit.below_noise[1]) and not np.any(fit.below_noise[[0, 2]])
+        assert np.isnan(fit.slopes[1]) and np.isnan(fit.r_squared[1])
+        assert fit.delta_hat == pytest.approx(1.0, abs=1e-6)
+
+    def test_cells_below_the_noise_are_left_out(self, capsys):
+        # R = geomspace(2, 64, 6) is whole to within an ulp, where
+        # int_1^2 e(Rx) dx = 0: direction (1, 0) fits noise alone, and its
+        # slope of 0.584 used to set delta_hat (pooled R^2 0.0016)
+        argv = ["oscdecay", "--f", "x;x^2", "--interval", "1,2", "--radii", "geom:2:64:6",
+                "--dirs", "3"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "# direction 0: 6 of 6 cells below the quadrature noise; no slope fitted" in out
+        fit = decay_fit([X, X2], (1, 2), cli._parse_radii("geom:2:64:6"), 3)
+        assert np.all(fit.below_noise[0]) and not np.any(fit.below_noise[1:])
+        assert np.isnan(fit.slopes[0]) and np.isnan(fit.intercepts[0])
+        assert fit.delta_hat == pytest.approx(0.998, abs=1e-3)
+        assert fit.delta_hat == float(np.min(np.abs(fit.slopes[1:])))
+        assert f"# delta_hat={fit.delta_hat:.4f}" in out
+        flags = [row[-1] for row in lab.decay_csv_rows(fit)[1]]
+        assert flags == ["below noise"] * 6 + [""] * 12
+
+    def test_unreliable_and_below_noise_flags_join(self, monkeypatch):
+        monkeypatch.setattr(osc, "PANEL_CAP", 8)
+        fit = decay_fit([X, X2], (0, 1), [1, 2, 3, 4, 5, 6], 2, tol=1e-12)
+        flags = [row[-1] for row in lab.decay_csv_rows(fit)[1]]
+        assert flags == (["below noise"] * 4 + ["unreliable;below noise"] * 2
+                         + [""] * 2 + ["unreliable"] * 4)
+        assert np.isnan(fit.slopes[0]) and fit.delta_hat == abs(fit.slopes[1])
+
+    def test_noise_alone_is_refused(self, capsys):
+        # int_0^1 e(Rx) dx = 0 at whole R; this printed delta_hat=0.4843
+        with pytest.raises(ValueError, match="no direction has 3 cells above the quadrature"
+                           " noise.*direction 0 at R = 1, 2, 3, 4, 5, 6"):
+            decay_fit([X], (0, 1), [1, 2, 3, 4, 5, 6], 1)
+        code = cli.main(["oscdecay", "--f", "x", "--interval", "0,1",
+                         "--radii", "1,2,3,4,5,6", "--dirs", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: no direction has 3 cells")
 
     def test_axis_directions_come_first(self):
         fit = decay_fit([X, X2], (1, 2), HALF_POW2_RADII, 4, seed=0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -167,6 +168,20 @@ class TestGrowthCheck:
             weyl_growth_check(IDENTITY, 4, 1.0, 1.0)
         with pytest.raises(ValueError):
             weyl_growth_check(IDENTITY, 100, -1.0, 1.0)
+
+    @pytest.mark.parametrize("eps, g, budget, message", [
+        (math.inf, 0.3, 10, "eps and g must be finite and positive, got eps = inf, g = 0.3"),
+        (0.4, math.inf, 10, "got eps = 0.4, g = inf"),
+        (math.nan, 0.3, 10, "got eps = nan"),
+        (0.4, 0.3, -5, "budget must be >= 0, got -5"),
+    ])
+    def test_out_of_range_parameters_refused_before_any_value(self, eps, g, budget, message):
+        # --eps inf printed "verdict: pass", --g inf a witness, and
+        # --budget -5 "sampled (88 pairs)"
+        def no_values(n):
+            raise AssertionError("sequence evaluated before the parameters were checked")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            weyl_growth_check(no_values, 10 ** 4, eps, g, budget=budget)
 
 
 def nan_at_five(n):

@@ -183,6 +183,21 @@ class TestOverIndexSets:
 
 
 class TestMaxWeylSum:
+    def test_frequency_box_past_cap_is_refused_before_it_is_built(self, monkeypatch):
+        # V = 40 at k = 3 (531,440 frequencies) took 11 s and 126 MB on 16 points
+        def no_box(dim, V):
+            raise AssertionError("box built before it was checked")
+        monkeypatch.setattr(wy, "frequency_box", no_box)
+        points = np.zeros((16, 3))
+        with pytest.raises(ValueError, match="box \\|v\\| <= 40 in 3 dimensions has 265720"
+                           " frequencies up to sign, more than the cap of 65536"):
+            wy.max_weyl_series(points, 40, [16])
+        with pytest.raises(ValueError, match="need frequency bound V >= 1, got V = 0"):
+            wy.max_weyl_series(points, 0, [16])
+        wy.check_frequency_box(2, 180)  # 65160 frequencies up to sign
+        with pytest.raises(ValueError, match="has 65884 frequencies"):
+            wy.check_frequency_box(2, 181)
+
     def test_zero_sequence_tie_break(self):
         gen = wy.PointGenerator([wy.ProductCoord(sq.identity(), ZERO, 0.4),
                                  wy.ProductCoord(sq.identity(), ZERO, 0.4)])
