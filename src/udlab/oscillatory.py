@@ -11,9 +11,12 @@ tolerance or PANEL_CAP panels are in use. The estimate is reliable when
 its error estimate meets the tolerance. Error estimates are numerical
 diagnostics, not rigorous enclosures.
 
-Memory is O(panels) plus one rule block: bisection evaluates the phase
-jet at each level's new midpoints only, and the rule builds the 15 nodes
-of _RULE_BLOCK panels at a time.
+Memory is about 60 bytes per final panel at the peak, in the bisection
+(15 MiB at 262,160 panels): a level keeps only its panel ends, as rows
+(x, phi, phi'), and evaluates midpoint jets and the variation test
+_RULE_BLOCK panels at a time. No bisection array is alive while the rule
+runs; it needs 40 bytes per panel (ends, value and error) plus the 15
+nodes of one block of _RULE_BLOCK panels.
 """
 
 from __future__ import annotations
@@ -110,13 +113,49 @@ def _rule(fs: Sequence[ex.Node], lam: np.ndarray, a: np.ndarray,
     return k15, err
 
 
-def _halve(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray,
-           split: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Lower and upper ends of both halves of the panels [lo, hi] that the
-    mask split selects, cut at mid: all left halves, then all right. Works
-    along the last axis, so rows (x, phi, phi') halve together."""
-    lo, mid, hi = (ends.compress(split, axis=-1) for ends in (lo, mid, hi))
-    return np.concatenate([lo, mid], axis=-1), np.concatenate([mid, hi], axis=-1)
+def _bisect(fs: Sequence[ex.Node], lam: np.ndarray, lo: float,
+            hi: float) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Ends a, b of each level's done panels in the phase-bounded bisection
+    of [lo, hi], one array per level. Splitting stops as a whole once it
+    would pass PANEL_CAP.
+
+    A level's panels are the left halves, then the right halves, of the
+    panels split at the level before. Their end rows (x, phi, phi') lie in
+    one array E = [A | M | B] of the split panels' lower ends, midpoints
+    and upper ends, so the n lower ends are E[:, :n] and the upper ends
+    E[:, -n:]. Midpoint jets and the variation test run _RULE_BLOCK panels
+    at a time and are not kept: filling the next E evaluates the jets of
+    the midpoints that split again.
+    """
+    width_floor = (hi - lo) * 1e-14
+    xs = np.array([lo, 0.5 * (lo + hi), hi])  # a refusal names the leftmost bad x
+    E = np.vstack([xs, _phase_jet(fs, lam, xs, 1)])[:, ::2]
+    n, done, done_a, done_b = 1, 0, [], []
+    while True:
+        a, b, ok = E[:, :n], E[:, -n:], np.empty(n, dtype=bool)
+        for i in range(0, n, _RULE_BLOCK):
+            (xa, pa, da), (xb, pb, db) = a[:, i:i + _RULE_BLOCK], b[:, i:i + _RULE_BLOCK]
+            pm, dm = _phase_jet(fs, lam, 0.5 * (xa + xb), 1)
+            var = np.maximum(np.abs(pm - pa) + np.abs(pb - pm),
+                             (xb - xa) / 6.0 * (np.abs(da) + 4.0 * np.abs(dm) + np.abs(db)))
+            ok[i:i + len(xa)] = (var <= PHASE_VARIATION_PER_PANEL) | (xb - xa <= width_floor)
+        s = n - np.count_nonzero(ok)
+        if done + n + s > PANEL_CAP:
+            ok[:], s = True, 0
+        done += n - s
+        done_a.append(a[0][ok])
+        done_b.append(b[0][ok])
+        if s == 0:
+            return done_a, done_b
+        E_next, split = np.empty((3, 3 * s)), ~ok
+        for row in range(3):  # row by row: one temporary of s values
+            E_next[row, :s] = a[row][split]
+            E_next[row, 2 * s:] = b[row][split]
+        for i in range(s, 2 * s, _RULE_BLOCK):
+            j = min(i + _RULE_BLOCK, 2 * s)
+            E_next[0, i:j] = 0.5 * (E_next[0, i - s:j - s] + E_next[0, i + s:j + s])
+            E_next[1:, i:j] = _phase_jet(fs, lam, E_next[0, i:j], 1)
+        E, n = E_next, 2 * s
 
 
 def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9) -> OscillatoryEstimate:
@@ -127,33 +166,9 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9) -> Osc
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if len(lam) != len(fs):
         raise ValueError(f"lambda has length {len(lam)}, expected {len(fs)}")
-    width_floor = (hi - lo) * 1e-14
-
-    # phase-bounded bisection on the rows (x, phi, phi') at each panel's
-    # ends a, b and midpoint m: each level evaluates the jet at its new
-    # midpoints only, and children inherit their ends' rows. Splitting
-    # stops as a whole once it would pass PANEL_CAP.
-    xs = np.array([lo, 0.5 * (lo + hi), hi])
-    a, m, b = np.split(np.vstack([xs, _phase_jet(fs, lam, xs, 1)]), 3, axis=1)
-    done_a, done_b, done = [], [], 0
-    while True:
-        var_vals = np.abs(m[1] - a[1]) + np.abs(b[1] - m[1])
-        var_simpson = (b[0] - a[0]) / 6.0 * (np.abs(a[2]) + 4.0 * np.abs(m[2]) + np.abs(b[2]))
-        ok = ((np.maximum(var_vals, var_simpson) <= PHASE_VARIATION_PER_PANEL)
-              | (b[0] - a[0] <= width_floor))
-        if done + np.count_nonzero(ok) + 2 * np.count_nonzero(~ok) > PANEL_CAP:
-            ok[:] = True
-        done += np.count_nonzero(ok)
-        done_a.append(a[0][ok])
-        done_b.append(b[0][ok])
-        if np.all(ok):
-            break
-        a, b = _halve(a, m, b, ~ok)
-        mid = 0.5 * (a[0] + b[0])
-        m = np.vstack([mid, _phase_jet(fs, lam, mid, 1)])
-
-    # refinement: halve the panels with the largest errors that still fit
-    a, b = np.concatenate(done_a), np.concatenate(done_b)
+    # phase-bounded bisection, then refinement: halve the panels with the
+    # largest errors that still fit
+    a, b = map(np.concatenate, _bisect(fs, lam, lo, hi))
     values, errors = _rule(fs, lam, a, b)
     while float(np.sum(errors)) > tol and len(a) < PANEL_CAP:
         cut = max(float(np.max(errors)) * 0.5, tol / (2.0 * len(a)))
@@ -162,8 +177,9 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9) -> Osc
         if np.count_nonzero(split) > room:
             split[:] = False
             split[np.argsort(errors)[-room:]] = True
-        keep = ~split
-        na, nb = _halve(a, 0.5 * (a + b), b, split)
+        keep, sa, sb = ~split, a[split], b[split]
+        mid = 0.5 * (sa + sb)  # all left halves, then all right
+        na, nb = np.concatenate([sa, mid]), np.concatenate([mid, sb])
         nv, ne = _rule(fs, lam, na, nb)
         a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
         values, errors = np.concatenate([values[keep], nv]), np.concatenate([errors[keep], ne])

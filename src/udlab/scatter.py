@@ -237,7 +237,8 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
         raise ValueError(f"budget must be >= 0, got {budget}")
     ns_all = sq.index_range(N, 2)
     m0 = growth_threshold(ns_all, eps)
-    total = int(np.sum(np.maximum(0, N - m0 + 1)))  # m0 may be inf, never NaN
+    per_row = np.maximum(0, N - m0 + 1)  # m0 may be inf, never NaN
+    total = int(np.sum(per_row))
     diff = _pair_diffs(a, 2, N)
 
     def scan(ns: np.ndarray, ms: np.ndarray, mask=True) -> Optional[Tuple[int, int]]:
@@ -253,20 +254,20 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
         return int(ns.flat[i]), int(ms.flat[i])
 
     if total <= budget:
-        checked = 0
-        for lo in range(0, len(ns_all), 128):
-            rows = ns_all[lo:lo + 128]
-            row_m0 = m0[lo:lo + 128]
-            start = int(np.min(row_m0[np.isfinite(row_m0)], initial=N + 1))
-            if start > N:
-                continue
-            cols = np.arange(start, N + 1, dtype=np.int64)
-            mask = cols[None, :] >= row_m0[:, None]
-            wit = scan(rows[:, None], cols[None, :], mask)
-            checked += int(np.count_nonzero(mask))
+        # row blocks of about _BLOCK_ELEMENTS pairs from the smallest m0 on;
+        # a fail counts the constrained pairs up to its witness, row by row
+        first = np.minimum.accumulate(m0[::-1])[::-1]
+        lo = 0
+        while lo < len(ns_all) and first[lo] <= N:
+            cols = np.arange(int(first[lo]), N + 1, dtype=np.int64)
+            hi = lo + max(1, _BLOCK_ELEMENTS // len(cols))
+            wit = scan(ns_all[lo:hi, None], cols[None, :], cols[None, :] >= m0[lo:hi, None])
             if wit is not None:
+                n, m = wit
+                checked = int(np.sum(per_row[:n - 2])) + m - int(m0[n - 2]) + 1
                 return GrowthReport(eps, g, N, "fail", wit, "exhaustive", checked)
-        return GrowthReport(eps, g, N, "pass", None, "exhaustive", checked)
+            lo = hi
+        return GrowthReport(eps, g, N, "pass", None, "exhaustive", total)
 
     # boundary pairs first
     sel = np.isfinite(m0) & (m0 <= N)

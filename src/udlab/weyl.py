@@ -300,15 +300,16 @@ def prefix_weyl_series(points: np.ndarray, v, grid: Sequence[int]) -> List[compl
 FREQUENCY_BOX_CAP = 1 << 16  # frequencies in the scanned half box
 
 
-def check_frequency_box(dim: int, V: int) -> None:
+def check_frequency_box(dim: int, V: int) -> int:
     """Refuse V < 1, or a box whose half, ((2V+1)^dim - 1)/2 frequencies,
-    is more than FREQUENCY_BOX_CAP, by arithmetic alone."""
+    is more than FREQUENCY_BOX_CAP, by arithmetic alone; return that half."""
     if V < 1:
         raise ValueError(f"need frequency bound V >= 1, got V = {V}")
     half = ((2 * V + 1) ** dim - 1) // 2
     if half > FREQUENCY_BOX_CAP:
         raise ValueError(f"frequency box |v| <= {V} in {dim} dimensions has {half}"
                          f" frequencies up to sign, more than the cap of {FREQUENCY_BOX_CAP}")
+    return half
 
 
 def frequency_box(dim: int, V: int):
@@ -329,9 +330,8 @@ def max_weyl_series(points: np.ndarray, V: int, grid: Sequence[int]
     second half holds their negations, and |F_N(-v)| == |F_N(v)| exactly,
     so none of it can improve strictly on its earlier partner.
     """
-    check_frequency_box(points.shape[1], V)
-    box = list(frequency_box(points.shape[1], V))
-    box = box[:len(box) // 2]
+    half = check_frequency_box(points.shape[1], V)
+    box = list(itertools.islice(frequency_box(points.shape[1], V), half))
     best = np.full(len(grid), -1.0)
     best_k = np.zeros(len(grid), dtype=np.int64)
     for k, f in enumerate(_weyl_means(points, np.array(box), grid)):

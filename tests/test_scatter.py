@@ -163,6 +163,22 @@ class TestGrowthCheck:
         n, m = rep.witness
         assert ev.abs_diff(n, m) <= 0.5
 
+    @pytest.mark.parametrize("spec,eps,g,verdict", [(sq.identity(), 1.0, 0.5, "pass"),
+                                                    (sq.log_power(1.5), 0.3, 0.5, "fail")])
+    def test_block_size_invariance(self, monkeypatch, spec, eps, g, verdict):
+        a, N, reports = sq.make_sequence(spec), 300, []
+        for block in (1, 1000, sc._BLOCK_ELEMENTS):
+            monkeypatch.setattr(sc, "_BLOCK_ELEMENTS", block)
+            reports.append(weyl_growth_check(a, N, eps, g))
+        assert reports[0] == reports[1] == reports[2]
+        rep = reports[0]
+        assert rep.verdict == verdict and rep.coverage == "exhaustive"
+        # the constrained pairs up to and including the witness, row by row
+        last = rep.witness or (N, N)
+        assert rep.pairs_checked == sum(
+            1 for n in range(2, N + 1) for m in range(n + 1, N + 1)
+            if m > n + n / math.log(n) ** (1 + eps) and (n, m) <= last)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             weyl_growth_check(IDENTITY, 4, 1.0, 1.0)
