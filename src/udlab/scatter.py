@@ -23,7 +23,7 @@ from .numerics import derive_seed, unit_directions
 
 EXACT_CUTOFF = 1 << 13  # beyond this many terms, auto mode switches to buckets
 BUCKET_ETA_DEFAULT = 0.01
-_BLOCK_ELEMENTS = 1 << 17  # doubles per row block of the exact sum, cache-sized
+_BLOCK_ELEMENTS = 1 << 17  # pairs per block of the exact sum and the growth scan, cache-sized
 
 
 @dataclass(frozen=True)
