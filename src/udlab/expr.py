@@ -30,11 +30,11 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numerics import chebyshev_nodes, check_interval
+from .numerics import chebyshev_nodes, check_interval, dd_add, dd_mul
 
 JET_ORDER_CAP = 16
 
@@ -477,6 +477,55 @@ def _func_jet(node: Func, u: list, d: int) -> list:
             w.append(reduce(operator.sub, terms, u[j]) / (2.0 * w[0]))
         return w
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# ---------------------------------------------------------------------------
+# Polynomial trees in double-double
+
+
+def polynomial_degree(node: Node) -> Optional[int]:
+    """Degree of a polynomial tree, or None for any other tree. A polynomial
+    tree is built from Var, Add, Sub, Mul and PowInt with an exponent >= 0
+    over subtrees free of the variable, which have degree 0. The degree is
+    structural: x^2 - x^2 has degree 2."""
+    if not _contains_var(node):
+        return 0
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, PowInt) and node.exponent >= 0:
+        d = polynomial_degree(node.base)
+        return None if d is None else d * node.exponent
+    if type(node) in (Add, Sub, Mul):
+        left, right = polynomial_degree(node.left), polynomial_degree(node.right)
+        if left is None or right is None:
+            return None
+        return left + right if isinstance(node, Mul) else max(left, right)
+    return None
+
+
+def evaluate_dd(node: Node, x: np.ndarray) -> Tuple:
+    """A polynomial tree (see polynomial_degree) at x in double-double: a
+    pair (hi, lo) whose sum carries about 104 bits, from Dekker products and
+    two-sums. Subtrees free of the variable enter as their double value."""
+    if not _contains_var(node):
+        return _jet(node, x, 0)[0], 0.0
+    if isinstance(node, Var):
+        return x, 0.0
+    if isinstance(node, PowInt):
+        base, m, w = evaluate_dd(node.base, x), node.exponent, (1.0, 0.0)
+        while m:  # binary exponentiation
+            if m & 1:
+                w = dd_mul(w, base)
+            m >>= 1
+            if m:
+                base = dd_mul(base, base)
+        return w
+    left, right = evaluate_dd(node.left, x), evaluate_dd(node.right, x)
+    if isinstance(node, Mul):
+        return dd_mul(left, right)
+    if isinstance(node, Sub):
+        right = (-right[0], -right[1])
+    return dd_add(left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -219,8 +219,12 @@ class ExperimentConfig:
         if not k:
             raise ValueError(f"{self.kind} config has no coordinates")
         grid = parse_grid(self.n_grid)
-        dc.check_method(self.discrepancy_method, k, grid[-1], self.grid_m)
+        method, m = dc.check_method(self.discrepancy_method, k, grid[-1], self.grid_m)
         wy.check_frequency_box(k, self.frequency_bound)
+        limit = self.dstar_final_max
+        if method == "grid" and limit is not None and k / m >= limit:
+            raise ValueError(f"the lattice bound k/m = {k}/{m} is at least dstar_final_max ="
+                             f" {limit!r}, so no sample could pass")
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
@@ -322,23 +326,32 @@ def _run_sample(config: ExperimentConfig, grid: List[int], index: int) -> Sample
             mags, argmax = max_weyl_series(points, config.frequency_bound, grid)
         passed = None
         if config.dstar_final_max is not None:
-            passed = rep.final_value() <= config.dstar_final_max
+            passed = _passes(rep.final_value(), rep.error_bounds[-1], config.dstar_final_max)
         return SampleResult(index, x, rep, mags, argmax, passed)
     except (ValueError, ex.DomainError) as err:
         return SampleResult(index, x, None, [], [], None, error=str(err))
+
+
+def _passes(value: float, bound: float, limit: float) -> bool:
+    """The one verdict rule for a D* value with additive error bound (k/m
+    on the lattice, 0 if exact): the true D* lies in [value, value + bound],
+    so the value passes only when value + bound <= limit."""
+    return value + bound <= limit
 
 
 def _threshold_verdict(config: ExperimentConfig, samples: Sequence[SampleResult],
                        dstar_median: Sequence[float]
                        ) -> Tuple[Optional[float], Optional[str]]:
     """Pass fraction and verdict: "pass" needs min_pass_fraction of all
-    samples to have passed (final D* <= dstar_final_max), and the median
-    too. (None, None) when no threshold is set or no sample succeeded."""
+    samples to have passed, and the median too, each by `_passes` with the
+    final error bound. (None, None) when no threshold is set or no sample
+    succeeded."""
     limit = config.dstar_final_max
     if limit is None or not dstar_median:
         return None, None
+    bound = max(s.discrepancy.error_bounds[-1] for s in samples if s.error is None)
     fraction = sum(1 for s in samples if s.passed) / len(samples)
-    ok = fraction >= config.min_pass_fraction and dstar_median[-1] <= limit
+    ok = fraction >= config.min_pass_fraction and _passes(dstar_median[-1], bound, limit)
     return fraction, "pass" if ok else "fail"
 
 

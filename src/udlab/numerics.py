@@ -89,6 +89,27 @@ def two_prod(a, b):
     return p, err
 
 
+def two_sum(a, b):
+    """Knuth's two-sum: returns (s, err) with a + b == s + err exactly, for
+    any finite a and b. Works elementwise on arrays."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def dd_add(u, v):
+    """Sum of two double-double pairs (hi, lo), renormalised."""
+    s, e = two_sum(u[0], v[0])
+    return two_sum(s, e + (u[1] + v[1]))
+
+
+def dd_mul(u, v):
+    """Product of two double-double pairs (hi, lo), renormalised; within
+    the split range of two_prod."""
+    p, e = two_prod(u[0], v[0])
+    return two_sum(p, e + (u[0] * v[1] + u[1] * v[0]))
+
+
 def frac_product(a, b):
     """Fractional part of a*b in [0, 1), computed in double-double so the
     low bits survive even when |a*b| is far beyond 2**40."""

@@ -4,19 +4,36 @@ bounds, and the empirical decay-exponent fit.
 Phase convention: e(t) = exp(2*pi*i*t), so phases are measured in cycles
 and the derivative-test bounds consume phi = lambda . f directly, with no
 2*pi factors. The quadrature bisects panels until the estimated phase
-variation per panel is at most a quarter cycle, then applies a 15-point
-Kronrod rule with its embedded 7-point Gauss rule as error estimate, and
-keeps refining the worst panels until the error estimate meets the
-tolerance or PANEL_CAP panels are in use. The estimate is reliable when
-its error estimate meets the tolerance. Error estimates are numerical
-diagnostics, not rigorous enclosures.
+variation per panel is within a bound, applies a Gauss-Kronrod pair to
+each panel, and keeps refining the worst panels until the error estimate
+meets the tolerance or PANEL_CAP panels are in use. The expression trees
+alone pick the bound and the pair:
+
+* Polynomial phases, where every f with lambda_i != 0 is built from x,
+  +, -, * and integer powers >= 0 over subtrees free of x (degree d at
+  most JET_ORDER_CAP): panels of up to two cycles and the 31-point
+  Kronrod rule with its embedded 15-point Gauss rule. Each node's phase
+  is t(mid) mod 1, from a double-double evaluation of the trees, plus the
+  degree-d Taylor offset from the panel midpoint, so the rounding of a
+  large t(mid) never reaches the nodes. The error estimate is
+  |K31 - G15| plus a rounding floor 2u per unit of length (u = 2^-53).
+* Every other phase: quarter-cycle panels and the 15-point Kronrod rule
+  with its embedded 7-point Gauss rule, each node's phase evaluated on
+  its own.
+
+The estimate is reliable when its error estimate meets the tolerance.
+It also carries its rounding noise 2 pi u int |lambda . f|: the
+first-order change of the integral under a relative rounding u of the
+phase, which no quadrature of the double inputs can resolve. Error
+estimates and noise are numerical diagnostics, not rigorous enclosures.
 
 Memory is about 60 bytes per final panel at the peak, in the bisection
-(15 MiB at 262,160 panels): a level keeps only its panel ends, as rows
+(15 MiB at 262,146 panels): a level keeps only its panel ends, as rows
 (x, phi, phi'), and evaluates midpoint jets and the variation test
 _RULE_BLOCK panels at a time. No bisection array is alive while the rule
-runs; it needs 40 bytes per panel (ends, value and error) plus the 15
-nodes of one block of _RULE_BLOCK panels.
+runs; it needs 48 bytes per panel (ends, value, error and noise) plus a
+few arrays over the nodes of one block of _RULE_BLOCK panels, about
+2 MiB for the 31-point rule.
 """
 
 from __future__ import annotations
@@ -28,34 +45,54 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .numerics import check_interval, e_phase, unit_directions
+from .numerics import check_interval, dd_add, dd_mul, e_phase, two_sum, unit_directions
 
 PANEL_CAP = 1 << 20
 R_MAX = 1 << 16
-PHASE_VARIATION_PER_PANEL = 0.25  # cycles
+PHASE_VARIATION_PER_PANEL = 0.25  # cycles, general phases
+POLY_VARIATION_PER_PANEL = 2.0  # cycles, polynomial phases
 TOL_MIN, TOL_MAX = 1e-12, 1e-4
-_RULE_BLOCK = 1 << 12  # panels per rule block: 61k nodes, about 1 MB complex
+_RULE_BLOCK = 1 << 11  # panels per rule block: 63k K31 nodes, about 1 MB complex
+_U = 2.0 ** -53  # unit roundoff
+# Rounding floor of the K31 rule, _FLOOR_C * u * (b - a) per panel: the
+# rule's resabs, as |e(t)| = 1. On criterion 6a's 24 cells (x^d on [1, 2],
+# R = 2^j + 1/2) |K31 - G15| alone is 0.46-0.9 u and the true error at most
+# 0.3 u; the floor keeps the estimate above the summation rounding.
+_FLOOR_C = 2.0
 
-# Kronrod-15 abscissae and weights with the embedded Gauss-7 weights, the
-# QUADPACK dqk15 layout rounded to double from 60-digit mpmath values: the
-# Kronrod abscissae are the roots of P_7 and of its Stieltjes polynomial,
-# the weights integrate x^0..x^14 exactly (Laurie, Math. Comp. 66, 1997).
-_XGK = np.array([
-    0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
-    0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
-    0.20778495500789848, 0.0])
-_WGK = np.array([
-    0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
-    0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
-    0.20443294007529889, 0.20948214108472782])
-_WG = np.array([
-    0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
-    0.4179591836734694])
 
-_NODES = np.concatenate([-_XGK[:7], [0.0], _XGK[6::-1]])        # 15 ascending
-_WEIGHTS_K = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
-_WEIGHTS_G = np.zeros(15)
-_WEIGHTS_G[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
+def _kronrod(xgk, wgk, wg):
+    """Ascending nodes, Kronrod weights and embedded Gauss weights (zero at
+    the Kronrod-only nodes) from the QUADPACK half layout: xgk descends to
+    0.0, and the Gauss nodes are xgk[1], xgk[3], ..., 0.0."""
+    xgk, wgk, wg = map(np.array, (xgk, wgk, wg))
+    gauss = np.zeros(2 * len(xgk) - 1)
+    gauss[1::2] = np.concatenate([wg[:-1], wg[::-1]])
+    return (np.concatenate([-xgk[:-1], xgk[::-1]]), np.concatenate([wgk[:-1], wgk[::-1]]),
+            gauss)
+
+
+# Kronrod-15 / Gauss-7 and Kronrod-31 / Gauss-15 (QUADPACK dqk15, dqk31),
+# rounded to double from 60-digit mpmath values: the Kronrod abscissae are
+# the roots of P_n and of its Stieltjes polynomial, the weights integrate
+# x^0..x^(3n+1) exactly (Laurie, Math. Comp. 66, 1997).
+_NODES, _WEIGHTS_K, _WEIGHTS_G = _K15 = _kronrod(
+    [0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+     0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0],
+    [0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+     0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782],
+    [0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694])
+_K31 = _kronrod(
+    [0.9980022986933971, 0.9879925180204854, 0.9677390756791391, 0.937273392400706,
+     0.8972645323440819, 0.8482065834104272, 0.790418501442466, 0.7244177313601701,
+     0.650996741297417, 0.5709721726085388, 0.4850818636402397, 0.3941513470775634,
+     0.29918000715316884, 0.20119409399743451, 0.1011420669187175, 0.0],
+    [0.005377479872923349, 0.015007947329316122, 0.02546084732671532, 0.03534636079137585,
+     0.04458975132476488, 0.05348152469092809, 0.06200956780067064, 0.06985412131872826,
+     0.07684968075772038, 0.08308050282313302, 0.08856444305621176, 0.09312659817082532,
+     0.09664272698362368, 0.09917359872179196, 0.10076984552387559, 0.10133000701479154],
+    [0.03075324199611727, 0.07036604748810812, 0.10715922046717194, 0.13957067792615432,
+     0.16626920581699392, 0.1861610000155622, 0.19843148532711158, 0.2025782419255613])
 
 
 def vdc_constant(d: int) -> float:
@@ -72,6 +109,7 @@ class OscillatoryEstimate:
     error: float
     panels: int
     reliable: bool
+    noise: float  # 2 pi u int |lambda . f|: I's change under a relative rounding u of the phase
 
     @property
     def magnitude(self) -> float:
@@ -88,36 +126,94 @@ def _phase_jet(fs: Sequence[ex.Node], lam: np.ndarray, xs: np.ndarray,
             total += coef * ex.eval_jet_many(f, xs, order)
     bad = ~np.isfinite(total)
     if np.any(bad):
-        phase = " + ".join(f"{float(c)!r}*({ex.to_text(f)})" for c, f in zip(lam, fs))
         x = float(xs[np.argmax(np.any(bad, axis=0))])
-        raise ValueError(f"phase {phase} is not finite at x = {x!r} (jet order {order})")
+        raise ValueError(f"phase {_phase_text(fs, lam)} is not finite at x = {x!r}"
+                         f" (jet order {order})")
     return total
 
 
+def _phase_text(fs: Sequence[ex.Node], lam: np.ndarray) -> str:
+    return " + ".join(f"{float(c)!r}*({ex.to_text(f)})" for c, f in zip(lam, fs))
+
+
+def _phase_degree(fs: Sequence[ex.Node], lam: np.ndarray) -> Optional[int]:
+    """Degree of the phase lambda . f when every f with lambda_i != 0 is a
+    polynomial tree of degree at most JET_ORDER_CAP (see
+    expr.polynomial_degree), else None."""
+    degrees = [ex.polynomial_degree(f) for c, f in zip(lam, fs) if c != 0.0]
+    if None in degrees or max(degrees, default=0) > ex.JET_ORDER_CAP:
+        return None
+    return max(degrees, default=0)
+
+
+def _mod1_dd(fs: Sequence[ex.Node], lam: np.ndarray, x: np.ndarray):
+    """lambda . f(x) mod 1 for a polynomial phase, as a double-double
+    (hi, lo) with |hi| <= 1/2: the phase summed in double-double, then the
+    nearest integers of hi and lo dropped; y - rint(y) is exact for every
+    double y."""
+    hi = lo = np.zeros_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for c, f in zip(lam, fs):
+            if c != 0.0:
+                hi, lo = dd_add((hi, lo), dd_mul((c, 0.0), ex.evaluate_dd(f, x)))
+    bad = ~np.isfinite(lo)
+    if np.any(bad):
+        raise ValueError(f"phase {_phase_text(fs, lam)} passes the split range of the"
+                         f" double-double evaluation at x = {float(x[np.argmax(bad)])!r}")
+    hi, lo = two_sum(hi - np.rint(hi), lo - np.rint(lo))
+    return hi - np.rint(hi), lo
+
+
 def _rule(fs: Sequence[ex.Node], lam: np.ndarray, a: np.ndarray,
-          b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """K15 value and |K15 - G7| of each panel [a, b], _RULE_BLOCK panels at
-    a time; each panel's sums depend on its own nodes only."""
-    k15 = np.empty(len(a), dtype=complex)
-    err = np.empty(len(a))
+          b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, error estimate and rounding noise of each panel [a, b],
+    _RULE_BLOCK panels at a time; each panel's sums depend on its own nodes
+    only. The noise is 2 pi u int |lambda . f|, by the Kronrod rule.
+
+    General phases: K15 value and |K15 - G7|, each node's phase evaluated
+    on its own. Polynomial phases of degree d: K31 value and |K31 - G15|
+    plus the rounding floor _FLOOR_C * u * (b - a); each node's phase is
+    t(mid) mod 1 plus the degree-d Taylor offset from mid, which is exact
+    up to rounding, so no rounding of t(mid) itself reaches the nodes."""
+    degree = _phase_degree(fs, lam)
+    nodes, weights_k, weights_g = _K15 if degree is None else _K31
+    value, err, noise = np.empty(len(a), dtype=complex), np.empty(len(a)), np.empty(len(a))
     for lo in range(0, len(a), _RULE_BLOCK):
         ab, bb = a[lo:lo + _RULE_BLOCK], b[lo:lo + _RULE_BLOCK]
         half = 0.5 * (bb - ab)
         mid = 0.5 * (ab + bb)
-        xs = mid[:, None] + half[:, None] * _NODES[None, :]
-        z = e_phase(_phase_jet(fs, lam, xs.ravel(), 0)[0].reshape(xs.shape))
-        block = k15[lo:lo + len(ab)]
-        np.multiply(half, np.einsum("pk,k->p", z, _WEIGHTS_K), out=block)  # no BLAS threads
-        g7 = half * np.einsum("pk,k->p", z, _WEIGHTS_G)
-        np.abs(block - g7, out=err[lo:lo + len(ab)])
-    return k15, err
+        if degree is None:
+            xs = mid[:, None] + half[:, None] * nodes[None, :]
+            t = _phase_jet(fs, lam, xs.ravel(), 0)[0].reshape(xs.shape)
+            z = e_phase(t)
+        else:
+            taylor = _phase_jet(fs, lam, mid, degree) / ex._FACTORIALS[:degree + 1, None]
+            dx = half[:, None] * nodes[None, :]
+            t = np.zeros_like(dx)  # Horner in dx = x - mid over rows d..1
+            for row in taylor[:0:-1]:
+                t += row[:, None]
+                t *= dx
+            mod_hi, mod_lo = _mod1_dd(fs, lam, mid)
+            phase = np.add(t, mod_lo[:, None], out=dx)  # dx is spent: reuse its buffer
+            phase += mod_hi[:, None]
+            z = e_phase(phase)
+            t += taylor[0][:, None]
+        block = slice(lo, lo + len(ab))
+        np.multiply(half, np.einsum("pk,k->p", z, weights_k), out=value[block])  # no BLAS threads
+        gauss = half * np.einsum("pk,k->p", z, weights_g)
+        np.abs(value[block] - gauss, out=err[block])
+        if degree is not None:
+            err[block] += (_FLOOR_C * _U) * (bb - ab)
+        np.abs(t, out=t)
+        noise[block] = (2.0 * math.pi * _U) * half * np.einsum("pk,k->p", t, weights_k)
+    return value, err, noise
 
 
-def _bisect(fs: Sequence[ex.Node], lam: np.ndarray, lo: float,
-            hi: float) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Ends a, b of each level's done panels in the phase-bounded bisection
-    of [lo, hi], one array per level. Splitting stops as a whole once it
-    would pass PANEL_CAP.
+def _bisect(fs: Sequence[ex.Node], lam: np.ndarray, lo: float, hi: float,
+            bound: float) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Ends a, b of each level's done panels in the bisection of [lo, hi]
+    to panels whose phase varies by at most bound cycles, one array per
+    level. Splitting stops as a whole once it would pass PANEL_CAP.
 
     A level's panels are the left halves, then the right halves, of the
     panels split at the level before. Their end rows (x, phi, phi') lie in
@@ -138,7 +234,7 @@ def _bisect(fs: Sequence[ex.Node], lam: np.ndarray, lo: float,
             pm, dm = _phase_jet(fs, lam, 0.5 * (xa + xb), 1)
             var = np.maximum(np.abs(pm - pa) + np.abs(pb - pm),
                              (xb - xa) / 6.0 * (np.abs(da) + 4.0 * np.abs(dm) + np.abs(db)))
-            ok[i:i + len(xa)] = (var <= PHASE_VARIATION_PER_PANEL) | (xb - xa <= width_floor)
+            ok[i:i + len(xa)] = (var <= bound) | (xb - xa <= width_floor)
         s = n - np.count_nonzero(ok)
         if done + n + s > PANEL_CAP:
             ok[:], s = True, 0
@@ -168,8 +264,10 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9) -> Osc
         raise ValueError(f"lambda has length {len(lam)}, expected {len(fs)}")
     # phase-bounded bisection, then refinement: halve the panels with the
     # largest errors that still fit
-    a, b = map(np.concatenate, _bisect(fs, lam, lo, hi))
-    values, errors = _rule(fs, lam, a, b)
+    bound = (PHASE_VARIATION_PER_PANEL if _phase_degree(fs, lam) is None
+             else POLY_VARIATION_PER_PANEL)
+    a, b = map(np.concatenate, _bisect(fs, lam, lo, hi, bound))
+    values, errors, noise = _rule(fs, lam, a, b)
     while float(np.sum(errors)) > tol and len(a) < PANEL_CAP:
         cut = max(float(np.max(errors)) * 0.5, tol / (2.0 * len(a)))
         split = errors >= cut  # cut <= max(errors): never empty
@@ -180,12 +278,13 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9) -> Osc
         keep, sa, sb = ~split, a[split], b[split]
         mid = 0.5 * (sa + sb)  # all left halves, then all right
         na, nb = np.concatenate([sa, mid]), np.concatenate([mid, sb])
-        nv, ne = _rule(fs, lam, na, nb)
+        nv, ne, nn = _rule(fs, lam, na, nb)
         a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
         values, errors = np.concatenate([values[keep], nv]), np.concatenate([errors[keep], ne])
+        noise = np.concatenate([noise[keep], nn])
     error = float(np.sum(errors))
     return OscillatoryEstimate(lam, (lo, hi), complex(np.sum(values)), error, len(a),
-                               error <= tol)
+                               error <= tol, float(np.sum(noise)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +359,10 @@ class OscillatoryDecayFit:
     """|int_I e(R * omega . f)| over directions and radii with per-direction
     and pooled log-log fits.
 
-    A cell whose |I| does not exceed its error estimate is below the
-    quadrature noise and left out of every fit; a direction with fewer
-    than MIN_FIT_CELLS cells above it has NaN slope, intercept and R^2.
+    A cell whose |I| does not exceed its error estimate plus its rounding
+    noise (OscillatoryEstimate.noise) is below the quadrature noise and
+    left out of every fit; a direction with fewer than MIN_FIT_CELLS
+    cells above it has NaN slope, intercept and R^2.
     delta_hat is the minimum slope magnitude over the fitted directions:
     a sampled lower-confidence estimate of the true exponent, which
     depends on vanishing orders a finite sample can miss. Only the fitted
@@ -280,7 +380,7 @@ class OscillatoryDecayFit:
     delta_hat: float
     unreliable: np.ndarray        # bool (directions, radii)
     errors: np.ndarray            # quadrature error estimates (directions, radii)
-    below_noise: np.ndarray       # bool (directions, radii): |I| <= error estimate
+    below_noise: np.ndarray       # bool (directions, radii): |I| <= error + noise
     degenerate_direction: Optional[np.ndarray] = None
     degenerate_magnitudes: Optional[np.ndarray] = None
 
@@ -317,15 +417,17 @@ def decay_fit(fs: Sequence[ex.Node], interval, radii: Sequence[float],
 
     mags = np.zeros((len(directions), len(radii)))
     errors = np.zeros_like(mags)
+    noise = np.zeros_like(mags)
     unreliable = np.zeros_like(mags, dtype=bool)
     for i, omega in enumerate(directions):
         for j, r in enumerate(radii):
             est = osc_integral(fs, r * omega, interval, tol=tol)
             mags[i, j] = est.magnitude
             errors[i, j] = est.error
+            noise[i, j] = est.noise
             unreliable[i, j] = not est.reliable
 
-    below = mags <= errors
+    below = mags <= errors + noise
     logr = np.log(radii)
     fits = np.full((len(directions), 3), np.nan)  # slope, intercept, R^2
     for i, signal in enumerate(~below):
@@ -336,7 +438,7 @@ def decay_fit(fs: Sequence[ex.Node], interval, radii: Sequence[float],
         cells = "; ".join(f"direction {i} at R = {', '.join(f'{r:g}' for r in radii[row])}"
                           for i, row in enumerate(below) if np.any(row))
         raise ValueError(f"no direction has {MIN_FIT_CELLS} cells above the quadrature"
-                         f" noise; |I| <= its error estimate at {cells}")
+                         f" noise; |I| <= its error estimate plus noise at {cells}")
     pooled = _fit_line(np.tile(logr, len(directions))[~below.ravel()], np.log(mags[~below]))
     delta_hat = float(np.min(np.abs(fits[fitted, 0])))
 

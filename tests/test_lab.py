@@ -5,8 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udlab import cli, lab
+from udlab import discrepancy as dc
 from udlab import sequences as sq
 from udlab import weyl as wy
 from udlab.numerics import derive_seed
@@ -192,9 +195,40 @@ class TestRunExperiment:
                                       report.dstar_median)[1] == report.verdict
 
     def test_tight_threshold_fails(self):
-        report = lab.run_experiment(small_config(dstar_final_max=1e-6))
+        # exact 2-d D* has bound 0; on the 128 lattice (bound 2/128) this
+        # limit is refused at load
+        report = lab.run_experiment(small_config(discrepancy_method="exact",
+                                                 dstar_final_max=1e-6))
         assert report.verdict == "fail"
         assert len(report.exceptional) > 0
+
+    def test_lattice_verdict_adds_its_bound(self):
+        # (n x, n x^2) at x = 0.3, N = 4096: lattice D* 0.0938 at m = 32
+        # (bound 0.0625), exact 0.1060. The lattice value alone used to
+        # pass the 0.1 limit; value + bound does not.
+        config = small_config(x_interval=(0.3, 0.3 + 1e-12), x_samples=2, n_grid="4096",
+                              grid_m=32, dstar_final_max=0.1, frequency_bound=1)
+        report = lab.run_experiment(config)
+        for s in report.samples:
+            points = lab.build_generator(config, s.x).fracs(np.arange(1, 4097))
+            exact, _ = dc.star_discrepancy_kd(points, "exact")
+            assert s.discrepancy.values[-1] <= 0.1 < exact
+            assert s.discrepancy.error_bounds[-1] == 2 / 32
+            assert s.passed is False
+        assert report.pass_fraction == 0.0 and report.verdict == "fail"
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 4096), st.sampled_from([8, 16, 32, 64, 128, 256]),
+           st.floats(0.25, 4.0), st.floats(-0.5, 0.5), st.integers(0, 2 ** 32))
+    def test_lattice_pass_implies_exact_pass(self, n, m, power, offset, seed):
+        # points u^power cluster toward a corner (power > 1) or away from
+        # it; the limit lies within half a bound of value + bound, on either
+        # side, so most draws pass on the lattice and some fail
+        points = np.random.default_rng(seed).random((n, 2)) ** power
+        lattice, bound = dc.star_discrepancy_kd(points, "grid", m)
+        exact, _ = dc.star_discrepancy_kd(points, "exact")
+        limit = lattice + bound * (1.0 + offset)
+        assert exact <= limit or not lab._passes(lattice, bound, limit)
 
     def test_diagonal_counterexample_kind(self):
         config = lab.ExperimentConfig(kind="diagonal-counterexample",
@@ -417,8 +451,11 @@ class TestCli:
         ({"discrepancy_method": "exact", "n_grid": "100,5000"},
          "exact 2-d method capped at N = 4096, got N = 5000"),
         ({"x_samples": 0}, "x_samples must be >= 1, got 0"),
+        ({"grid_m": 8, "dstar_final_max": 0.09},
+         "the lattice bound k/m = 2/8 is at least dstar_final_max = 0.09"),
     ], ids=["index-cap", "no-frequencies", "frequency-box-cap", "m-below-2", "lattice-cap",
-            "unknown-method", "exact-3d", "exact-2d-past-4096", "no-samples"])
+            "unknown-method", "exact-3d", "exact-2d-past-4096", "no-samples",
+            "lattice-bound-past-limit"])
     def test_out_of_range_config_exits_2_at_load(self, change, message, tmp_path, capsys,
                                                  monkeypatch):
         # each used to fail on every sample and exit 3 with five outputs
@@ -511,7 +548,7 @@ class TestCli:
         assert prov["constants"]["tower_guard_bits"] == 96
 
     def test_experiment_threshold_failure_exit(self, tmp_path, capsys):
-        config = small_config(dstar_final_max=1e-6).to_dict()
+        config = small_config(discrepancy_method="exact", dstar_final_max=1e-6).to_dict()
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         code = cli.main(["experiment", "--config", str(cfg_path),

@@ -5,6 +5,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udlab import cli
 from udlab import expr as ex
@@ -63,8 +65,10 @@ class TestOscIntegral:
             osc_integral([X], [1.0, 2.0], (0, 1))
 
     def test_panel_cap_flags_unreliable(self, monkeypatch):
-        # x^2 at 2000 meets the 64 cap while bisecting, 256 and 1024 while refining
-        cases = [(X, 5000.0, 64), (X2, 2000.0, 64), (X2, 2000.0, 256), (X2, 2000.0, 1024)]
+        # x at 5000 meets the 64 cap while bisecting; x^2 at 2000 bisects to
+        # 63, 245 and 468 panels under the 64, 256 and 512 caps, then
+        # refinement stops at the cap (972 two-cycle panels meet tol)
+        cases = [(X, 5000.0, 64), (X2, 2000.0, 64), (X2, 2000.0, 256), (X2, 2000.0, 512)]
         for f, lam, panel_cap in cases:
             monkeypatch.setattr(osc, "PANEL_CAP", panel_cap)
             est = osc_integral([f], [lam], (0, 1), tol=1e-12)
@@ -72,11 +76,12 @@ class TestOscIntegral:
             assert est.panels <= panel_cap
 
     def test_reliable_is_the_error_test_alone(self, monkeypatch):
-        # bisection stops at the 200 cap, then refinement meets tol with
-        # 140 panels; the bisection's stop used to flag this unreliable
-        monkeypatch.setattr(osc, "PANEL_CAP", 200)
-        est = osc_integral([X2], [50.0], (0, 1), tol=1e-12)
-        assert est.panels == 140 and est.error <= 1e-12
+        # bisection stops at 27 panels under the 41 cap, then refinement
+        # meets tol with 30 panels; the bisection's stop used to flag this
+        # unreliable
+        monkeypatch.setattr(osc, "PANEL_CAP", 41)
+        est = osc_integral([X2], [60.0], (0, 1), tol=1e-12)
+        assert est.panels == 30 and est.error <= 1e-12
         assert est.reliable
 
     def test_error_estimate_tracks_truth(self):
@@ -118,9 +123,218 @@ class TestKronrodConstants:
         assert np.count_nonzero(osc._WEIGHTS_G) == 7
 
 
+def _stieltjes_16():
+    """Coefficients a_0, a_2, ..., a_14 of the Stieltjes polynomial
+    E(x) = x^16 + sum a_2i x^2i of P_15: int P_15 E x^k dx = 0 for k = 0..15
+    (for even k by parity). The moments int P_n x^m dx, m >= n, m - n even,
+    are 2^(n+1) m! ((m+n)/2)! / (((m-n)/2)! (m+n+1)!), and 0 otherwise."""
+    def moment(m, n=15):
+        if m < n or (m - n) % 2:
+            return mpmath.mpf(0)
+        return (2 ** (n + 1) * mpmath.factorial(m) * mpmath.factorial((m + n) // 2)
+                / (mpmath.factorial((m - n) // 2) * mpmath.factorial(m + n + 1)))
+    rows = [[moment(2 * i + k) for i in range(8)] for k in range(1, 16, 2)]
+    rhs = [-moment(16 + k) for k in range(1, 16, 2)]
+    return mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
+
+
+@pytest.fixture(scope="module")
+def k31_reference():
+    """The K31/G15 nodes and weights recomputed at 60 digits: each double
+    node refined by Newton's method on P_15 (Gauss nodes, odd positions)
+    or on its Stieltjes polynomial, Kronrod weights from exactness on
+    P_0..P_30, Gauss weights 2 / ((1 - x^2) P_15'(x)^2)."""
+    with mpmath.workdps(60):
+        a = _stieltjes_16()
+        stieltjes = lambda x: x ** 16 + sum(a[i] * x ** (2 * i) for i in range(8))
+        nodes = [mpmath.findroot(lambda x: mpmath.legendre(15, x) if i % 2 else stieltjes(x),
+                                 mpmath.mpf(float(x0)))
+                 for i, x0 in enumerate(osc._K31[0])]
+        vander = mpmath.matrix([[mpmath.legendre(j, x) for x in nodes] for j in range(31)])
+        weights_k = mpmath.lu_solve(vander, mpmath.matrix([2] + [0] * 30))
+        weights_g = [2 / ((1 - x ** 2) * mpmath.diff(lambda t: mpmath.legendre(15, t), x) ** 2)
+                     if i % 2 else mpmath.mpf(0) for i, x in enumerate(nodes)]
+        return nodes, list(weights_k), weights_g
+
+
+class TestKronrod31Constants:
+    """The K31/G15 constants of the polynomial-phase rule, to full double
+    precision."""
+
+    def test_weights_sum_to_two(self):
+        for w in osc._K31[1:]:
+            assert abs(float(np.sum(w)) - 2.0) <= np.spacing(2.0)
+            assert abs(math.fsum(w) - 2.0) <= np.spacing(2.0)
+
+    def test_exact_to_their_degree(self):
+        nodes, weights_k, weights_g = osc._K31
+        for w, degree in ((weights_k, 46), (weights_g, 29)):
+            with mpmath.workprec(200):
+                errors = [abs(mpmath.fsum(mpmath.mpf(float(wi)) * mpmath.mpf(float(x)) ** j
+                                          for wi, x in zip(w, nodes))
+                              - (mpmath.mpf(2) / (j + 1) if j % 2 == 0 else 0))
+                          for j in range(degree + 1)]
+            assert max(errors) <= 2e-16
+
+    def test_agree_with_mpmath_and_not_exact_beyond(self, k31_reference):
+        nodes, weights_k, weights_g = k31_reference
+        for got, want in zip(osc._K31, k31_reference):
+            assert np.array_equal(got, np.array([float(v) for v in want]))
+        with mpmath.workdps(60):
+            def error(weights, j):
+                total = mpmath.fsum(w * x ** j for w, x in zip(weights, nodes))
+                return abs(total - mpmath.mpf(2) / (j + 1))
+            # K31 integrates up to x^46 and G15 up to x^29, and no further
+            assert max(error(weights_k, j) for j in range(0, 47, 2)) < 1e-50
+            assert error(weights_k, 48) > 1e-20
+            assert max(error(weights_g, j) for j in range(0, 29, 2)) < 1e-50
+            assert error(weights_g, 30) > 1e-12
+
+    def test_nodes_are_symmetric(self):
+        nodes, weights_k, weights_g = osc._K31
+        assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0)
+        assert np.array_equal(weights_k, weights_k[::-1])
+        assert np.array_equal(weights_g, weights_g[::-1])
+        assert np.count_nonzero(weights_g) == 15
+
+
+POLY_TREES = st.recursive(
+    st.one_of(st.just(ex.Var()), st.floats(0.1, 10.0).map(ex.Const)),
+    lambda kids: st.one_of(st.builds(ex.Add, kids, kids), st.builds(ex.Mul, kids, kids),
+                           st.builds(ex.PowInt, kids, st.integers(0, 4))),
+    max_leaves=6)
+
+
+def _mp_value(node, x):
+    """A polynomial tree at the mpf x, exactly but for subtrees free of x,
+    which take their double value as the quadrature's evaluator does."""
+    if not ex._contains_var(node):
+        return mpmath.mpf(ex.evaluate(node, 0.0))
+    if isinstance(node, ex.Var):
+        return x
+    if isinstance(node, ex.PowInt):
+        return _mp_value(node.base, x) ** node.exponent
+    left, right = _mp_value(node.left, x), _mp_value(node.right, x)
+    return left * right if isinstance(node, ex.Mul) else left + right
+
+
+class TestPolynomialPhase:
+    """Polynomial phases: the tree picks the K31 path, t(mid) mod 1 in
+    double-double."""
+
+    @pytest.mark.parametrize("text,degree", [
+        ("x", 1), ("x^3 - 3*x", 3), ("2*x + 1", 1), ("(x + 1)^2*x", 3), ("exp(1)*x^2", 2),
+        ("x^0", 0), ("x/2", None), ("sin(3*x) + x^2", None), ("x^(-1)", None),
+        ("x^1.5", None), ("exp(x) + 1.7*x", None), ("sqrt(x)", None)])
+    def test_degree(self, text, degree):
+        assert ex.polynomial_degree(ex.parse_expr(text)) == degree
+
+    def test_only_active_functions_pick_the_path(self):
+        fs = [ex.parse_expr("sin(x)"), X2]
+        assert osc._phase_degree(fs, np.array([0.0, 3.0])) == 2
+        assert osc._phase_degree(fs, np.array([1.0, 3.0])) is None
+        assert osc._phase_degree([ex.parse_expr("x^17")], np.array([1.0])) is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(POLY_TREES, st.floats(0.01, 4.0), st.floats(-1e4, 1e4))
+    def test_phase_mod_1_matches_mpmath(self, node, x, lam):
+        # positive constants and x > 0: no cancellation, so |lambda f| is
+        # the size the double-double error scales with
+        hi, lo = osc._mod1_dd([node], np.array([lam]), np.array([x]))
+        assert abs(hi[0]) <= 0.5
+        with mpmath.workprec(300):
+            t = mpmath.mpf(lam) * _mp_value(node, mpmath.mpf(x))
+            miss = mpmath.mpf(hi[0]) + mpmath.mpf(lo[0]) - (t - mpmath.floor(t))
+            miss -= mpmath.nint(miss)
+            assert abs(miss) <= mpmath.mpf(2) ** -100 * max(1, abs(t))
+
+
+def _monomial_integral(d, radius):
+    """int_1^2 e(R x^d) dx at 40 digits, through the upper incomplete gamma
+    function: (1/d) int_1^(2^d) u^(1/d - 1) e(R u) du."""
+    with mpmath.workdps(40):
+        s, z = mpmath.mpf(1) / d, -2j * mpmath.pi * mpmath.mpf(radius)
+        return z ** -s * (mpmath.gammainc(s, z) - mpmath.gammainc(s, z * 2 ** d)) / d
+
+
+# The quarter-cycle K15/G7 error estimates on criterion 6a's 24 cells (x^d
+# on [1, 2], R = 2^j + 1/2, j = 2..9), as the rule gave them for every
+# phase before polynomial phases moved to two-cycle K31/G15 panels.
+K15_ESTIMATES = {
+    1: [4.843984697806379e-16, 1.5813948197871448e-15, 1.5646619910102708e-15,
+        3.724445950793841e-15, 6.275941614772135e-15, 1.991783358997911e-14,
+        3.40984158211606e-14, 3.352857669226469e-14],
+    2: [1.4251398253504175e-15, 2.9114143424546844e-15, 4.939121386449778e-15,
+        1.014227226101794e-14, 2.0990653707534524e-14, 3.351996896613345e-14,
+        8.017529846484777e-14, 1.4311883737018832e-13],
+    3: [2.614868311273881e-15, 4.6229571066446884e-15, 9.31733071700637e-15,
+        1.750427686196798e-14, 3.3613693485477243e-14, 6.571931170219542e-14,
+        1.2391920401374951e-13, 2.61837200149407e-13]}
+
+
+class TestTwoCyclePanels:
+    """Honesty of the K31/G15 estimate, the rounding noise of a cell, and
+    the general path left as it was."""
+
+    def test_references_agree(self):
+        # the incomplete-gamma form against the closed form (d = 1),
+        # Fresnel integrals (d = 2) and quad at 40 digits (d = 3)
+        with mpmath.workdps(40):
+            r = mpmath.mpf(32.5)
+            closed = (mpmath.expjpi(4 * r) - mpmath.expjpi(2 * r)) / (2j * mpmath.pi * r)
+            # e(R x^2) = cos(pi t^2 / 2) + i sin(pi t^2 / 2) at t = 2 sqrt(R) x
+            t1, t2 = 2 * mpmath.sqrt(r), 4 * mpmath.sqrt(r)
+            fresnel = (mpmath.fresnelc(t2) - mpmath.fresnelc(t1)
+                       + 1j * (mpmath.fresnels(t2) - mpmath.fresnels(t1))) / t1
+            # e(4.5 x^3): 31.5 cycles over 32 pieces
+            quad = mpmath.quad(lambda x: mpmath.expjpi(9 * x ** 3), mpmath.linspace(1, 2, 33))
+            for want, (d, radius) in ((closed, (1, 32.5)), (fresnel, (2, 32.5)), (quad, (3, 4.5))):
+                assert abs(_monomial_integral(d, radius) - want) < 1e-35
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_estimate_between_true_error_and_k15(self, d):
+        for radius, k15 in zip(HALF_POW2_RADII, K15_ESTIMATES[d]):
+            est = osc_integral([ex.parse_expr(f"x^{d}")], [radius], (1.0, 2.0))
+            true = float(abs(mpmath.mpc(est.value) - _monomial_integral(d, radius)))
+            assert true <= est.error <= k15, (d, radius, true, est.error, k15)
+
+    @pytest.mark.parametrize("fs,lam,interval", [
+        *[([X], [r], (1.0, 2.0)) for r in (4.0, 8.0, 16.0, 32.0, 64.0)],
+        *[([X], [float(r)], (0.0, 1.0)) for r in range(1, 7)],
+        # criterion 6c's direction (0, 1): 2R is odd
+        *[([X, ex.parse_expr("2*x + 1")], [0.0, r], (0.0, 1.0)) for r in HALF_POW2_RADII]])
+    def test_exact_zeros_stay_below_noise(self, fs, lam, interval):
+        est = osc_integral(fs, lam, interval)
+        assert est.magnitude <= est.error + est.noise
+
+    def test_noise_is_the_phase_conditioning(self):
+        # 2 pi u int_1^2 |R x| dx = 2 pi u * 1.5 R: 1.7e-14 at R = 16
+        est = osc_integral([X], [16.0], (1.0, 2.0))
+        assert est.noise == pytest.approx(2 * math.pi * 2.0 ** -53 * 24.0, rel=1e-12)
+
+    # value (real, imag), error, panels and reliable of general phases, as
+    # the quarter-cycle K15/G7 path gives them
+    GENERAL = [
+        ("sin(3*x) + x^2", 30.0, (0.1, 2.3), 1e-12, "-0x1.1e9e004654938p-5",
+         "-0x1.d7d107f7245a8p-5", "0x1.44d5accf534e0p-44", 973),
+        ("sin(3*x) + x^2", 517.25, (0.0, 1.0), 1e-9, "-0x1.e9bb385066076p-7",
+         "0x1.56e8d856216ecp-7", "0x1.24ff05ceae25cp-37", 4484),
+        ("exp(x) + 1.7*x", 100.0, (0.2, 1.2), 1e-10, "-0x1.a05ffee002740p-12",
+         "0x1.fecac238aa380p-16", "0x1.9b4ea54308d6ep-45", 2048),
+        ("exp(x) + 0.35*x", 2000.5, (0.5, 1.5), 1e-9, "-0x1.663819b8c8ed0p-15",
+         "-0x1.313708aa92c80p-15", "0x1.f0f8da55520a8p-41", 38175)]
+
+    @pytest.mark.parametrize("text,lam,interval,tol,re,im,error,panels", GENERAL)
+    def test_general_phases_are_unchanged(self, text, lam, interval, tol, re, im, error, panels):
+        est = osc_integral([ex.parse_expr(text)], [lam], interval, tol=tol)
+        assert est.value == complex(float.fromhex(re), float.fromhex(im))
+        assert (est.error, est.panels, est.reliable) == (float.fromhex(error), panels, True)
+
+
 class TestStreamedRule:
-    """The K15/G7 rule and the bisection's midpoint jets run _RULE_BLOCK
-    panels at a time; bisection reuses the phase jet at each panel's ends."""
+    """The rule (K31/G15 for the polynomial x^2, K15/G7 for sin(3*x) + x^2)
+    and the bisection's midpoint jets run _RULE_BLOCK panels at a time;
+    bisection reuses the phase jet at each panel's ends."""
 
     # (phase, lambda, interval, tol, panel_cap, rule calls): bisection only,
     # one refinement round, and the cap hit while refining
@@ -137,7 +351,9 @@ class TestStreamedRule:
             return rule(*args)
 
         def counting_jet(fs, lam, xs, order):
-            if order == 1:  # the bisection's jets; the rule's have order 0
+            # the bisection's jets; the rules' have order 0 (K15) or the
+            # phase degree, 2 here (K31)
+            if order == 1:
                 jet_points.append(len(xs))
             return jet(fs, lam, xs, order)
 
@@ -171,16 +387,16 @@ class TestStreamedRule:
         assert est.reliable
 
     def test_peak_memory_is_a_few_arrays_per_panel(self):
-        # 262,160 panels; the bisection peaks near 15 MiB, about 60 bytes
-        # per panel, and keeps no array alive while the rule runs
+        # 262,146 two-cycle panels; the bisection peaks near 15 MiB, about
+        # 60 bytes per panel, and keeps no array alive while the rule runs
         fs = [X, X2]
         tracemalloc.start()
         try:
-            est = osc_integral(fs, [0.0, 16384.5], (1.0, 2.0))
+            est = osc_integral(fs, [0.0, 131072.5], (1.0, 2.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert est.panels == 262160 and est.reliable
+        assert est.panels == 262146 and est.reliable
         assert peak <= 20 * 2 ** 20
 
 
@@ -344,11 +560,12 @@ class TestDecayFit:
         assert flags == ["below noise"] * 6 + [""] * 12
 
     def test_unreliable_and_below_noise_flags_join(self, monkeypatch):
-        monkeypatch.setattr(osc, "PANEL_CAP", 8)
+        # one panel per integral: x meets tol up to R = 3, x^2 only at R = 1
+        monkeypatch.setattr(osc, "PANEL_CAP", 1)
         fit = decay_fit([X, X2], (0, 1), [1, 2, 3, 4, 5, 6], 2, tol=1e-12)
         flags = [row[-1] for row in lab.decay_csv_rows(fit)[1]]
-        assert flags == (["below noise"] * 4 + ["unreliable;below noise"] * 2
-                         + [""] * 2 + ["unreliable"] * 4)
+        assert flags == (["below noise"] * 3 + ["unreliable;below noise"] * 3
+                         + [""] + ["unreliable"] * 5)
         assert np.isnan(fit.slopes[0]) and fit.delta_hat == abs(fit.slopes[1])
 
     def test_noise_alone_is_refused(self, capsys):
@@ -403,6 +620,11 @@ class TestNonFinitePhase:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=r"phase 1\.0\*\(exp\(exp\(x\)\)\)"):
                 osc_integral([EXP_EXP], [1.0], (6, 7))
+
+    def test_polynomial_phase_past_the_split_range_refuses(self):
+        # Dekker's split of lambda = 1.5e300 overflows: this returned NaN
+        with pytest.raises(ValueError, match=r"phase 1\.5e\+300\*\(x\) passes the split range"):
+            osc_integral([X], [1.5e300], (0.0, 1e-300))
 
     def test_decay_fit_refuses(self):
         with np.errstate(over="ignore", invalid="ignore"):
