@@ -444,7 +444,7 @@ def discrepancy_csv_rows(report: dc.DiscrepancyReport) -> Tuple[List[str], List[
 
 
 def decay_csv_rows(fit) -> Tuple[List[str], List[List]]:
-    header = ["direction_index", "omega", "R", "abs_integral", "err_est", "flags"]
+    header = ["direction_index", "omega", "R", "abs_integral", "err_est", "noise", "flags"]
     rows = []
     for i, omega in enumerate(fit.directions):
         otext = ";".join(repr(float(c)) for c in omega)
@@ -452,12 +452,12 @@ def decay_csv_rows(fit) -> Tuple[List[str], List[List]]:
             flags = [name for name, on in (("unreliable", fit.unreliable[i, j]),
                                            ("below noise", fit.below_noise[i, j])) if on]
             rows.append([i, otext, float(r), float(fit.magnitudes[i, j]),
-                         float(fit.errors[i, j]), ";".join(flags)])
+                         float(fit.errors[i, j]), float(fit.noise[i, j]), ";".join(flags)])
     if fit.degenerate_direction is not None:
         otext = ";".join(repr(float(c)) for c in fit.degenerate_direction)
         for j, r in enumerate(fit.radii):
             rows.append([-1, otext, float(r), float(fit.degenerate_magnitudes[j]),
-                         0.0, "degenerate"])
+                         0.0, 0.0, "degenerate"])
     return header, rows
 
 

@@ -5,9 +5,11 @@ Phase convention: e(t) = exp(2*pi*i*t), so phases are measured in cycles
 and the derivative-test bounds consume phi = lambda . f directly, with no
 2*pi factors. The quadrature bisects panels until the estimated phase
 variation per panel is within a bound, applies a Gauss-Kronrod pair to
-each panel, and keeps refining the worst panels until the error estimate
-meets the tolerance or PANEL_CAP panels are in use. The expression trees
-alone pick the bound and the pair:
+each panel, and halves the panels with the largest |K - G| while the
+estimate misses the tolerance. No split lowers the rounding floor, so
+refinement is skipped when the floor alone exceeds the tolerance, and it
+ends at the first round that does not lower sum |K - G|; PANEL_CAP only
+bounds memory. The expression trees pick the path once per integral:
 
 * Polynomial phases, where every f with lambda_i != 0 is built from x,
   +, -, * and integer powers >= 0 over subtrees free of x (degree d at
@@ -16,10 +18,10 @@ alone pick the bound and the pair:
   is t(mid) mod 1, from a double-double evaluation of the trees, plus the
   degree-d Taylor offset from the panel midpoint, so the rounding of a
   large t(mid) never reaches the nodes. The error estimate is
-  |K31 - G15| plus a rounding floor 2u per unit of length (u = 2^-53).
+  sum |K31 - G15| plus a rounding floor 2u (hi - lo) (u = 2^-53).
 * Every other phase: quarter-cycle panels and the 15-point Kronrod rule
   with its embedded 7-point Gauss rule, each node's phase evaluated on
-  its own.
+  its own; the error estimate is sum |K15 - G7|.
 
 The estimate is reliable when its error estimate meets the tolerance.
 It also carries its rounding noise 2 pi u int |lambda . f|: the
@@ -47,18 +49,11 @@ import numpy as np
 from . import expr as ex
 from .numerics import check_interval, dd_add, dd_mul, e_phase, two_sum, unit_directions
 
-PANEL_CAP = 1 << 20
+PANEL_CAP = 1 << 20  # memory guard: about 60 bytes per panel in the bisection
 R_MAX = 1 << 16
-PHASE_VARIATION_PER_PANEL = 0.25  # cycles, general phases
-POLY_VARIATION_PER_PANEL = 2.0  # cycles, polynomial phases
 TOL_MIN, TOL_MAX = 1e-12, 1e-4
 _RULE_BLOCK = 1 << 11  # panels per rule block: 63k K31 nodes, about 1 MB complex
 _U = 2.0 ** -53  # unit roundoff
-# Rounding floor of the K31 rule, _FLOOR_C * u * (b - a) per panel: the
-# rule's resabs, as |e(t)| = 1. On criterion 6a's 24 cells (x^d on [1, 2],
-# R = 2^j + 1/2) |K31 - G15| alone is 0.46-0.9 u and the true error at most
-# 0.3 u; the floor keeps the estimate above the summation rounding.
-_FLOOR_C = 2.0
 
 
 def _kronrod(xgk, wgk, wg):
@@ -93,6 +88,12 @@ _K31 = _kronrod(
      0.09664272698362368, 0.09917359872179196, 0.10076984552387559, 0.10133000701479154],
     [0.03075324199611727, 0.07036604748810812, 0.10715922046717194, 0.13957067792615432,
      0.16626920581699392, 0.1861610000155622, 0.19843148532711158, 0.2025782419255613])
+
+# Per path (general, polynomial): the Kronrod pair, the phase variation per
+# panel in cycles, and c of the rounding floor c * u * (hi - lo): K31's resabs,
+# as |e(t)| = 1. On criterion 6a's 24 cells (x^d on [1, 2], R = 2^j + 1/2)
+# |K31 - G15| is 0.46-0.9 u, the true error at most 0.3 u; the floor covers summation rounding.
+_PATHS = ((_K15, 0.25, 0.0), (_K31, 2.0, 2.0))
 
 
 def vdc_constant(d: int) -> float:
@@ -164,19 +165,17 @@ def _mod1_dd(fs: Sequence[ex.Node], lam: np.ndarray, x: np.ndarray):
     return hi - np.rint(hi), lo
 
 
-def _rule(fs: Sequence[ex.Node], lam: np.ndarray, a: np.ndarray,
-          b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value, error estimate and rounding noise of each panel [a, b],
-    _RULE_BLOCK panels at a time; each panel's sums depend on its own nodes
-    only. The noise is 2 pi u int |lambda . f|, by the Kronrod rule.
+def _rule(fs: Sequence[ex.Node], lam: np.ndarray, a: np.ndarray, b: np.ndarray,
+          degree: Optional[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, |K - G| and rounding noise of each panel [a, b] on the path of
+    the phase degree (None: general), _RULE_BLOCK panels at a time; each panel's
+    sums depend on its own nodes only. The noise is 2 pi u int |lambda . f|.
 
-    General phases: K15 value and |K15 - G7|, each node's phase evaluated
-    on its own. Polynomial phases of degree d: K31 value and |K31 - G15|
-    plus the rounding floor _FLOOR_C * u * (b - a); each node's phase is
+    General phases: K15 and G7, each node's phase evaluated on its own.
+    Polynomial phases of degree d: K31 and G15; each node's phase is
     t(mid) mod 1 plus the degree-d Taylor offset from mid, which is exact
     up to rounding, so no rounding of t(mid) itself reaches the nodes."""
-    degree = _phase_degree(fs, lam)
-    nodes, weights_k, weights_g = _K15 if degree is None else _K31
+    nodes, weights_k, weights_g = _PATHS[degree is not None][0]
     value, err, noise = np.empty(len(a), dtype=complex), np.empty(len(a)), np.empty(len(a))
     for lo in range(0, len(a), _RULE_BLOCK):
         ab, bb = a[lo:lo + _RULE_BLOCK], b[lo:lo + _RULE_BLOCK]
@@ -202,8 +201,6 @@ def _rule(fs: Sequence[ex.Node], lam: np.ndarray, a: np.ndarray,
         np.multiply(half, np.einsum("pk,k->p", z, weights_k), out=value[block])  # no BLAS threads
         gauss = half * np.einsum("pk,k->p", z, weights_g)
         np.abs(value[block] - gauss, out=err[block])
-        if degree is not None:
-            err[block] += (_FLOOR_C * _U) * (bb - ab)
         np.abs(t, out=t)
         noise[block] = (2.0 * math.pi * _U) * half * np.einsum("pk,k->p", t, weights_k)
     return value, err, noise
@@ -262,13 +259,14 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9) -> Osc
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if len(lam) != len(fs):
         raise ValueError(f"lambda has length {len(lam)}, expected {len(fs)}")
-    # phase-bounded bisection, then refinement: halve the panels with the
-    # largest errors that still fit
-    bound = (PHASE_VARIATION_PER_PANEL if _phase_degree(fs, lam) is None
-             else POLY_VARIATION_PER_PANEL)
+    # phase-bounded bisection, then refinement while the floor leaves room
+    # under tol and each round lowers sum |K - G|: halve the worst that fit
+    degree = _phase_degree(fs, lam)
+    _, bound, floor_c = _PATHS[degree is not None]
     a, b = map(np.concatenate, _bisect(fs, lam, lo, hi, bound))
-    values, errors, noise = _rule(fs, lam, a, b)
-    while float(np.sum(errors)) > tol and len(a) < PANEL_CAP:
+    values, errors, noise = _rule(fs, lam, a, b, degree)
+    floor, spread, last = floor_c * _U * (hi - lo), float(np.sum(errors)), math.inf
+    while floor < tol < spread + floor and spread < last and len(a) < PANEL_CAP:
         cut = max(float(np.max(errors)) * 0.5, tol / (2.0 * len(a)))
         split = errors >= cut  # cut <= max(errors): never empty
         room = PANEL_CAP - len(a)  # each split adds one panel
@@ -278,11 +276,12 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9) -> Osc
         keep, sa, sb = ~split, a[split], b[split]
         mid = 0.5 * (sa + sb)  # all left halves, then all right
         na, nb = np.concatenate([sa, mid]), np.concatenate([mid, sb])
-        nv, ne, nn = _rule(fs, lam, na, nb)
+        nv, ne, nn = _rule(fs, lam, na, nb, degree)
         a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
         values, errors = np.concatenate([values[keep], nv]), np.concatenate([errors[keep], ne])
         noise = np.concatenate([noise[keep], nn])
-    error = float(np.sum(errors))
+        last, spread = spread, float(np.sum(errors))
+    error = spread + floor
     return OscillatoryEstimate(lam, (lo, hi), complex(np.sum(values)), error, len(a),
                                error <= tol, float(np.sum(noise)))
 
@@ -380,6 +379,7 @@ class OscillatoryDecayFit:
     delta_hat: float
     unreliable: np.ndarray        # bool (directions, radii)
     errors: np.ndarray            # quadrature error estimates (directions, radii)
+    noise: np.ndarray             # rounding noise (directions, radii)
     below_noise: np.ndarray       # bool (directions, radii): |I| <= error + noise
     degenerate_direction: Optional[np.ndarray] = None
     degenerate_magnitudes: Optional[np.ndarray] = None
@@ -453,4 +453,4 @@ def decay_fit(fs: Sequence[ex.Node], interval, radii: Sequence[float],
                 osc_integral(fs, r * degen_dir, interval, tol=tol).magnitude
                 for r in radii])
     return OscillatoryDecayFit(directions, radii, mags, *fits.T, *pooled, delta_hat,
-                               unreliable, errors, below, degen_dir, degen_mags)
+                               unreliable, errors, noise, below, degen_dir, degen_mags)

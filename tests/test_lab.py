@@ -520,7 +520,7 @@ class TestCli:
         (["discrepancy", "--gen", "x=0.618; prod:identity|x", "--grid", "100,1000"],
          "N,dstar,err_bound,method", 2),
         (["oscdecay", "--f", "x", "--interval", "1,2", "--radii", "halfpow2:2..7",
-          "--dirs", "1"], "direction_index,omega,R,abs_integral,err_est,flags", 6),
+          "--dirs", "1"], "direction_index,omega,R,abs_integral,err_est,noise,flags", 6),
     ], ids=["scatter", "weylsum", "discrepancy", "oscdecay"])
     def test_csv_output(self, argv, header, n_rows, tmp_path, capsys):
         path = tmp_path / "table.csv"

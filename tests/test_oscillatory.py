@@ -90,6 +90,52 @@ class TestOscIntegral:
         assert abs(est.magnitude - closed) <= max(est.error * 10, 1e-9)
 
 
+class TestRefinementEnds:
+    """Refinement lowers only sum |K - G|: it is skipped when the rounding
+    floor alone exceeds tol, and it ends at the first round that does not
+    lower the sum, far below PANEL_CAP."""
+
+    @staticmethod
+    def rounds(monkeypatch, text, interval, tol):
+        """The estimate, the |K - G| of each rule call, and sum |K - G| over
+        the panels in use after each call: a refinement round replaces each
+        split panel by its halves (all left halves, then all right)."""
+        rule, calls = osc._rule, []
+
+        def counting_rule(*args):
+            out = rule(*args)
+            calls.append((args[2], args[3], out[1]))
+            return out
+
+        monkeypatch.setattr(osc, "_rule", counting_rule)
+        est = osc_integral([ex.parse_expr(text)], [1.0], interval, tol=tol)
+        errors, spreads = {}, []
+        for k, (a, b, err) in enumerate(calls):
+            half = len(a) // 2
+            for parent in (zip(a[:half], b[half:]) if k else ()):
+                del errors[parent]
+            errors.update(zip(zip(a, b), err))
+            spreads.append(math.fsum(errors.values()))
+        return est, [err for _, _, err in calls], spreads
+
+    def test_floor_above_tol_keeps_the_bisection(self, monkeypatch):
+        # the K31 floor 2u * 10^4 = 2.2e-12 exceeds tol; refinement used to
+        # split to PANEL_CAP (1,048,576 panels, about 4 s) and end unreliable
+        est, errs, _ = self.rounds(monkeypatch, "x", (0.0, 1e4), 1e-12)
+        assert len(errs) == 1 and est.panels == len(errs[0]) == 8192
+        assert est.error == float(np.sum(errs[0])) + 2.0 * 2.0 ** -53 * 1e4
+        assert not est.reliable
+
+    def test_rounding_ends_refinement(self, monkeypatch):
+        # per-node rounding of sin(x) + x over 10^4 cycles holds
+        # sum |K15 - G7| near 3e-9; refinement used to split to PANEL_CAP
+        # (about 5 s) and end unreliable
+        est, _, spreads = self.rounds(monkeypatch, "sin(x) + x", (0.0, 1e4), 1e-12)
+        assert np.all(np.diff(spreads[:-1]) < 0) and spreads[-1] >= spreads[-2]
+        assert est.panels == 136225 < osc.PANEL_CAP and not est.reliable
+        assert est.error == pytest.approx(spreads[-1], rel=1e-12)
+
+
 class TestKronrodConstants:
     """The K15/G7 constants are carried to full double precision."""
 
@@ -558,6 +604,18 @@ class TestDecayFit:
         assert f"# delta_hat={fit.delta_hat:.4f}" in out
         flags = [row[-1] for row in lab.decay_csv_rows(fit)[1]]
         assert flags == ["below noise"] * 6 + [""] * 12
+
+    def test_noise_column_gives_the_flag_its_reason(self):
+        # README --radii geom:2:64:6: direction 0 at R = 16 - 7.1e-15 has
+        # |I| above err_est, yet below err_est plus the rounding noise
+        fit = decay_fit([X, X2], (1, 2), cli._parse_radii("geom:2:64:6"), 3)
+        header, rows = lab.decay_csv_rows(fit)
+        assert header[-2:] == ["noise", "flags"]
+        cell = dict(zip(header, next(row for row in rows
+                                     if row[0] == 0 and row[2] == 15.999999999999993)))
+        assert cell["noise"] == pytest.approx(1.7e-14, rel=0.02)
+        assert cell["err_est"] < cell["abs_integral"] < cell["err_est"] + cell["noise"]
+        assert cell["flags"] == "below noise"
 
     def test_unreliable_and_below_noise_flags_join(self, monkeypatch):
         # one panel per integral: x meets tol up to R = 3, x^2 only at R = 1
