@@ -40,29 +40,34 @@ def star_discrepancy_1d(points) -> float:
     return star_discrepancy_kd(np.asarray(points, dtype=float)[:, None])[0]
 
 
-def _corner_dstar(open_idx: np.ndarray, closed_idx: np.ndarray,
-                  corners: Sequence[np.ndarray], grid: Sequence[int]) -> List[float]:
+def _corner_dstar(closed_idx: np.ndarray, corners: Sequence[np.ndarray],
+                  grid: Sequence[int], open_idx: Optional[np.ndarray] = None) -> List[float]:
     """D* of points[:N], for each N in the grid, over the anchored boxes
     with corners in the product of the per-axis coordinate lists `corners`.
 
-    Row j of open_idx and closed_idx holds point j's bin on each axis: the
-    point lies in the open (closed) box up to corner index i when every
-    open (closed) bin is <= i. Counts are binned and cumulated along each
-    axis in blocks of rows of about CORNER_BLOCK cells, each block started
-    from the last row of the block before. Every table is compared with
-    the volumes both ways; open counts never exceed closed ones, so this
-    gives max(closed - volume, volume - open). While open and closed bins
-    agree on every point of a prefix, its open table serves as the closed
-    one."""
+    Row j of closed_idx and open_idx holds point j's bin on each axis: the
+    point lies in the closed (open) box up to corner index i when every
+    closed (open) bin is <= i. Counts are binned, cumulated along each axis
+    and divided by N in blocks of rows of about CORNER_BLOCK cells, each
+    block started from the last row of the block before. Open counts never
+    exceed closed ones, so D* = max(closed - volume, volume - open): the
+    closed table is compared above the volumes and the open one below.
+    Without open_idx every open bin is the closed bin plus one (the exact
+    corners), so the open table is the closed one shifted by one corner on
+    every axis, a block's shifted first row the carried row. While open and
+    closed bins agree on every point of a prefix, the closed table serves
+    as the open one."""
     shape, last = tuple(len(c) for c in corners), np.subtract(grid, 1)
     rest = int(np.prod(shape[1:]))
     rows = max(1, CORNER_BLOCK // rest)
     # clipped: a lattice bin -1 (x = 0) or m (m x rounded up to m) is 0 or m - 1
     flats = [np.ravel_multi_index(tuple(idx.T), shape, mode="clip")
-             for idx in (open_idx, closed_idx)]
-    one_table = np.cumsum(flats[0] != flats[1])[last] == 0
+             for idx in (closed_idx, open_idx) if idx is not None]
+    own_open = np.cumsum(flats[0] != flats[-1])[last] > 0
+    head, tail = ((slice(None),) + (s,) * (len(shape) - 1)
+                  for s in (slice(1, None), slice(None, -1)))
     below, above = np.zeros(len(grid)), np.zeros(len(grid))
-    carry = np.zeros((2, len(grid)) + shape[1:], np.int64)
+    carry = np.zeros((len(flats), len(grid)) + shape[1:], np.int64)
     for r0 in range(0, shape[0], rows):
         vol = functools.reduce(np.multiply.outer, [corners[0][r0:r0 + rows], *corners[1:]])
         lo, dev = r0 * rest, np.empty(vol.shape)
@@ -70,17 +75,24 @@ def _corner_dstar(open_idx: np.ndarray, closed_idx: np.ndarray,
             inside = (flat >= lo) & (flat < lo + vol.size)
             local, ends = flat[inside] - lo, np.cumsum(inside)[last]
             for g, N in enumerate(grid):
-                if side and one_table[g]:
+                if side and not own_open[g]:
                     continue
                 cum = np.bincount(local[:ends[g]], minlength=vol.size).reshape(vol.shape)
                 for axis in range(len(shape)):
                     np.cumsum(cum, axis=axis, out=cum)
                 if r0:
                     cum += carry[side, g]
+                np.divide(cum, N, out=dev)
+                if open_idx is None:
+                    opened = np.zeros(vol.shape)
+                    opened[head] = np.concatenate((carry[side, g][None] / N, dev[:-1]))[tail]
+                    below[g] = max(below[g], float(np.max(vol - opened)))
                 carry[side, g] = cum[-1]
-                np.subtract(np.divide(cum, N, out=dev), vol, out=dev)
-                below[g] = max(below[g], -float(np.min(dev)))
-                above[g] = max(above[g], float(np.max(dev)))
+                np.subtract(dev, vol, out=dev)
+                if not side:
+                    above[g] = max(above[g], float(np.max(dev)))
+                if open_idx is not None and (side or not own_open[g]):
+                    below[g] = max(below[g], -float(np.min(dev)))
     return np.maximum(above, below).tolist()
 
 
@@ -97,7 +109,7 @@ def _exact_dstar(points: np.ndarray, grid: Sequence[int]) -> List[float]:
             prefix = points[:N].T
             corners = [np.unique(np.append(c, 1.0)) for c in prefix]
             closed = np.stack([np.searchsorted(u, c) for u, c in zip(corners, prefix)], 1)
-            values += _corner_dstar(closed + 1, closed, corners, [N])
+            values += _corner_dstar(closed, corners, [N])
     return values
 
 
@@ -179,9 +191,9 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
         err, label = 0.0, "exact-1d" if k == 1 else "exact-kd"
     else:
         scaled = points[:grid[-1]] * m
-        values = _corner_dstar(np.floor(scaled).astype(np.int64),
-                               (np.ceil(scaled) - 1).astype(np.int64),
-                               [np.arange(1, m + 1) / m] * k, grid)
+        values = _corner_dstar((np.ceil(scaled) - 1).astype(np.int64),
+                               [np.arange(1, m + 1) / m] * k, grid,
+                               np.floor(scaled).astype(np.int64))
         err, label = k / m, f"grid({m})"
     slope = float(np.polyfit(np.log(grid), np.log(np.maximum(values, 1e-300)), 1)[0]) \
         if len(grid) >= 2 else 0.0

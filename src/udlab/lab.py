@@ -457,7 +457,8 @@ def decay_csv_rows(fit) -> Tuple[List[str], List[List]]:
         otext = ";".join(repr(float(c)) for c in fit.degenerate_direction)
         for j, r in enumerate(fit.radii):
             rows.append([-1, otext, float(r), float(fit.degenerate_magnitudes[j]),
-                         0.0, 0.0, "degenerate"])
+                         float(fit.degenerate_errors[j]), float(fit.degenerate_noise[j]),
+                         "degenerate"])
     return header, rows
 
 

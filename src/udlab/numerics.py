@@ -20,6 +20,7 @@ import mpmath
 # error is then at most 2**-96. 64 left worst-case errors a shade above
 # 1e-20; 96 gives two orders of margin at negligible cost.
 TOWER_GUARD_BITS = 96
+UNIT_ROUNDOFF = 2.0 ** -53  # a double rounds with relative error at most this
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 # The split range of two_prod: while |a|, |b| and |a*b| stay within it, no

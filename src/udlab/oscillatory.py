@@ -8,8 +8,9 @@ variation per panel is within a bound, applies a Gauss-Kronrod pair to
 each panel, and halves the panels with the largest |K - G| while the
 estimate misses the tolerance. No split lowers the rounding floor, so
 refinement is skipped when the floor alone exceeds the tolerance, and it
-ends at the first round that does not lower sum |K - G|; PANEL_CAP only
-bounds memory. The expression trees pick the path once per integral:
+ends at the first round that does not lower sum |K - G|, whose panels
+are dropped; PANEL_CAP only bounds memory. The expression trees pick the
+path once per integral:
 
 * Polynomial phases, where every f with lambda_i != 0 is built from x,
   +, -, * and integer powers >= 0 over subtrees free of x (degree d at
@@ -47,13 +48,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .numerics import check_interval, dd_add, dd_mul, e_phase, two_sum, unit_directions
+from .numerics import (UNIT_ROUNDOFF, check_interval, dd_add, dd_mul, e_phase, two_sum,
+                       unit_directions)
 
 PANEL_CAP = 1 << 20  # memory guard: about 60 bytes per panel in the bisection
 R_MAX = 1 << 16
 TOL_MIN, TOL_MAX = 1e-12, 1e-4
 _RULE_BLOCK = 1 << 11  # panels per rule block: 63k K31 nodes, about 1 MB complex
-_U = 2.0 ** -53  # unit roundoff
 
 
 def _kronrod(xgk, wgk, wg):
@@ -202,7 +203,7 @@ def _rule(fs: Sequence[ex.Node], lam: np.ndarray, a: np.ndarray, b: np.ndarray,
         gauss = half * np.einsum("pk,k->p", z, weights_g)
         np.abs(value[block] - gauss, out=err[block])
         np.abs(t, out=t)
-        noise[block] = (2.0 * math.pi * _U) * half * np.einsum("pk,k->p", t, weights_k)
+        noise[block] = (2.0 * math.pi * UNIT_ROUNDOFF) * half * np.einsum("pk,k->p", t, weights_k)
     return value, err, noise
 
 
@@ -260,13 +261,14 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9) -> Osc
     if len(lam) != len(fs):
         raise ValueError(f"lambda has length {len(lam)}, expected {len(fs)}")
     # phase-bounded bisection, then refinement while the floor leaves room
-    # under tol and each round lowers sum |K - G|: halve the worst that fit
+    # under tol: halve the worst that fit, and drop the first round that
+    # does not lower sum |K - G|, which ends it
     degree = _phase_degree(fs, lam)
     _, bound, floor_c = _PATHS[degree is not None]
     a, b = map(np.concatenate, _bisect(fs, lam, lo, hi, bound))
     values, errors, noise = _rule(fs, lam, a, b, degree)
-    floor, spread, last = floor_c * _U * (hi - lo), float(np.sum(errors)), math.inf
-    while floor < tol < spread + floor and spread < last and len(a) < PANEL_CAP:
+    floor, spread = floor_c * UNIT_ROUNDOFF * (hi - lo), float(np.sum(errors))
+    while floor < tol < spread + floor and len(a) < PANEL_CAP:
         cut = max(float(np.max(errors)) * 0.5, tol / (2.0 * len(a)))
         split = errors >= cut  # cut <= max(errors): never empty
         room = PANEL_CAP - len(a)  # each split adds one panel
@@ -277,10 +279,12 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9) -> Osc
         mid = 0.5 * (sa + sb)  # all left halves, then all right
         na, nb = np.concatenate([sa, mid]), np.concatenate([mid, sb])
         nv, ne, nn = _rule(fs, lam, na, nb, degree)
+        if not float(np.sum(errors[keep])) + float(np.sum(ne)) < spread:
+            break
         a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
         values, errors = np.concatenate([values[keep], nv]), np.concatenate([errors[keep], ne])
         noise = np.concatenate([noise[keep], nn])
-        last, spread = spread, float(np.sum(errors))
+        spread = float(np.sum(errors))
     error = spread + floor
     return OscillatoryEstimate(lam, (lo, hi), complex(np.sum(values)), error, len(a),
                                error <= tol, float(np.sum(noise)))
@@ -383,6 +387,8 @@ class OscillatoryDecayFit:
     below_noise: np.ndarray       # bool (directions, radii): |I| <= error + noise
     degenerate_direction: Optional[np.ndarray] = None
     degenerate_magnitudes: Optional[np.ndarray] = None
+    degenerate_errors: Optional[np.ndarray] = None
+    degenerate_noise: Optional[np.ndarray] = None
 
 
 def _fit_line(logr: np.ndarray, logm: np.ndarray) -> Tuple[float, float, float]:
@@ -442,15 +448,15 @@ def decay_fit(fs: Sequence[ex.Node], interval, radii: Sequence[float],
     pooled = _fit_line(np.tile(logr, len(directions))[~below.ravel()], np.log(mags[~below]))
     delta_hat = float(np.min(np.abs(fits[fitted, 0])))
 
-    degen_dir = degen_mags = None
+    degen_dir, degen = None, [None] * 3  # magnitudes, errors, noise
     report = ex.check_linear_independence(fs, interval)
     if report.verdict == "dependent":
         lam_part = report.null_direction[1:]
         norm = np.linalg.norm(lam_part)
         if norm > 1e-12:
             degen_dir = lam_part / norm
-            degen_mags = np.array([
-                osc_integral(fs, r * degen_dir, interval, tol=tol).magnitude
-                for r in radii])
+            ests = [osc_integral(fs, r * degen_dir, interval, tol=tol) for r in radii]
+            degen = [np.array([e.magnitude for e in ests]), np.array([e.error for e in ests]),
+                     np.array([e.noise for e in ests])]
     return OscillatoryDecayFit(directions, radii, mags, *fits.T, *pooled, delta_hat,
-                               unreliable, errors, noise, below, degen_dir, degen_mags)
+                               unreliable, errors, noise, below, degen_dir, *degen)

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import sequences as sq
-from .numerics import derive_seed, unit_directions
+from .numerics import UNIT_ROUNDOFF, derive_seed, unit_directions
 
 EXACT_CUTOFF = 1 << 13  # beyond this many terms, auto mode switches to buckets
 BUCKET_ETA_DEFAULT = 0.01
@@ -83,31 +83,94 @@ def _exact_sums(a, Ns: Sequence[int], delta: float) -> List[float]:
     return [math.fsum(row_sums[:N + 1]) / (N * N) for N in Ns]
 
 
-def _count_pairs_within(vals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """For sorted vals, the number of pairs i<j with vals[j]-vals[i] <= t for
-    each threshold t: in the stable order of (vals - t, vals) needle j sits at
-    j + #{i: vals[i] < vals[j] - t}, and timsort merges the two runs in linear time."""
+def _edge_ratio(delta: float, eta: float) -> float:
+    """The bucket ratio r: the largest (to 2^-40) whose convexity bracket
+    on (a, r a], of relative width at most delta (delta + 1) (r - 1)^2
+    r^delta / 8, stays within (1 + eta)^(delta/2) - 1, the bound of a
+    geometric-mean price on buckets of ratio 1 + eta."""
+    rho = math.pow(1.0 + eta, delta / 2.0) - 1.0
+    lo, hi = 1.0, 2.0  # eta <= 0.05 keeps r below 1.45
+    while hi - lo > 2.0 ** -40:
+        mid = 0.5 * (lo + hi)
+        wide = delta * (delta + 1.0) * (mid - 1.0) ** 2 * mid ** delta / 8.0 > rho
+        lo, hi = (lo, mid) if wide else (mid, hi)
+    return lo
+
+
+def _far_moments(vals: np.ndarray, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For sorted vals and each edge t: over the pairs i < j counted beyond
+    t, vals[i] < fl(vals[j] - t), their number, the sums of d and of d^2
+    for d = vals[j] - vals[i], and a bound on the rounding error of the
+    sum of d against the pairs' real differences.
+
+    In the stable order of (vals - t, vals) needle j sits at j + c_j, with
+    c_j = #{i: vals[i] < fl(vals[j] - t)} a prefix of vals, and value i at
+    n - w_i + i, with w_i = #{j: c_j > i}; timsort merges the two runs in
+    linear time. With u = vals - median and P the prefix sums of u,
+    sum d = sum_j c_j u_j - sum_i w_i u_i and sum d^2 = sum_j c_j u_j^2
+    + sum_i w_i u_i^2 - 2 sum_j u_j P[c_j]. The sum of d takes u (rounded
+    once), two dot products of n terms and a subtraction, so it errs by at
+    most gamma_(n+2) M, M = sum_j c_j |u_j| + sum_i w_i |u_i|; gamma_(2n+4)
+    times the computed M covers M's own rounding as well (gamma_k =
+    k u / (1 - k u), u the unit roundoff). The sum of d^2 cancels when the
+    span is far above d; it only steers the estimate inside its bracket.
+    """
     n = len(vals)
-    counts = np.empty(len(thresholds), dtype=np.int64)
-    for k, t in enumerate(thresholds):
+    u = vals - vals[n // 2]
+    powers = np.stack((u, u * u, np.abs(u)))
+    prefix = np.concatenate(([0.0], np.cumsum(u)))
+    idx = np.arange(n)
+    gamma = (2 * n + 4) * UNIT_ROUNDOFF / (1.0 - (2 * n + 4) * UNIT_ROUNDOFF)
+    counts = np.empty(len(edges), dtype=np.int64)
+    moments = np.empty((len(edges), 3))  # sum d, sum d^2, error bound of sum d
+    for k, t in enumerate(edges):
         # a loop keeps the last order alive: no heap trim and re-fault per t
         order = np.argsort(np.concatenate((vals - t, vals)), kind="stable")
-        counts[k] = n * (n - 1) - int(np.flatnonzero(order < n).sum())
-    return counts
+        needle = order < n
+        c = np.flatnonzero(needle) - idx
+        w = n - (np.flatnonzero(~needle) - idx)
+        up, down = (np.einsum("kn,n->k", powers, x) for x in (c, w))
+        counts[k] = int(c.sum())
+        moments[k] = (up[0] - down[0], up[1] + down[1] - 2.0 * np.einsum("n,n->", u, prefix[c]),
+                      gamma * (up[2] + down[2]))
+    return counts, moments
 
 
 def _bucketed_sum(a, N: int, delta: float, eta: float) -> ScatterValue:
+    """Pairs within 1 count 1 each. A bucket (lo, hi] between edges of the
+    ratio r of _edge_ratio, with n pairs of mean mu, is priced between the
+    convexity bracket L = n f(mu) (Jensen) and U = n chord_f(mu)
+    (Edmundson-Madansky), f = d^-delta, by the Taylor value
+    E = n f(mu) + f''(mu)/2 sum (d - mu)^2 clipped into [L, U]. The bound
+    is the sum of max(E - L, U - E) plus the rounding: an error e in a
+    bucket's sum of d moves L and U by at most delta lo^(-delta-1) e, and
+    a rounded needle fl(vals[j] - t) moves a pair across edge t by at most
+    eps_t = u max_j |vals[j] - t| (u the unit roundoff), which widens the
+    bracket's ends and, at edge 1 where the price min(d^-delta, 1) bends,
+    costs a pair at most delta eps_1."""
     vals = np.sort(sq.finite_values(a, sq.index_range(N)))
     span = float(vals[-1] - vals[0])
-    n_buckets = int(math.ceil(math.log(span) / math.log1p(eta))) + 1 if span > 1.0 else 0
-    edges = np.power(1.0 + eta, np.arange(n_buckets + 1))  # edges[0] = 1
-    cum = _count_pairs_within(vals, edges)
-    exact_part = float(cum[0])  # each pair within 1 contributes exactly 1
-    per_bucket = np.diff(cum)  # pairs with diff in (edges[j], edges[j+1]]
-    geo_mean = np.sqrt(edges[:-1] * edges[1:])
-    approx_part = float(np.sum(per_bucket * np.power(geo_mean, -delta)))
-    err = approx_part * (math.pow(1.0 + eta, delta / 2.0) - 1.0)
-    return ScatterValue((exact_part + approx_part) / (N * N), err / (N * N),
+    r = _edge_ratio(delta, eta)
+    # edges 1, r, .. past r * span: a pair of difference <= 1 may still be
+    # counted beyond the rounded needle at 1, and a bucket above must take it
+    n_buckets = (int(math.ceil(math.log(span) / math.log(r))) if span > 1.0 else 0) + 1
+    edges = np.power(r, np.arange(n_buckets + 1))
+    counts, moments = _far_moments(vals, edges)
+    eps = UNIT_ROUNDOFF * np.maximum(np.abs(vals[0] - edges), np.abs(vals[-1] - edges))
+    n = -np.diff(counts)  # pairs with d in (edges[k], edges[k+1]]
+    some = n > 0
+    sum_d, sum_dd = -np.diff(moments[:, :2], axis=0)[some].T
+    err_d = (moments[:-1, 2] + moments[1:, 2])[some]
+    n, lo, hi = n[some], (edges[:-1] - eps[:-1])[some], (edges[1:] + eps[1:])[some]
+    mu = np.clip(sum_d / n, lo, hi)
+    low = n * mu ** -delta
+    high = n * (lo ** -delta * (hi - mu) + hi ** -delta * (mu - lo)) / (hi - lo)
+    spread = np.maximum(sum_dd - 2.0 * mu * sum_d + n * mu * mu, 0.0)  # sum (d - mu)^2
+    est = np.clip(low + delta * (delta + 1.0) / 2.0 * mu ** (-delta - 2.0) * spread, low, high)
+    pairs = N * (N - 1) // 2
+    err = (float(np.sum(np.maximum(est - low, high - est)))
+           + delta * float(np.sum(lo ** (-delta - 1.0) * err_d)) + delta * float(eps[0]) * pairs)
+    return ScatterValue((pairs - int(counts[0]) + float(np.sum(est))) / (N * N), err / (N * N),
                         f"bucketed(eta={eta:g})")
 
 
@@ -139,11 +202,14 @@ def scatter_sum(a, N: int, delta: float, mode: str = "auto",
     """The normalized pair sum S_delta(N) for an evaluator a.
 
     Exact mode is the direct O(N^2) sum over the lower triangle in
-    cache-sized row blocks. Bucketed mode sorts the values, counts pairs
-    per geometric difference bucket by one linear merge per edge and
-    prices each bucket at its edge geometric mean; pairs with difference
-    <= 1 are counted exactly, so the advertised relative error delta*eta
-    applies only to the remainder. Auto picks exact up to N = 2^13.
+    cache-sized row blocks. Bucketed mode sorts the values and takes one
+    linear merge per coarse edge r^k, which gives the count and the sums
+    of d and d^2 of the pairs beyond it; each bucket between edges is
+    priced inside its convexity bracket, r being the widest ratio whose
+    bracket meets the relative bound (1 + eta)^(delta/2) - 1 on the far
+    pairs. Pairs with difference <= 1 are counted exactly, and the
+    reported bound adds the rounding of the sums. Auto picks exact up to
+    N = 2^13.
     """
     return _scatter_values(a, [N], delta, mode, eta)[0]
 

@@ -135,6 +135,18 @@ class TestTwoDimensional:
         exact, _ = star_discrepancy_kd(pts, "exact")
         assert exact == pytest.approx(brute_force_2d(pts), abs=1e-12)
 
+    @pytest.mark.parametrize("block", [1, 16, dc.CORNER_BLOCK])
+    def test_exact_on_eighths_equals_brute_force(self, monkeypatch, block):
+        # coordinates k/8 put ties on both axes and repeated points in every
+        # prefix; small blocks carry the shifted open table's first row
+        # across row blocks
+        monkeypatch.setattr(dc, "CORNER_BLOCK", block)
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 7, 40, 300):
+            pts = rng.integers(0, 8, (n, 2)) / 8
+            exact, _ = star_discrepancy_kd(pts, "exact")
+            assert exact == pytest.approx(brute_force_2d(pts), abs=1e-12)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(POINTS_2D, st.sampled_from([2, 5, 7, 16, 64]))
     def test_lattice_sandwich_with_atoms(self, pts, m):

@@ -583,6 +583,18 @@ class TestCli:
         flagged = [row for row in rows if row[0] == "-1"]
         assert len(flagged) == 6 and all(row[-1] == "degenerate" for row in flagged)
 
+    def test_oscdecay_degenerate_rows_carry_error_and_noise(self, tmp_path):
+        # these cells printed err_est 0.0 and noise 0.0
+        path = tmp_path / "decay.csv"
+        assert cli.main(["oscdecay", "--f", "x;2*x+1", "--interval", "0,1", "--radii",
+                         "halfpow2:2..9", "--dirs", "3", "--seed", "1", "--csv", str(path)]) == 0
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        flagged = {float(row[2]): row for row in rows if row[0] == "-1"}
+        assert len(flagged) == 8
+        assert all(float(row[4]) > 0.0 and float(row[5]) > 0.0 for row in flagged.values())
+        assert float(flagged[512.5][4]) == pytest.approx(3.3e-16, rel=0.05)
+        assert float(flagged[512.5][5]) == pytest.approx(1.6e-13, rel=0.05)
+
     def test_oscdecay_runs(self, capsys):
         code = cli.main(["oscdecay", "--f", "x", "--interval", "0,1",
                          "--radii", "halfpow2:2..8", "--dirs", "1"])

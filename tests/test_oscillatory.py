@@ -129,11 +129,13 @@ class TestRefinementEnds:
     def test_rounding_ends_refinement(self, monkeypatch):
         # per-node rounding of sin(x) + x over 10^4 cycles holds
         # sum |K15 - G7| near 3e-9; refinement used to split to PANEL_CAP
-        # (about 5 s) and end unreliable
+        # (about 5 s) and end unreliable. The last round raised the sum
+        # (3.0520e-9 to 3.0695e-9 on 136,225 panels) and is dropped
         est, _, spreads = self.rounds(monkeypatch, "sin(x) + x", (0.0, 1e4), 1e-12)
         assert np.all(np.diff(spreads[:-1]) < 0) and spreads[-1] >= spreads[-2]
-        assert est.panels == 136225 < osc.PANEL_CAP and not est.reliable
-        assert est.error == pytest.approx(spreads[-1], rel=1e-12)
+        assert est.panels == 123972 < osc.PANEL_CAP and not est.reliable
+        assert est.error == pytest.approx(spreads[-2], rel=1e-12)
+        assert est.error == pytest.approx(3.052e-9, rel=1e-3)
 
 
 class TestKronrodConstants:

@@ -64,6 +64,15 @@ class TestScatterSum:
                 assert abs(exact.S - bucket.S) <= bucket.error_bound + 1e-15
                 assert abs(exact.S - bucket.S) / exact.S <= delta * 0.01 + 1e-12
 
+    def test_bucketed_prices_a_pair_across_the_rounded_needle(self):
+        # 1.1 - 0.1 rounds to 1.0 but fl(1.1 - 1) = 0.1000000000000001 > 0.1:
+        # the pair is counted beyond edge 1; with no bucket above it (span
+        # <= 1) it was priced 0, and S read 0.0 for 0.25
+        vals = np.array([0.1, 1.1])
+        for delta in (0.25, 1.0):
+            bucket = scatter_sum(array_evaluator(vals), 2, delta, mode="bucketed")
+            assert abs(bucket.S - 0.25) <= bucket.error_bound + 1e-16
+
     def test_shift_and_negation_invariance(self):
         rng = np.random.default_rng(3)
         vals = np.cumsum(rng.random(200) * 5)
@@ -452,24 +461,40 @@ class TestExactKernel:
         assert rep.S == [scatter_sum(ev, N, 0.01).S for N in grid]
 
 
-def brute_force_count(vals: np.ndarray, t: float) -> int:
-    """Pairs i < j of sorted vals with vals[i] >= vals[j] - t: the rounded
-    needle vals[j] - t is the comparison the bucket edges are counted by."""
-    return int(np.count_nonzero(np.tril(vals[None, :] >= vals[:, None] - t, -1)))
+def brute_force_moments(vals: np.ndarray, t: float):
+    """Pairs i < j of sorted vals counted beyond t, vals[i] < fl(vals[j] - t)
+    (the rounded needle the bucket edges are counted by): their number, the
+    real sum of d = vals[j] - vals[i] rounded once, the sum of fl(d)^2, and
+    the magnitude sum (|u_i| + |u_j|)^2 that the sum of d^2 is formed from,
+    u = vals - median."""
+    i, j = np.nonzero(np.triu(vals[:, None] < (vals - t)[None, :], 1))
+    u = np.abs(vals - vals[len(vals) // 2])
+    sum_d = math.fsum(np.concatenate((vals[j], -vals[i])))
+    return (len(i), sum_d, math.fsum((vals[j] - vals[i]) ** 2),
+            math.fsum((u[i] + u[j]) ** 2))
 
 
 value_lists = st.lists(st.one_of(st.integers(-40, 40).map(lambda k: k / 4),
                                  st.floats(-1e5, 1e5, allow_nan=False)),
                        min_size=2, max_size=120)
 
+U = 2.0 ** -53
+
 
 class TestBucketProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(value_lists, st.lists(st.floats(0.0, 1e5), min_size=1, max_size=6))
     def test_merge_counts_equal_brute_force(self, vals, thresholds):
+        # counts exactly; the sum of d within its reported rounding bound
+        # (plus the oracle's one rounding); the sum of d^2 within 8 (n + 2) u
+        # times the magnitudes it is formed from
         vals = np.sort(np.asarray(vals, dtype=float))
-        got = sc._count_pairs_within(vals, np.asarray(thresholds))
-        assert list(got) == [brute_force_count(vals, t) for t in thresholds]
+        counts, moments = sc._far_moments(vals, np.asarray(thresholds))
+        for t, count, (sum_d, sum_dd, bound) in zip(thresholds, counts, moments):
+            want, want_d, want_dd, size = brute_force_moments(vals, t)
+            assert count == want
+            assert abs(sum_d - want_d) <= bound + U * abs(want_d)
+            assert abs(sum_dd - want_dd) <= 8 * (len(vals) + 2) * U * size
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(value_lists, st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([0.005, 0.01, 0.05]))
@@ -480,3 +505,35 @@ class TestBucketProperties:
         bucket = scatter_sum(ev, n, delta, mode="bucketed", eta=eta)
         # slack for the rounding of the two sums, far below the bound
         assert abs(bucket.S - exact) <= bucket.error_bound + 1e-13 * exact
+
+    @pytest.mark.parametrize("spec", [sq.power(0.5), sq.log_power(2.0), sq.power(0.9)])
+    def test_bucketed_close_to_exact(self, spec):
+        # the bound allows (1 + eta)^(delta/2) - 1, about 5e-3 at delta = 1;
+        # the Taylor value inside the bracket lands within about 3e-6
+        a = sq.make_sequence(spec)
+        for delta in (1.0, 0.5):
+            exact = scatter_sum(a, 8192, delta, mode="exact").S
+            bucket = scatter_sum(a, 8192, delta, mode="bucketed", eta=0.01).S
+            assert abs(bucket - exact) / exact <= 1e-5
+
+    def test_one_merge_per_coarse_edge(self, monkeypatch):
+        # (log n)^2 spans 123 at N = 2^16: 41 edges of ratio 1.133, where
+        # buckets of ratio 1 + eta took 486
+        sizes, far_moments = [], sc._far_moments
+
+        def counting(vals, edges):
+            sizes.append(len(edges))
+            return far_moments(vals, edges)
+
+        monkeypatch.setattr(sc, "_far_moments", counting)
+        scatter_sum(sq.make_sequence(sq.log_power(2.0)), 2 ** 16, 1.0, mode="bucketed", eta=0.01)
+        assert len(sizes) == 1 and sizes[0] <= 50
+
+    @pytest.mark.parametrize("delta", [0.01, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("eta", [0.001, 0.01, 0.05])
+    def test_edge_ratio_is_the_widest_within_the_bound(self, delta, eta):
+        def width(r):
+            return delta * (delta + 1) * (r - 1) ** 2 * r ** delta / 8
+        r = sc._edge_ratio(delta, eta)
+        rho = (1 + eta) ** (delta / 2) - 1
+        assert width(r) <= rho < width(r + 1e-9)
