@@ -103,6 +103,10 @@ def _cmd_discrepancy(args) -> int:
     report = dc.ud_trend(gen, grid, method=args.method, m=args.m)
     print(f"# generator: {gen.describe()}  dim={report.dimension}")
     print(f"# trend slope (log D* ~ log N): {report.trend_slope:.4f}")
+    left_out = sum(report.below_bound())
+    if left_out:
+        print(f"# {left_out} of {len(report.grid)} prefixes at or below their error bound"
+              f" {report.error_bounds[-1]:g}; left out of the trend fit")
     _print_table(*lab.discrepancy_csv_rows(report), args.csv)
     return EXIT_OK
 

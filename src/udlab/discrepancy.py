@@ -15,11 +15,13 @@ additive bound k/m. Non-finite points are refused.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .numerics import fit_line
 from .sequences import index_range
 
 EXACT_KD_MAX_N = 4096
@@ -160,16 +162,23 @@ class DiscrepancyReport:
     error_bounds: List[float]
     methods: List[str]
     source: str
-    trend_slope: float  # least-squares slope of log D* vs log N
+    trend_slope: float  # slope of log D* vs log N over the prefixes above their bound
 
     def final_value(self) -> float:
         return self.values[-1]
+
+    def below_bound(self) -> List[bool]:
+        """Per prefix: the value does not exceed its additive error bound, so
+        the prefix is left out of the trend fit (flagged in the CSV)."""
+        return [v <= e for v, e in zip(self.values, self.error_bounds)]
 
 
 def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
                 m: Optional[int] = None, source: str = "") -> DiscrepancyReport:
     """D*_N of the prefixes points[:N] for each N in the grid, with the
-    log-log trend slope as an equidistribution diagnostic.
+    log-log trend slope as an equidistribution diagnostic. The slope is
+    fitted by numerics.fit_line over the prefixes whose value exceeds its
+    error bound; with fewer than MIN_FIT_CELLS of them it is NaN.
 
     method "exact" (k = 1; or k = 2 and N <= 4096) uses the sorted formula
     in one dimension; in two it runs the corner-count kernel on the
@@ -195,10 +204,11 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
                                [np.arange(1, m + 1) / m] * k, grid,
                                np.floor(scaled).astype(np.int64))
         err, label = k / m, f"grid({m})"
-    slope = float(np.polyfit(np.log(grid), np.log(np.maximum(values, 1e-300)), 1)[0]) \
-        if len(grid) >= 2 else 0.0
-    return DiscrepancyReport(k, grid, values, [err] * len(grid), [label] * len(grid),
-                             source, slope)
+    rep = DiscrepancyReport(k, grid, values, [err] * len(grid), [label] * len(grid),
+                            source, math.nan)
+    above = ~np.array(rep.below_bound())
+    rep.trend_slope = fit_line(np.log(grid)[above], np.log(np.array(values)[above]))[0]
+    return rep
 
 
 def ud_trend(gen, grid: Sequence[int], method: str = "auto",

@@ -437,9 +437,10 @@ def weyl_csv_rows(series: wy.WeylSumSeries) -> Tuple[List[str], List[List]]:
 
 
 def discrepancy_csv_rows(report: dc.DiscrepancyReport) -> Tuple[List[str], List[List]]:
-    header = ["N", "dstar", "err_bound", "method"]
-    rows = [[N, v, e, m] for N, v, e, m in
-            zip(report.grid, report.values, report.error_bounds, report.methods)]
+    header = ["N", "dstar", "err_bound", "method", "flags"]
+    rows = [[N, v, e, m, "below bound" if low else ""] for N, v, e, m, low in
+            zip(report.grid, report.values, report.error_bounds, report.methods,
+                report.below_bound())]
     return header, rows
 
 
@@ -466,7 +467,7 @@ def emit_csv(report: ExperimentReport, path: str) -> None:
     """Long-form discrepancy table: one row per (sample, N)."""
     rows = [[s.index, s.x] + row for s in report.samples if s.error is None
             for row in discrepancy_csv_rows(s.discrepancy)[1]]
-    write_csv(path, ["sample", "x", "N", "dstar", "err_bound", "method"], rows)
+    write_csv(path, ["sample", "x", "N", "dstar", "err_bound", "method", "flags"], rows)
 
 
 def emit_weyl_csv(report: ExperimentReport, path: str) -> None:

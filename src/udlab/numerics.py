@@ -1,5 +1,6 @@
 """Shared numerical kernels: reproducible reductions, precision-safe
-fractional parts, seeded direction sampling, interval and tower-base rules.
+fractional parts, seeded direction sampling, the log-log fit rule, and the
+interval and tower-base rules.
 
 Everything here is deterministic for a fixed input array. Prefix means
 come from one running sum, a sequential accumulate, so a mean over the
@@ -26,6 +27,7 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 # The split range of two_prod: while |a|, |b| and |a*b| stay within it, no
 # step overflows (134217729 * 2**996 < 2**1024).
 SPLIT_MAX = 2.0 ** 996
+MIN_FIT_CELLS = 3  # fewest points a log-log fit is made from
 
 
 def check_interval(interval) -> Tuple[float, float]:
@@ -181,9 +183,27 @@ def chebyshev_nodes(lo: float, hi: float, m: int) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
 
 
+def fit_line(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
+    """Least-squares slope, intercept and R^2 of y against x: the one fit
+    rule of decay exponents and discrepancy trends, whose callers pass only
+    the points above their error. NaN for all three with fewer than
+    MIN_FIT_CELLS points."""
+    if len(x) < MIN_FIT_CELLS:
+        return math.nan, math.nan, math.nan
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
+    return float(slope), float(intercept), r2
+
+
 def unit_directions(seed: int, k: int, count: int) -> List[np.ndarray]:
     """The k axis directions of R^k, then seeded uniform unit vectors up to
-    count directions in all. The stream depends only on (seed, k, count)."""
+    count directions in all. The stream depends only on (seed, k, count).
+    k < 1 is refused: R^0 has no unit vector to draw."""
+    if k < 1:
+        raise ValueError(f"need at least one dimension for unit directions, got k = {k}")
     directions = [np.eye(k)[i] for i in range(k)]
     rng = np.random.default_rng(derive_seed(seed, k, count))
     while len(directions) < count:

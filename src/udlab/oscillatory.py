@@ -4,25 +4,25 @@ bounds, and the empirical decay-exponent fit.
 Phase convention: e(t) = exp(2*pi*i*t), so phases are measured in cycles
 and the derivative-test bounds consume phi = lambda . f directly, with no
 2*pi factors. The quadrature bisects panels until the estimated phase
-variation per panel is within a bound, applies a Gauss-Kronrod pair to
-each panel, and halves the panels with the largest |K - G| while the
-estimate misses the tolerance. No split lowers the rounding floor, so
-refinement is skipped when the floor alone exceeds the tolerance, and it
-ends at the first round that does not lower sum |K - G|, whose panels
-are dropped; PANEL_CAP only bounds memory. The expression trees pick the
-path once per integral:
+variation per panel is at most two cycles, applies the 31-point Kronrod
+rule with its embedded 15-point Gauss rule to each panel, and halves the
+panels with the largest |K31 - G15| while the estimate misses the
+tolerance. No split lowers the rounding floor, so refinement is skipped
+when the floor alone exceeds the tolerance, and it ends at the first
+round that does not lower sum |K31 - G15|, whose panels are dropped;
+PANEL_CAP only bounds memory. The expression trees decide once per
+integral how the nodes get their phases:
 
 * Polynomial phases, where every f with lambda_i != 0 is built from x,
   +, -, * and integer powers >= 0 over subtrees free of x (degree d at
-  most JET_ORDER_CAP): panels of up to two cycles and the 31-point
-  Kronrod rule with its embedded 15-point Gauss rule. Each node's phase
-  is t(mid) mod 1, from a double-double evaluation of the trees, plus the
-  degree-d Taylor offset from the panel midpoint, so the rounding of a
-  large t(mid) never reaches the nodes. The error estimate is
-  sum |K31 - G15| plus a rounding floor 2u (hi - lo) (u = 2^-53).
-* Every other phase: quarter-cycle panels and the 15-point Kronrod rule
-  with its embedded 7-point Gauss rule, each node's phase evaluated on
-  its own; the error estimate is sum |K15 - G7|.
+  most JET_ORDER_CAP): each node's phase is t(mid) mod 1, from a
+  double-double evaluation of the trees, plus the degree-d Taylor offset
+  from the panel midpoint, so the rounding of a large t(mid) never
+  reaches the nodes. K31 - G15 cannot see the rounding of the sums, so
+  the error estimate adds a rounding floor 2u (hi - lo) (u = 2^-53).
+* Every other phase: each node's phase is evaluated on its own. Its
+  rounding differs from node to node and shows in |K31 - G15|, so no
+  floor is added.
 
 The estimate is reliable when its error estimate meets the tolerance.
 It also carries its rounding noise 2 pi u int |lambda . f|: the
@@ -36,7 +36,7 @@ Memory is about 60 bytes per final panel at the peak, in the bisection
 _RULE_BLOCK panels at a time. No bisection array is alive while the rule
 runs; it needs 48 bytes per panel (ends, value, error and noise) plus a
 few arrays over the nodes of one block of _RULE_BLOCK panels, about
-2 MiB for the 31-point rule.
+2 MiB.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .numerics import (UNIT_ROUNDOFF, check_interval, dd_add, dd_mul, e_phase, two_sum,
-                       unit_directions)
+from .numerics import (MIN_FIT_CELLS, UNIT_ROUNDOFF, check_interval, dd_add, dd_mul, e_phase,
+                       fit_line, two_sum, unit_directions)
 
 PANEL_CAP = 1 << 20  # memory guard: about 60 bytes per panel in the bisection
 R_MAX = 1 << 16
@@ -68,16 +68,11 @@ def _kronrod(xgk, wgk, wg):
             gauss)
 
 
-# Kronrod-15 / Gauss-7 and Kronrod-31 / Gauss-15 (QUADPACK dqk15, dqk31),
-# rounded to double from 60-digit mpmath values: the Kronrod abscissae are
-# the roots of P_n and of its Stieltjes polynomial, the weights integrate
-# x^0..x^(3n+1) exactly (Laurie, Math. Comp. 66, 1997).
-_NODES, _WEIGHTS_K, _WEIGHTS_G = _K15 = _kronrod(
-    [0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
-     0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0],
-    [0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
-     0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782],
-    [0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694])
+# Kronrod-31 / Gauss-15 (QUADPACK dqk31), rounded to double from 60-digit
+# mpmath values: the Kronrod abscissae are the roots of P_15 and of its
+# Stieltjes polynomial, the weights integrate x^0..x^46 exactly (Laurie,
+# Math. Comp. 66, 1997). On criterion 6a's 24 cells (x^d on [1, 2],
+# R = 2^j + 1/2) |K31 - G15| is 0.46-0.9 u, the true error at most 0.3 u.
 _K31 = _kronrod(
     [0.9980022986933971, 0.9879925180204854, 0.9677390756791391, 0.937273392400706,
      0.8972645323440819, 0.8482065834104272, 0.790418501442466, 0.7244177313601701,
@@ -89,12 +84,7 @@ _K31 = _kronrod(
      0.09664272698362368, 0.09917359872179196, 0.10076984552387559, 0.10133000701479154],
     [0.03075324199611727, 0.07036604748810812, 0.10715922046717194, 0.13957067792615432,
      0.16626920581699392, 0.1861610000155622, 0.19843148532711158, 0.2025782419255613])
-
-# Per path (general, polynomial): the Kronrod pair, the phase variation per
-# panel in cycles, and c of the rounding floor c * u * (hi - lo): K31's resabs,
-# as |e(t)| = 1. On criterion 6a's 24 cells (x^d on [1, 2], R = 2^j + 1/2)
-# |K31 - G15| is 0.46-0.9 u, the true error at most 0.3 u; the floor covers summation rounding.
-_PATHS = ((_K15, 0.25, 0.0), (_K31, 2.0, 2.0))
+_PANEL_CYCLES = 2.0  # phase variation per panel; three cycles let G15 truncation show
 
 
 def vdc_constant(d: int) -> float:
@@ -168,15 +158,15 @@ def _mod1_dd(fs: Sequence[ex.Node], lam: np.ndarray, x: np.ndarray):
 
 def _rule(fs: Sequence[ex.Node], lam: np.ndarray, a: np.ndarray, b: np.ndarray,
           degree: Optional[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value, |K - G| and rounding noise of each panel [a, b] on the path of
-    the phase degree (None: general), _RULE_BLOCK panels at a time; each panel's
-    sums depend on its own nodes only. The noise is 2 pi u int |lambda . f|.
+    """Value, |K31 - G15| and rounding noise of each panel [a, b],
+    _RULE_BLOCK panels at a time; each panel's sums depend on its own nodes
+    only. The noise is 2 pi u int |lambda . f|.
 
-    General phases: K15 and G7, each node's phase evaluated on its own.
-    Polynomial phases of degree d: K31 and G15; each node's phase is
-    t(mid) mod 1 plus the degree-d Taylor offset from mid, which is exact
-    up to rounding, so no rounding of t(mid) itself reaches the nodes."""
-    nodes, weights_k, weights_g = _PATHS[degree is not None][0]
+    General phases (degree None): each node's phase is evaluated on its
+    own. Polynomial phases of degree d: each node's phase is t(mid) mod 1
+    plus the degree-d Taylor offset from mid, which is exact up to
+    rounding, so no rounding of t(mid) itself reaches the nodes."""
+    nodes, weights_k, weights_g = _K31
     value, err, noise = np.empty(len(a), dtype=complex), np.empty(len(a)), np.empty(len(a))
     for lo in range(0, len(a), _RULE_BLOCK):
         ab, bb = a[lo:lo + _RULE_BLOCK], b[lo:lo + _RULE_BLOCK]
@@ -207,11 +197,11 @@ def _rule(fs: Sequence[ex.Node], lam: np.ndarray, a: np.ndarray, b: np.ndarray,
     return value, err, noise
 
 
-def _bisect(fs: Sequence[ex.Node], lam: np.ndarray, lo: float, hi: float,
-            bound: float) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+def _bisect(fs: Sequence[ex.Node], lam: np.ndarray, lo: float,
+            hi: float) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Ends a, b of each level's done panels in the bisection of [lo, hi]
-    to panels whose phase varies by at most bound cycles, one array per
-    level. Splitting stops as a whole once it would pass PANEL_CAP.
+    to panels whose phase varies by at most _PANEL_CYCLES cycles, one array
+    per level. Splitting stops as a whole once it would pass PANEL_CAP.
 
     A level's panels are the left halves, then the right halves, of the
     panels split at the level before. Their end rows (x, phi, phi') lie in
@@ -232,7 +222,7 @@ def _bisect(fs: Sequence[ex.Node], lam: np.ndarray, lo: float, hi: float,
             pm, dm = _phase_jet(fs, lam, 0.5 * (xa + xb), 1)
             var = np.maximum(np.abs(pm - pa) + np.abs(pb - pm),
                              (xb - xa) / 6.0 * (np.abs(da) + 4.0 * np.abs(dm) + np.abs(db)))
-            ok[i:i + len(xa)] = (var <= bound) | (xb - xa <= width_floor)
+            ok[i:i + len(xa)] = (var <= _PANEL_CYCLES) | (xb - xa <= width_floor)
         s = n - np.count_nonzero(ok)
         if done + n + s > PANEL_CAP:
             ok[:], s = True, 0
@@ -264,10 +254,12 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9) -> Osc
     # under tol: halve the worst that fit, and drop the first round that
     # does not lower sum |K - G|, which ends it
     degree = _phase_degree(fs, lam)
-    _, bound, floor_c = _PATHS[degree is not None]
-    a, b = map(np.concatenate, _bisect(fs, lam, lo, hi, bound))
+    a, b = map(np.concatenate, _bisect(fs, lam, lo, hi))
     values, errors, noise = _rule(fs, lam, a, b, degree)
-    floor, spread = floor_c * UNIT_ROUNDOFF * (hi - lo), float(np.sum(errors))
+    # the rounding floor, K31's resabs 2 (hi - lo) times u as |e(t)| = 1, on
+    # the exact-phase path only: per-node phase rounding shows in |K - G|
+    floor = 0.0 if degree is None else 2.0 * UNIT_ROUNDOFF * (hi - lo)
+    spread = float(np.sum(errors))
     while floor < tol < spread + floor and len(a) < PANEL_CAP:
         cut = max(float(np.max(errors)) * 0.5, tol / (2.0 * len(a)))
         split = errors >= cut  # cut <= max(errors): never empty
@@ -354,8 +346,6 @@ def vdc_bound_high(f: ex.Node, lam: float, interval, d: int) -> float:
 # ---------------------------------------------------------------------------
 # Decay-exponent fit
 
-MIN_FIT_CELLS = 3
-
 
 @dataclass
 class OscillatoryDecayFit:
@@ -391,15 +381,6 @@ class OscillatoryDecayFit:
     degenerate_noise: Optional[np.ndarray] = None
 
 
-def _fit_line(logr: np.ndarray, logm: np.ndarray) -> Tuple[float, float, float]:
-    slope, intercept = np.polyfit(logr, logm, 1)
-    fitted = slope * logr + intercept
-    ss_res = float(np.sum((logm - fitted) ** 2))
-    ss_tot = float(np.sum((logm - np.mean(logm)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
-    return float(slope), float(intercept), r2
-
-
 def decay_fit(fs: Sequence[ex.Node], interval, radii: Sequence[float],
               n_directions: int, seed: int = 0, tol: float = 1e-9) -> OscillatoryDecayFit:
     """Fit |int e(R * omega . f)| ~ C * R^(-delta) over sampled directions.
@@ -411,6 +392,8 @@ def decay_fit(fs: Sequence[ex.Node], interval, radii: Sequence[float],
     A ValueError names the cells below the noise when no direction is fitted.
     """
     k = len(fs)
+    if k == 0:
+        raise ValueError("need at least one function")
     radii = np.asarray(sorted(float(r) for r in radii))
     if not (np.all(np.isfinite(radii) & (radii > 0)) and len(np.unique(radii)) >= 6):
         raise ValueError(f"radii {', '.join(f'{r:g}' for r in radii)}: need at least"
@@ -435,17 +418,15 @@ def decay_fit(fs: Sequence[ex.Node], interval, radii: Sequence[float],
 
     below = mags <= errors + noise
     logr = np.log(radii)
-    fits = np.full((len(directions), 3), np.nan)  # slope, intercept, R^2
-    for i, signal in enumerate(~below):
-        if np.count_nonzero(signal) >= MIN_FIT_CELLS:
-            fits[i] = _fit_line(logr[signal], np.log(mags[i, signal]))
+    fits = np.array([fit_line(logr[signal], np.log(mags[i, signal]))  # slope, intercept, R^2
+                     for i, signal in enumerate(~below)])
     fitted = ~np.isnan(fits[:, 0])
     if not np.any(fitted):
         cells = "; ".join(f"direction {i} at R = {', '.join(f'{r:g}' for r in radii[row])}"
                           for i, row in enumerate(below) if np.any(row))
         raise ValueError(f"no direction has {MIN_FIT_CELLS} cells above the quadrature"
                          f" noise; |I| <= its error estimate plus noise at {cells}")
-    pooled = _fit_line(np.tile(logr, len(directions))[~below.ravel()], np.log(mags[~below]))
+    pooled = fit_line(np.tile(logr, len(directions))[~below.ravel()], np.log(mags[~below]))
     delta_hat = float(np.min(np.abs(fits[fitted, 0])))
 
     degen_dir, degen = None, [None] * 3  # magnitudes, errors, noise

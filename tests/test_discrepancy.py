@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udlab import cli
 from udlab import discrepancy as dc
 from udlab import expr as ex
+from udlab import lab
 from udlab import sequences as sq
 from udlab import weyl as wy
 from udlab.discrepancy import (dstar_trend, star_discrepancy_1d,
@@ -278,6 +280,43 @@ class TestTrend:
                 for N, value in zip(grid, rep.values):
                     assert value == lattice_oracle(points[:N], m)
                 assert rep.methods == [f"grid({m})"] * len(grid)
+
+    PLASTIC = "x=0.7548776662466927; prod:identity|x; prod:identity|x^2"
+
+    def test_slope_fits_only_prefixes_above_their_bound(self):
+        # lattice values down to 0.0004 under the bound 2/64 = 0.03125 used
+        # to set the slope: -0.8925 on pow2:4..14
+        gen = lab.parse_generator(self.PLASTIC)
+        rep = ud_trend(gen, lab.parse_grid("pow2:4..14"), "grid", 64)
+        assert rep.below_bound() == [False] * 4 + [True] * 7
+        assert rep.trend_slope == np.polyfit(np.log(rep.grid[:4]), np.log(rep.values[:4]), 1)[0]
+        assert rep.trend_slope == pytest.approx(-0.798, abs=5e-4)
+        flags = [row[-1] for row in lab.discrepancy_csv_rows(rep)[1]]
+        assert flags == [""] * 4 + ["below bound"] * 7
+        rep = ud_trend(gen, lab.parse_grid("pow2:8..14"), "grid", 64)
+        assert all(rep.below_bound()) and math.isnan(rep.trend_slope)
+
+    def test_cli_names_the_prefixes_left_out(self, capsys):
+        argv = ["discrepancy", "--gen", self.PLASTIC, "--grid", "pow2:8..14", "--method",
+                "grid", "--m", "64"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "# trend slope (log D* ~ log N): nan" in out
+        assert [line for line in out if "left out" in line] == [
+            "# 7 of 7 prefixes at or below their error bound 0.03125; left out of the trend fit"]
+        assert cli.main(argv[:3] + ["--grid", "pow2:4..12", "--method", "exact"]) == 0
+        assert "left out" not in capsys.readouterr().out
+
+    def test_exact_slope_fits_every_prefix(self):
+        # the bound is 0, so every prefix is fitted, as before; fewer than 3
+        # prefixes give NaN (one prefix used to read 0.0)
+        gen = wy.PointGenerator([wy.ProductCoord(sq.identity(), ex.parse_expr("x"), PHI)])
+        grid = [10, 100, 1000, 10000]
+        rep = ud_trend(gen, grid)
+        assert not any(rep.below_bound())
+        assert rep.trend_slope == np.polyfit(np.log(grid), np.log(rep.values), 1)[0]
+        for short in ([10], [10, 100]):
+            assert math.isnan(ud_trend(gen, short).trend_slope)
 
     def test_trend_of_given_points_matches_generator_trend(self):
         gen = wy.PointGenerator([wy.ProductCoord(sq.identity(), ex.parse_expr("x"), PHI),

@@ -315,7 +315,7 @@ class TestEmission:
         report.samples = []
         p = tmp_path / "empty.csv"
         lab.emit_csv(report, str(p))
-        assert p.read_text() == "sample,x,N,dstar,err_bound,method\n"
+        assert p.read_text() == "sample,x,N,dstar,err_bound,method,flags\n"
 
     def test_svg_structure(self, tmp_path):
         report = lab.run_experiment(small_config())
@@ -518,7 +518,7 @@ class TestCli:
         (["weylsum", "--gen", "x=0.3; prod:identity|x", "--v", "1", "--grid", "pow2:2..4"],
          "N,v,re_F,im_F,abs_F,precision_bits", 3),
         (["discrepancy", "--gen", "x=0.618; prod:identity|x", "--grid", "100,1000"],
-         "N,dstar,err_bound,method", 2),
+         "N,dstar,err_bound,method,flags", 2),
         (["oscdecay", "--f", "x", "--interval", "1,2", "--radii", "halfpow2:2..7",
           "--dirs", "1"], "direction_index,omega,R,abs_integral,err_est,noise,flags", 6),
     ], ids=["scatter", "weylsum", "discrepancy", "oscdecay"])
