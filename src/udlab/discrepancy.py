@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numerics import fit_line
+from .numerics import check_integer, fit_line
 from .sequences import index_range
 
 EXACT_KD_MAX_N = 4096
@@ -131,8 +131,8 @@ def check_method(method: str, k: int, n_max: int, m: Optional[int] = None
     """The method ("exact" or "grid") and lattice size m that dstar_trend
     runs on k-dimensional points up to N = n_max, "auto" resolved and m
     defaulted. Refuses an unknown method, exact with k > 2 or a 2-d N past
-    EXACT_KD_MAX_N, and a lattice with m < 2 or more than
-    LATTICE_CORNER_CAP corners, by arithmetic alone."""
+    EXACT_KD_MAX_N, and a lattice with a non-integral m, m < 2 or more
+    than LATTICE_CORNER_CAP corners, by arithmetic alone."""
     if method == "auto":
         method = "exact" if k == 1 else "grid"
     if method == "exact":
@@ -143,7 +143,8 @@ def check_method(method: str, k: int, n_max: int, m: Optional[int] = None
         return method, None
     if method != "grid":
         raise ValueError(f"unknown method '{method}'")
-    m = (GRID_M_DEFAULT_2D if k <= 2 else GRID_M_DEFAULT_3D) if m is None else m
+    m = ((GRID_M_DEFAULT_2D if k <= 2 else GRID_M_DEFAULT_3D) if m is None
+         else check_integer(m, "grid size m"))
     if m < 2:
         raise ValueError(f"need m >= 2 grid cells per axis, got m = {m}")
     if m ** k > LATTICE_CORNER_CAP:

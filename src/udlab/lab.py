@@ -29,7 +29,7 @@ from . import discrepancy as dc
 from . import expr as ex
 from . import sequences as sq
 from . import weyl as wy
-from .numerics import TOWER_GUARD_BITS, check_interval, derive_seed
+from .numerics import TOWER_GUARD_BITS, check_integer, check_interval, derive_seed, is_number
 from .weyl import max_weyl_series
 
 EXPERIMENT_KINDS = (
@@ -212,8 +212,16 @@ class ExperimentConfig:
                 and len(self.functions) != len(self.sequences)):
             raise ValueError(f"{self.kind} needs one sequence per function")
         check_interval(self.x_interval)
+        self.x_samples = check_integer(self.x_samples, "x_samples")
         if self.x_samples < 1:
             raise ValueError(f"x_samples must be >= 1, got {self.x_samples}")
+        self.frequency_bound = check_integer(self.frequency_bound, "frequency_bound")
+        self.grid_m = None if self.grid_m is None else check_integer(self.grid_m, "grid_m")
+        limit = self.dstar_final_max
+        if limit is not None and not is_number(limit, math.isfinite):
+            raise ValueError(f"dstar_final_max must be a finite number, got {limit!r}")
+        if not is_number(self.min_pass_fraction, lambda p: 0.0 <= p <= 1.0):
+            raise ValueError(f"min_pass_fraction {self.min_pass_fraction!r} is not in [0, 1]")
         # malformed specs and out-of-range settings fail here, not per sample
         k = len(_config_coordinates(self))
         if not k:
@@ -221,7 +229,6 @@ class ExperimentConfig:
         grid = parse_grid(self.n_grid)
         method, m = dc.check_method(self.discrepancy_method, k, grid[-1], self.grid_m)
         wy.check_frequency_box(k, self.frequency_bound)
-        limit = self.dstar_final_max
         if method == "grid" and limit is not None and k / m >= limit:
             raise ValueError(f"the lattice bound k/m = {k}/{m} is at least dstar_final_max ="
                              f" {limit!r}, so no sample could pass")

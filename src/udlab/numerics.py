@@ -1,6 +1,6 @@
 """Shared numerical kernels: reproducible reductions, precision-safe
 fractional parts, seeded direction sampling, the log-log fit rule, and the
-interval and tower-base rules.
+integer, interval and tower-base rules.
 
 Everything here is deterministic for a fixed input array. Prefix means
 come from one running sum, a sequential accumulate, so a mean over the
@@ -10,6 +10,7 @@ first N values is the same float whichever grid of N it is computed along.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +29,21 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 # step overflows (134217729 * 2**996 < 2**1024).
 SPLIT_MAX = 2.0 ** 996
 MIN_FIT_CELLS = 3  # fewest points a log-log fit is made from
+
+
+def is_number(value, ok) -> bool:
+    """value is a real number, not a bool, and ok(value) holds."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+            and ok(value))
+
+
+def check_integer(value, name: str) -> int:
+    """value as an int when it equals one, so 2.0 reads as 2; a bool, a
+    string or any other value is refused, naming it."""
+    if is_number(value, lambda v: isinstance(v, numbers.Integral)
+                 or math.isfinite(v) and v == int(v)):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_interval(interval) -> Tuple[float, float]:

@@ -30,13 +30,12 @@ first-order change of the integral under a relative rounding u of the
 phase, which no quadrature of the double inputs can resolve. Error
 estimates and noise are numerical diagnostics, not rigorous enclosures.
 
-Memory is about 60 bytes per final panel at the peak, in the bisection
-(15 MiB at 262,146 panels): a level keeps only its panel ends, as rows
-(x, phi, phi'), and evaluates midpoint jets and the variation test
-_RULE_BLOCK panels at a time. No bisection array is alive while the rule
-runs; it needs 48 bytes per panel (ends, value, error and noise) plus a
-few arrays over the nodes of one block of _RULE_BLOCK panels, about
-2 MiB.
+Memory peaks in the rule: 48 bytes per final panel (ends, value, error
+and noise) plus a few arrays over the nodes of one block of _RULE_BLOCK
+panels, about 3 MiB (15 MiB at 262,146 panels, 51 MiB at PANEL_CAP). The
+bisection keeps only panel ends and runs the variation test _RULE_BLOCK
+panels at a time; it peaks at about 37 bytes per final panel, and none
+of its arrays is alive while the rule runs.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from . import expr as ex
 from .numerics import (MIN_FIT_CELLS, UNIT_ROUNDOFF, check_interval, dd_add, dd_mul, e_phase,
                        fit_line, two_sum, unit_directions)
 
-PANEL_CAP = 1 << 20  # memory guard: about 60 bytes per panel in the bisection
+PANEL_CAP = 1 << 20  # memory guard: about 51 bytes per panel at the peak, in the rule
 R_MAX = 1 << 16
 TOL_MIN, TOL_MAX = 1e-12, 1e-4
 _RULE_BLOCK = 1 << 11  # panels per rule block: 63k K31 nodes, about 1 MB complex
@@ -197,29 +196,32 @@ def _rule(fs: Sequence[ex.Node], lam: np.ndarray, a: np.ndarray, b: np.ndarray,
     return value, err, noise
 
 
+def _halve(a: np.ndarray, b: np.ndarray, split: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Ends of the halves of the panels [a, b] picked by split: all left
+    halves, then all right halves."""
+    sa, sb = a[split], b[split]
+    mid = 0.5 * (sa + sb)
+    return np.concatenate([sa, mid]), np.concatenate([mid, sb])
+
+
 def _bisect(fs: Sequence[ex.Node], lam: np.ndarray, lo: float,
             hi: float) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Ends a, b of each level's done panels in the bisection of [lo, hi]
     to panels whose phase varies by at most _PANEL_CYCLES cycles, one array
     per level. Splitting stops as a whole once it would pass PANEL_CAP.
-
-    A level's panels are the left halves, then the right halves, of the
-    panels split at the level before. Their end rows (x, phi, phi') lie in
-    one array E = [A | M | B] of the split panels' lower ends, midpoints
-    and upper ends, so the n lower ends are E[:, :n] and the upper ends
-    E[:, -n:]. Midpoint jets and the variation test run _RULE_BLOCK panels
-    at a time and are not kept: filling the next E evaluates the jets of
-    the midpoints that split again.
-    """
+    The variation test evaluates the order-1 jet at the ends and midpoints
+    of _RULE_BLOCK panels in one call; a refusal names the first bad x of
+    the first failing block, in the order [a | mid | b]."""
     width_floor = (hi - lo) * 1e-14
-    xs = np.array([lo, 0.5 * (lo + hi), hi])  # a refusal names the leftmost bad x
-    E = np.vstack([xs, _phase_jet(fs, lam, xs, 1)])[:, ::2]
-    n, done, done_a, done_b = 1, 0, [], []
+    a, b = np.array([lo]), np.array([hi])
+    done, done_a, done_b = 0, [], []
     while True:
-        a, b, ok = E[:, :n], E[:, -n:], np.empty(n, dtype=bool)
+        n = len(a)
+        ok = np.empty(n, dtype=bool)
         for i in range(0, n, _RULE_BLOCK):
-            (xa, pa, da), (xb, pb, db) = a[:, i:i + _RULE_BLOCK], b[:, i:i + _RULE_BLOCK]
-            pm, dm = _phase_jet(fs, lam, 0.5 * (xa + xb), 1)
+            xa, xb = a[i:i + _RULE_BLOCK], b[i:i + _RULE_BLOCK]
+            jet = _phase_jet(fs, lam, np.concatenate([xa, 0.5 * (xa + xb), xb]), 1)
+            (pa, pm, pb), (da, dm, db) = jet.reshape(2, 3, len(xa))
             var = np.maximum(np.abs(pm - pa) + np.abs(pb - pm),
                              (xb - xa) / 6.0 * (np.abs(da) + 4.0 * np.abs(dm) + np.abs(db)))
             ok[i:i + len(xa)] = (var <= _PANEL_CYCLES) | (xb - xa <= width_floor)
@@ -227,19 +229,11 @@ def _bisect(fs: Sequence[ex.Node], lam: np.ndarray, lo: float,
         if done + n + s > PANEL_CAP:
             ok[:], s = True, 0
         done += n - s
-        done_a.append(a[0][ok])
-        done_b.append(b[0][ok])
+        done_a.append(a[ok])
+        done_b.append(b[ok])
         if s == 0:
             return done_a, done_b
-        E_next, split = np.empty((3, 3 * s)), ~ok
-        for row in range(3):  # row by row: one temporary of s values
-            E_next[row, :s] = a[row][split]
-            E_next[row, 2 * s:] = b[row][split]
-        for i in range(s, 2 * s, _RULE_BLOCK):
-            j = min(i + _RULE_BLOCK, 2 * s)
-            E_next[0, i:j] = 0.5 * (E_next[0, i - s:j - s] + E_next[0, i + s:j + s])
-            E_next[1:, i:j] = _phase_jet(fs, lam, E_next[0, i:j], 1)
-        E, n = E_next, 2 * s
+        a, b = _halve(a, b, ~ok)
 
 
 def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9) -> OscillatoryEstimate:
@@ -267,9 +261,7 @@ def osc_integral(fs: Sequence[ex.Node], lam, interval, tol: float = 1e-9) -> Osc
         if np.count_nonzero(split) > room:
             split[:] = False
             split[np.argsort(errors)[-room:]] = True
-        keep, sa, sb = ~split, a[split], b[split]
-        mid = 0.5 * (sa + sb)  # all left halves, then all right
-        na, nb = np.concatenate([sa, mid]), np.concatenate([mid, sb])
+        keep, (na, nb) = ~split, _halve(a, b, split)
         nv, ne, nn = _rule(fs, lam, na, nb, degree)
         if not float(np.sum(errors[keep])) + float(np.sum(ne)) < spread:
             break

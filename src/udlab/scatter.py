@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import sequences as sq
-from .numerics import UNIT_ROUNDOFF, derive_seed, unit_directions
+from .numerics import UNIT_ROUNDOFF, derive_seed, fit_line, unit_directions
 
 EXACT_CUTOFF = 1 << 13  # beyond this many terms, auto mode switches to buckets
 BUCKET_ETA_DEFAULT = 0.01
@@ -253,8 +253,8 @@ def fit_scatter(a, delta: float, grid: Sequence[int], mode: str = "auto",
     eps = [math.log(1.0 / s) / math.log(math.log(N)) - 1.0 if s > 0 else math.inf
            for s, N in zip(values, grid)]
     logs = np.log(np.asarray(values))
-    slope_ll = float(np.polyfit(np.log(np.log(grid)), logs, 1)[0])
-    slope_ln = float(np.polyfit(np.log(grid), logs, 1)[0])
+    slope_ll = fit_line(np.log(np.log(grid)), logs)[0]
+    slope_ln = fit_line(np.log(grid), logs)[0]
     eps_hat = float(min(eps))
     return ScatterReport(delta, grid, values, [sv.error_bound for sv in svs],
                          [sv.method for sv in svs], eps, eps_hat, slope_ll, slope_ln,

@@ -7,9 +7,9 @@ expressions in n, composition with an outer function, and real linear
 combinations.
 
 Everything evaluates elementwise on integer numpy arrays. The tower
-family overflows doubles once floor(log n) >= 7, so its evaluator also
-exposes exact block indices and (mantissa, base-2 exponent) pairs, and
-an abs_diff hook built on them. The one pair-difference rule of the
+family overflows doubles once floor(log n) >= 7, so its evaluator keeps
+base-2 logs of its values and exposes an abs_diff hook and its
+log2_abs_diff, taken in those logs. The one pair-difference rule of the
 scatter module (scatter._pair_diffs, behind the growth scan and the exact
 pair sum) takes that hook, so differences stay meaningful where values
 alone saturate to inf; the exact pair sum prices a difference past double
@@ -182,55 +182,34 @@ def _isqrt_array(n: np.ndarray) -> np.ndarray:
     return s
 
 
-def _mantexp_to_double(mant: np.ndarray, e2: np.ndarray):
-    """mant * 2**e2 as doubles, inf past overflow; a float for 0-d input."""
-    with np.errstate(over="ignore"):
-        out = np.ldexp(mant, e2.clip(max=20000))
-    return out if out.ndim else float(out)
-
-
 class IteratedExpEvaluator:
     """exp(exp(floor(log n))): block-constant, overflowing doubles from
-    block 7 on. Values live in one (mantissa, base-2 exponent)
-    representation, mantexp; calls round it to doubles (inf past overflow)
-    and abs_diff subtracts in it."""
-
-    def __call__(self, n):
-        return _mantexp_to_double(*self.mantexp(n))
+    block 7 on. Values live in one base-2 log, t_j = e^j / ln 2 for the
+    block j = floor(log n); calls are exp2(t) (inf past overflow) and
+    abs_diff subtracts in logs."""
 
     @staticmethod
-    def block_index(n) -> np.ndarray:
+    def _log2(n) -> np.ndarray:
         n = _as_index_array(n)
-        return np.floor(np.log(n.astype(float))).astype(np.int64)
+        return np.exp(np.floor(np.log(n.astype(float)))) / math.log(2.0)
 
-    def mantexp(self, n) -> Tuple[np.ndarray, np.ndarray]:
-        j = self.block_index(n)
-        t = np.exp(j.astype(float)) / math.log(2.0)
-        e2 = np.floor(t).astype(np.int64)
-        return np.exp2(t - e2), e2
-
-    def _diff_mantexp(self, n, m) -> Tuple[np.ndarray, np.ndarray]:
-        """|a(n) - a(m)| as (mantissa, base-2 exponent); mantissa 0 inside
-        a block."""
-        jn, jm = self.block_index(n), self.block_index(m)
-        mn, en = self.mantexp(n)
-        mm, em = self.mantexp(m)
-        hi_m, hi_e = np.where(en >= em, mn, mm), np.maximum(en, em)
-        lo_m, lo_e = np.where(en >= em, mm, mn), np.minimum(en, em)
-        scaled = lo_m * np.exp2(np.maximum(lo_e - hi_e, -1100).astype(float))
-        return np.where(jn == jm, 0.0, np.abs(hi_m - scaled)), hi_e
-
-    def abs_diff(self, n, m):
-        """|a(n) - a(m)| as a double; exact 0 inside a block, inf once the
-        true difference leaves double range."""
-        return _mantexp_to_double(*self._diff_mantexp(n, m))
+    def __call__(self, n):
+        with np.errstate(over="ignore"):
+            return np.exp2(self._log2(n))
 
     def log2_abs_diff(self, n, m):
         """log2 |a(n) - a(m)|: finite where abs_diff is inf, -inf inside a
         block."""
-        mant, e2 = self._diff_mantexp(n, m)
+        tn, tm = self._log2(n), self._log2(m)
+        hi = np.maximum(tn, tm)
         with np.errstate(divide="ignore"):
-            return np.log2(mant) + e2
+            return hi + np.log2(-np.expm1((np.minimum(tn, tm) - hi) * math.log(2.0)))
+
+    def abs_diff(self, n, m):
+        """|a(n) - a(m)| as a double; exact 0 inside a block, inf once the
+        true difference leaves double range."""
+        with np.errstate(over="ignore"):
+            return np.exp2(self.log2_abs_diff(n, m))
 
 
 def make_sequence(spec: SequenceSpec) -> Callable:

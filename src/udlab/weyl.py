@@ -40,8 +40,9 @@ import numpy as np
 from . import expr as ex
 from . import numerics
 from . import sequences as sq
-from .numerics import (SPLIT_MAX, TOWER_GUARD_BITS, check_prefix_lengths, check_tower_base,
-                       e_phase, frac_product, power_tower_fracs_fixed, prefix_means)
+from .numerics import (SPLIT_MAX, TOWER_GUARD_BITS, check_integer, check_prefix_lengths,
+                       check_tower_base, e_phase, frac_product, power_tower_fracs_fixed,
+                       prefix_means)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +167,8 @@ class PointGenerator:
 
 
 def _check_frequency(v, dim: int) -> np.ndarray:
-    v = np.asarray(v, dtype=np.int64).reshape(-1)
+    v = np.array([check_integer(c, "frequency entry") for c in np.ravel(v).tolist()],
+                 dtype=np.int64)
     if len(v) != dim:
         raise ValueError(f"frequency vector has length {len(v)}, points have dimension {dim}")
     if not np.any(v):
@@ -330,6 +332,7 @@ def max_weyl_series(points: np.ndarray, V: int, grid: Sequence[int]
     second half holds their negations, and |F_N(-v)| == |F_N(v)| exactly,
     so none of it can improve strictly on its earlier partner.
     """
+    V = check_integer(V, "frequency bound V")
     half = check_frequency_box(points.shape[1], V)
     box = list(itertools.islice(frequency_box(points.shape[1], V), half))
     best = np.full(len(grid), -1.0)

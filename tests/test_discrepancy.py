@@ -196,6 +196,16 @@ class TestTwoDimensional:
         with pytest.raises(ValueError, match=message):
             ud_trend(gen, [10, top], method, m)
 
+    def test_non_integral_lattice_size_is_refused(self):
+        # m = 64.5 ran corners up to 65/64.5 > 1 and reported the bound 2/64.5
+        with pytest.raises(ValueError, match="grid size m must be an integer, got 64.5"):
+            dc.check_method("grid", 2, 100, 64.5)
+        pts = np.random.default_rng(1).random((50, 2))
+        with pytest.raises(ValueError, match="grid size m must be an integer"):
+            star_discrepancy_kd(pts, "grid", 64.5)
+        assert dc.check_method("grid", 2, 100, 64.0) == ("grid", 64)
+        assert star_discrepancy_kd(pts, "grid", 64.0) == star_discrepancy_kd(pts, "grid", 64)
+
     def test_lattice_corner_cap_is_inclusive(self):
         assert dc.check_method("grid", 2, 100, 4096) == ("grid", 4096)
         assert dc.check_method("grid", 3, 100, 256) == ("grid", 256)

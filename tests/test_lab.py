@@ -153,6 +153,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             lab.ExperimentConfig.from_dict([data])
 
+    def test_integral_floats_read_as_ints(self):
+        # frequency_bound 2.0 used to load, then fail every sample
+        config = small_config(x_samples=4.0, frequency_bound=2.0, grid_m=128.0)
+        assert config == small_config()
+        assert all(type(v) is int for v in (config.x_samples, config.frequency_bound,
+                                            config.grid_m))
+        got, want = lab.run_experiment(config), lab.run_experiment(small_config())
+        assert [s.weyl_max for s in got.samples] == [s.weyl_max for s in want.samples]
+        assert (got.dstar_median, got.verdict) == (want.dstar_median, want.verdict)
+
     def test_json_round_trip(self, tmp_path):
         config = small_config()
         path = tmp_path / "config.json"
@@ -453,9 +463,19 @@ class TestCli:
         ({"x_samples": 0}, "x_samples must be >= 1, got 0"),
         ({"grid_m": 8, "dstar_final_max": 0.09},
          "the lattice bound k/m = 2/8 is at least dstar_final_max = 0.09"),
+        ({"grid_m": 64.5, "dstar_final_max": 0.1}, "grid_m must be an integer, got 64.5"),
+        ({"frequency_bound": 2.5}, "frequency_bound must be an integer, got 2.5"),
+        ({"x_samples": 2.5}, "x_samples must be an integer, got 2.5"),
+        ({"x_samples": True}, "x_samples must be an integer, got True"),
+        ({"dstar_final_max": "0.1"}, "dstar_final_max must be a finite number, got '0.1'"),
+        ({"dstar_final_max": float("nan")}, "dstar_final_max must be a finite number, got nan"),
+        ({"min_pass_fraction": 1.5}, "min_pass_fraction 1.5 is not in [0, 1]"),
+        ({"min_pass_fraction": "0.9"}, "min_pass_fraction '0.9' is not in [0, 1]"),
     ], ids=["index-cap", "no-frequencies", "frequency-box-cap", "m-below-2", "lattice-cap",
             "unknown-method", "exact-3d", "exact-2d-past-4096", "no-samples",
-            "lattice-bound-past-limit"])
+            "lattice-bound-past-limit", "fractional-m", "fractional-frequency-bound",
+            "fractional-samples", "boolean-samples", "string-limit", "nan-limit",
+            "pass-fraction-above-1", "string-pass-fraction"])
     def test_out_of_range_config_exits_2_at_load(self, change, message, tmp_path, capsys,
                                                  monkeypatch):
         # each used to fail on every sample and exit 3 with five outputs

@@ -390,8 +390,9 @@ class TestTwoCyclePanels:
 
 class TestStreamedRule:
     """The rule (exact phases for the polynomial x^2, per-node phases for
-    sin(3*x) + x^2) and the bisection's midpoint jets run _RULE_BLOCK
-    panels at a time; bisection reuses the phase jet at each panel's ends."""
+    sin(3*x) + x^2) and the bisection's variation test run _RULE_BLOCK
+    panels at a time; the test evaluates the phase jet at the ends and
+    midpoint of each of its panels in one call."""
 
     # (phase, lambda, interval, tol, panel_cap, rule calls): bisection only,
     # one refinement round, and the cap hit while refining
@@ -425,9 +426,9 @@ class TestStreamedRule:
                 mp.setattr(osc, "PANEL_CAP", panel_cap)
                 est = osc_integral([ex.parse_expr(text)], [lam], interval, tol=tol)
             assert len(rule_calls) == rounds
-            # the ends and midpoint of the interval, then blocks of at most
-            # `block` midpoints
-            assert jet_points[0] == 3 and max(jet_points[1:]) <= block
+            # the ends and midpoint of the interval, then the ends and
+            # midpoints of blocks of at most `block` panels
+            assert jet_points[0] == 3 and max(jet_points) <= 3 * block
             results.append((est.value, est.error, est.panels, est.reliable))
         assert results[0] == results[1] == results[2]
         assert results[0][3] == (panel_cap == osc.PANEL_CAP)
@@ -444,8 +445,8 @@ class TestStreamedRule:
         assert est.reliable
 
     def test_peak_memory_is_a_few_arrays_per_panel(self):
-        # 262,146 two-cycle panels; the bisection peaks near 15 MiB, about
-        # 60 bytes per panel, and keeps no array alive while the rule runs
+        # 262,146 two-cycle panels; the rule peaks near 15 MiB, 48 bytes
+        # per panel plus one block, and no bisection array is alive then
         fs = [X, X2]
         tracemalloc.start()
         try:

@@ -63,6 +63,18 @@ class TestWeylSum:
         with pytest.raises(ValueError):
             wy.weyl_sum(gen, [1, 1], 10)
 
+    def test_non_integral_frequency_is_refused(self):
+        # the int64 cast read [1.7] as [1] and [0.5] as the zero frequency
+        gen = linear_gen(0.3)
+        for v in ([1.7], [0.5]):
+            with pytest.raises(ValueError, match=f"frequency entry must be an integer, got {v[0]}"):
+                wy.weyl_sum(gen, v, 10)
+        assert wy.weyl_sum(gen, [2.0], 10) == wy.weyl_sum(gen, [2], 10)
+        points = gen.fracs(sq.index_range(50))
+        with pytest.raises(ValueError, match="frequency bound V must be an integer, got 2.5"):
+            wy.max_weyl_series(points, 2.5, [50])
+        assert wy.max_weyl_series(points, 2.0, [50]) == wy.max_weyl_series(points, 2, [50])
+
     def test_unit_magnitude_iff_phases_coincide(self):
         # x = 1/3, v = 3: phases all integral
         assert abs(wy.weyl_sum(linear_gen(1 / 3), [3], 100)) == pytest.approx(1.0, abs=1e-12)
