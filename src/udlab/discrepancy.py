@@ -3,13 +3,14 @@
 
 Anchored boxes rather than all boxes: the two notions differ by at most a
 factor 2^k. One dimension has an exact sorted formula. Every other value
-comes from one corner-count kernel: cumulative bin counts compared with
-the corner volumes, with both the open and the closed count at every
-corner, so atoms are handled (the sup over half-open boxes is attained in
-the limit at one of the two). The exact 2-d method takes as corners the
-data's own distinct coordinates plus 1 and reports error bound 0; the
-lattice method takes the m^k corners (i_1..i_k)/m and reports the
-additive bound k/m. Non-finite points are refused.
+compares cumulative bin counts with the corner volumes, with both the open
+and the closed count at every corner, so atoms are handled (the sup over
+half-open boxes is attained in the limit at one of the two). The exact
+2-d kernel takes as corners the data's own distinct coordinates plus 1,
+where the open count is the closed one shifted by one corner, and reports
+error bound 0; the lattice kernel takes the m^k corners (i_1..i_k)/m, bins
+open and closed counts apart and reports the additive bound k/m.
+Non-finite points are refused.
 """
 
 from __future__ import annotations
@@ -42,8 +43,40 @@ def star_discrepancy_1d(points) -> float:
     return star_discrepancy_kd(np.asarray(points, dtype=float)[:, None])[0]
 
 
-def _corner_dstar(closed_idx: np.ndarray, corners: Sequence[np.ndarray],
-                  grid: Sequence[int], open_idx: Optional[np.ndarray] = None) -> List[float]:
+def _exact_2d_dstar(closed_idx: np.ndarray, x: np.ndarray, y: np.ndarray, N: int) -> float:
+    """Exact D* of N points in 2-d over the anchored boxes with corners in
+    x by y, the points' distinct coordinates plus 1 (see _exact_dstar).
+
+    Row j of closed_idx holds point j's index in x and in y; its open
+    index on each axis is one more, so the open count table is the closed
+    one shifted by one corner on each axis and is compared with the
+    volumes one corner on (at a first corner the open count is 0). Counts
+    are binned and cumulated along y in blocks of rows of about
+    CORNER_BLOCK / 4 cells, whose float tables stay in a 2 MB cache, and
+    the rows are added down each block from the last row of the block
+    before."""
+    rest = len(y)
+    rows = max(1, CORNER_BLOCK // 4 // rest)
+    flat = np.sort(closed_idx[:, 0] * rest + closed_idx[:, 1])
+    ends = np.searchsorted(flat, np.arange(0, len(x) + rows, rows) * rest)  # each block's points
+    carry = np.zeros(rest, np.int32)  # counts <= EXACT_KD_MAX_N
+    dstar = float(max(x[0], y[0]))
+    for b, r0 in enumerate(range(0, len(x), rows)):
+        n = min(rows, len(x) - r0)
+        cum = np.cumsum(np.bincount(flat[ends[b]:ends[b + 1]] - r0 * rest, minlength=n * rest)
+                        .reshape(n, rest), axis=1, dtype=np.int32)
+        cum[0] += carry
+        for r in range(1, n):
+            np.add(cum[r - 1], cum[r], out=cum[r])
+        carry, dev = cum[-1], cum / N
+        vol = np.multiply.outer(x[r0:r0 + rows + 1], y)  # one row past the block
+        shifted = vol[1:, 1:] - dev[:len(vol) - 1, :-1]  # empty past the last row
+        dstar = max(dstar, float(np.max(dev - vol[:n])), float(np.max(shifted, initial=0.0)))
+    return dstar
+
+
+def _corner_dstar(closed_idx: np.ndarray, open_idx: np.ndarray,
+                  corners: Sequence[np.ndarray], grid: Sequence[int]) -> List[float]:
     """D* of points[:N], for each N in the grid, over the anchored boxes
     with corners in the product of the per-axis coordinate lists `corners`.
 
@@ -54,22 +87,17 @@ def _corner_dstar(closed_idx: np.ndarray, corners: Sequence[np.ndarray],
     block started from the last row of the block before. Open counts never
     exceed closed ones, so D* = max(closed - volume, volume - open): the
     closed table is compared above the volumes and the open one below.
-    Without open_idx every open bin is the closed bin plus one (the exact
-    corners), so the open table is the closed one shifted by one corner on
-    every axis, a block's shifted first row the carried row. While open and
-    closed bins agree on every point of a prefix, the closed table serves
-    as the open one."""
+    While open and closed bins agree on every point of a prefix, the closed
+    table serves as the open one."""
     shape, last = tuple(len(c) for c in corners), np.subtract(grid, 1)
     rest = int(np.prod(shape[1:]))
     rows = max(1, CORNER_BLOCK // rest)
     # clipped: a lattice bin -1 (x = 0) or m (m x rounded up to m) is 0 or m - 1
     flats = [np.ravel_multi_index(tuple(idx.T), shape, mode="clip")
-             for idx in (closed_idx, open_idx) if idx is not None]
-    own_open = np.cumsum(flats[0] != flats[-1])[last] > 0
-    head, tail = ((slice(None),) + (s,) * (len(shape) - 1)
-                  for s in (slice(1, None), slice(None, -1)))
+             for idx in (closed_idx, open_idx)]
+    own_open = np.cumsum(flats[0] != flats[1])[last] > 0
     below, above = np.zeros(len(grid)), np.zeros(len(grid))
-    carry = np.zeros((len(flats), len(grid)) + shape[1:], np.int64)
+    carry = np.zeros((2, len(grid)) + shape[1:], np.int64)
     for r0 in range(0, shape[0], rows):
         vol = functools.reduce(np.multiply.outer, [corners[0][r0:r0 + rows], *corners[1:]])
         lo, dev = r0 * rest, np.empty(vol.shape)
@@ -85,15 +113,11 @@ def _corner_dstar(closed_idx: np.ndarray, corners: Sequence[np.ndarray],
                 if r0:
                     cum += carry[side, g]
                 np.divide(cum, N, out=dev)
-                if open_idx is None:
-                    opened = np.zeros(vol.shape)
-                    opened[head] = np.concatenate((carry[side, g][None] / N, dev[:-1]))[tail]
-                    below[g] = max(below[g], float(np.max(vol - opened)))
                 carry[side, g] = cum[-1]
                 np.subtract(dev, vol, out=dev)
                 if not side:
                     above[g] = max(above[g], float(np.max(dev)))
-                if open_idx is not None and (side or not own_open[g]):
+                if side or not own_open[g]:
                     below[g] = max(below[g], -float(np.min(dev)))
     return np.maximum(above, below).tolist()
 
@@ -111,7 +135,7 @@ def _exact_dstar(points: np.ndarray, grid: Sequence[int]) -> List[float]:
             prefix = points[:N].T
             corners = [np.unique(np.append(c, 1.0)) for c in prefix]
             closed = np.stack([np.searchsorted(u, c) for u, c in zip(corners, prefix)], 1)
-            values += _corner_dstar(closed, corners, [N])
+            values.append(_exact_2d_dstar(closed, *corners, N))
     return values
 
 
@@ -182,10 +206,10 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
     error bound; with fewer than MIN_FIT_CELLS of them it is NaN.
 
     method "exact" (k = 1; or k = 2 and N <= 4096) uses the sorted formula
-    in one dimension; in two it runs the corner-count kernel on the
+    in one dimension; in two it runs the exact corner-count kernel on the
     critical corners, the prefix's distinct coordinates plus 1 on each
-    axis. method "grid" runs it on the m^k corner lattice; a value never
-    exceeds the exact one and the error bound k/m is additive. "auto" is
+    axis. method "grid" runs the lattice kernel on the m^k corners; a value
+    never exceeds the exact one and the error bound k/m is additive. "auto" is
     "exact" in one dimension and "grid" elsewhere.
     """
     grid = [int(N) for N in grid]
@@ -202,8 +226,8 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
     else:
         scaled = points[:grid[-1]] * m
         values = _corner_dstar((np.ceil(scaled) - 1).astype(np.int64),
-                               [np.arange(1, m + 1) / m] * k, grid,
-                               np.floor(scaled).astype(np.int64))
+                               np.floor(scaled).astype(np.int64),
+                               [np.arange(1, m + 1) / m] * k, grid)
         err, label = k / m, f"grid({m})"
     rep = DiscrepancyReport(k, grid, values, [err] * len(grid), [label] * len(grid),
                             source, math.nan)

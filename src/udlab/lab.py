@@ -212,6 +212,7 @@ class ExperimentConfig:
                 and len(self.functions) != len(self.sequences)):
             raise ValueError(f"{self.kind} needs one sequence per function")
         check_interval(self.x_interval)
+        self.seed = check_integer(self.seed, "seed")  # hashed as str(seed): 1.0 must read as 1
         self.x_samples = check_integer(self.x_samples, "x_samples")
         if self.x_samples < 1:
             raise ValueError(f"x_samples must be >= 1, got {self.x_samples}")

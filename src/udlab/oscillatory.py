@@ -112,9 +112,10 @@ def _phase_jet(fs: Sequence[ex.Node], lam: np.ndarray, xs: np.ndarray,
     """Rows 0..order of phi = lambda . f at xs; row 0 is the phase itself.
     A non-finite value or derivative raises ValueError naming the phase."""
     total = np.zeros((order + 1, len(xs)))
-    for coef, f in zip(lam, fs):
-        if coef != 0.0:
-            total += coef * ex.eval_jet_many(f, xs, order)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        for coef, f in zip(lam, fs):
+            if coef != 0.0:
+                total += coef * ex.eval_jet_many(f, xs, order)
     bad = ~np.isfinite(total)
     if np.any(bad):
         x = float(xs[np.argmax(np.any(bad, axis=0))])

@@ -40,11 +40,13 @@ def _pair_diffs(a, lo: int, N: int):
     its exact differences, which may be inf but not NaN. Any other
     evaluator is evaluated once on lo..N; its values must be finite. Start
     at the smallest index the caller uses: a(n) may be undefined below it.
+    Returns the rule and the values a(lo..N), None with the hook.
     """
     if hasattr(a, "abs_diff"):
-        return a.abs_diff
+        return a.abs_diff, None
     vals = sq.finite_values(a, sq.index_range(N, lo))
-    return lambda ns, ms: np.abs(d := vals[ns - lo] - vals[ms - lo], out=d)  # one alloc
+    rule = lambda ns, ms: np.abs(d := vals[ns - lo] - vals[ms - lo], out=d)  # one alloc
+    return rule, vals
 
 
 def _exact_sums(a, Ns: Sequence[int], delta: float) -> List[float]:
@@ -56,7 +58,7 @@ def _exact_sums(a, Ns: Sequence[int], delta: float) -> List[float]:
     priced from the hook's log2_abs_diff; without one it is priced 0 when
     delta >= 53/1024 (at most 2^-53) and refused below that."""
     top = max(Ns, default=1)
-    diff = _pair_diffs(a, 1, top)
+    diff = _pair_diffs(a, 1, top)[0]
     row_sums = np.zeros(top + 1)
     lo = 2
     while lo <= top:
@@ -292,8 +294,14 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
     All constrained pairs are scanned when their count fits the budget;
     otherwise every boundary pair m = ceil(n + n/(log n)^(1+eps)) is
     scanned plus budget-many seeded uniform pairs beyond the threshold.
-    a(1) is never evaluated. Values a(2..N) from an evaluator without the
-    abs_diff hook must be finite, and a NaN difference raises.
+    When all are scanned and a(2..N) never decreases or never increases,
+    the rounded |a(m) - a(n)| never falls as m grows, so each row is
+    decided by its boundary pair and only those pairs are evaluated.
+    pairs_checked counts the pairs covered: when all are scanned, the
+    constrained pairs in row-major order up to the witness (all of them on
+    a pass); when sampled, the pairs drawn. a(1) is never evaluated.
+    Values a(2..N) from an evaluator without the abs_diff hook must be
+    finite, and a NaN difference raises.
     """
     if N < 8:
         raise ValueError("need N >= 8")
@@ -305,7 +313,7 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
     m0 = growth_threshold(ns_all, eps)
     per_row = np.maximum(0, N - m0 + 1)  # m0 may be inf, never NaN
     total = int(np.sum(per_row))
-    diff = _pair_diffs(a, 2, N)
+    diff, vals = _pair_diffs(a, 2, N)
 
     def scan(ns: np.ndarray, ms: np.ndarray, mask=True) -> Optional[Tuple[int, int]]:
         diffs = diff(ns, ms)
@@ -319,27 +327,27 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
         ns, ms = np.broadcast_arrays(ns, ms)
         return int(ns.flat[i]), int(ms.flat[i])
 
+    sel = m0 <= N  # boundary pairs (n, m0(n)); an inf m0 fails
+    ns_b, ms_b = ns_all[sel], m0[sel].astype(np.int64)
     if total <= budget:
-        # row blocks of about _BLOCK_ELEMENTS pairs from the smallest m0 on;
-        # a fail counts the constrained pairs up to its witness, row by row
-        first = np.minimum.accumulate(m0[::-1])[::-1]
-        lo = 0
-        while lo < len(ns_all) and first[lo] <= N:
-            cols = np.arange(int(first[lo]), N + 1, dtype=np.int64)
-            hi = lo + max(1, _BLOCK_ELEMENTS // len(cols))
-            wit = scan(ns_all[lo:hi, None], cols[None, :], cols[None, :] >= m0[lo:hi, None])
-            if wit is not None:
-                n, m = wit
-                checked = int(np.sum(per_row[:n - 2])) + m - int(m0[n - 2]) + 1
-                return GrowthReport(eps, g, N, "fail", wit, "exhaustive", checked)
-            lo = hi
-        return GrowthReport(eps, g, N, "pass", None, "exhaustive", total)
+        if vals is not None and (np.all((steps := np.diff(vals)) >= 0) or np.all(steps <= 0)):
+            wit = scan(ns_b, ms_b)  # monotone: a row's boundary pair decides it
+        else:
+            # row blocks of about _BLOCK_ELEMENTS pairs from the smallest m0 on
+            first = np.minimum.accumulate(m0[::-1])[::-1]
+            wit, lo = None, 0
+            while wit is None and lo < len(ns_all) and first[lo] <= N:
+                cols = np.arange(int(first[lo]), N + 1, dtype=np.int64)
+                hi = lo + max(1, _BLOCK_ELEMENTS // len(cols))
+                wit = scan(ns_all[lo:hi, None], cols[None, :], cols[None, :] >= m0[lo:hi, None])
+                lo = hi
+        if wit is None:
+            return GrowthReport(eps, g, N, "pass", None, "exhaustive", total)
+        n, m = wit
+        checked = int(np.sum(per_row[:n - 2])) + m - int(m0[n - 2]) + 1
+        return GrowthReport(eps, g, N, "fail", wit, "exhaustive", checked)
 
-    # boundary pairs first
-    sel = np.isfinite(m0) & (m0 <= N)
-    ns_b = ns_all[sel]
-    ms_b = m0[sel].astype(np.int64)
-    checked = len(ns_b)
+    checked = len(ns_b)  # boundary pairs first
     wit = scan(ns_b, ms_b)
     if wit is None:
         rng = np.random.default_rng(derive_seed(seed, N))

@@ -149,6 +149,23 @@ class TestTwoDimensional:
             exact, _ = star_discrepancy_kd(pts, "exact")
             assert exact == pytest.approx(brute_force_2d(pts), abs=1e-12)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1, 16, dc.CORNER_BLOCK]), st.sampled_from([2, 5, 16, 64]))
+    def test_repeated_x_equals_brute_force_and_lattice(self, n, seed, block, m):
+        # x on the 1/4 grid: each x corner holds many points; y half on
+        # the 1/7 grid, and about a fifth of the points repeat the first
+        rng = np.random.default_rng(seed)
+        y = np.where(rng.random(n) < 0.5, rng.integers(0, 7, n) / 7, rng.random(n))
+        pts = np.stack([rng.integers(0, 4, n) / 4, y], 1)
+        pts[rng.random(n) < 0.2] = pts[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dc, "CORNER_BLOCK", block)
+            exact, _ = star_discrepancy_kd(pts, "exact")
+        assert exact == pytest.approx(brute_force_2d(pts), abs=1e-12)
+        g, err = star_discrepancy_kd(pts, "grid", m)
+        assert g - 1e-12 <= exact <= g + err + 1e-12
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(POINTS_2D, st.sampled_from([2, 5, 7, 16, 64]))
     def test_lattice_sandwich_with_atoms(self, pts, m):

@@ -184,6 +184,13 @@ class TestSampleSeeding:
         b = lab.sample_x(small_config(seed=2), 0)
         assert a != b
 
+    def test_integral_float_seed_reads_as_int(self):
+        # the seed is hashed as str(seed): 1.0 drew x = 0.0856 where 1 drew 0.3350
+        config = small_config(seed=1.0)
+        assert config.seed == 1 and type(config.seed) is int
+        assert [lab.sample_x(config, i) for i in range(4)] == \
+            [lab.sample_x(small_config(seed=1), i) for i in range(4)]
+
     def test_derive_seed_stable(self):
         assert derive_seed(5, 3) == derive_seed(5, 3)
         assert derive_seed(5, 3) != derive_seed(5, 4)
@@ -467,6 +474,9 @@ class TestCli:
         ({"frequency_bound": 2.5}, "frequency_bound must be an integer, got 2.5"),
         ({"x_samples": 2.5}, "x_samples must be an integer, got 2.5"),
         ({"x_samples": True}, "x_samples must be an integer, got True"),
+        ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"dstar_final_max": "0.1"}, "dstar_final_max must be a finite number, got '0.1'"),
         ({"dstar_final_max": float("nan")}, "dstar_final_max must be a finite number, got nan"),
         ({"min_pass_fraction": 1.5}, "min_pass_fraction 1.5 is not in [0, 1]"),
@@ -474,7 +484,8 @@ class TestCli:
     ], ids=["index-cap", "no-frequencies", "frequency-box-cap", "m-below-2", "lattice-cap",
             "unknown-method", "exact-3d", "exact-2d-past-4096", "no-samples",
             "lattice-bound-past-limit", "fractional-m", "fractional-frequency-bound",
-            "fractional-samples", "boolean-samples", "string-limit", "nan-limit",
+            "fractional-samples", "boolean-samples", "string-seed", "boolean-seed",
+            "fractional-seed", "string-limit", "nan-limit",
             "pass-fraction-above-1", "string-pass-fraction"])
     def test_out_of_range_config_exits_2_at_load(self, change, message, tmp_path, capsys,
                                                  monkeypatch):

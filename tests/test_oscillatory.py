@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -711,6 +712,17 @@ class TestNonFinitePhase:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="not finite"):
                 decay_fit([X, EXP_EXP], (6, 7), HALF_POW2_RADII, 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda: osc_integral([EXP_EXP], [1.0], (6.0, 7.0)),
+        lambda: decay_fit([X, EXP_EXP], (6, 7), HALF_POW2_RADII, 2)])
+    def test_refused_without_a_warning(self, call):
+        # no np.errstate wrap: the overflow of exp(exp(x)) used to escape as
+        # a RuntimeWarning, so python -W error exited 1 before the refusal
+        with np.errstate(all="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="is not finite"):
+                call()
 
     def test_cli_exits_2(self, capsys):
         # used to run for about 10 s, then fail with "SVD did not converge"

@@ -188,6 +188,39 @@ class TestGrowthCheck:
             1 for n in range(2, N + 1) for m in range(n + 1, N + 1)
             if m > n + n / math.log(n) ** (1 + eps) and (n, m) <= last)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(["increasing", "decreasing", "plateaued", "one-step-back"]),
+           st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.3, 0.5, 1.0, 2.5]),
+                    min_size=7, max_size=70),
+           st.integers(0, 10 ** 6), st.sampled_from([0.1, 0.5, 2.0]),
+           st.sampled_from([0.25, 0.5, 1.0]))
+    def test_monotone_values_match_row_major_oracle(self, shape, steps, pick, eps, g):
+        # a(2..N) from steps: the scan may stop at each row's boundary pair
+        # only when the values never fall or never rise; one step back to
+        # a(2) breaks that, and the row blocks must find the witness past
+        # the boundary pair
+        vals = np.concatenate(([0.0], np.cumsum(steps)))
+        if shape == "increasing":
+            vals += 0.01 * np.arange(len(vals))
+        elif shape == "decreasing":
+            vals = -vals
+        elif shape == "one-step-back":
+            k = 1 + pick % (len(vals) - 1)
+            vals[k:] -= vals[k]
+        N = len(vals) + 1
+        a = array_evaluator(np.concatenate(([math.nan], vals)))  # a(1) is never read
+        constrained = [(n, m) for n in range(2, N + 1) for m in range(n + 1, N + 1)
+                       if m > n + n / math.log(n) ** (1 + eps)]
+        witness = next(((n, m) for n, m in constrained
+                        if not abs(vals[m - 2] - vals[n - 2]) > g), None)
+        want = sc.GrowthReport(eps, g, N, "pass" if witness is None else "fail", witness,
+                               "exhaustive", sum(1 for p in constrained
+                                                 if witness is None or p <= witness))
+        for block in (1, 1000, sc._BLOCK_ELEMENTS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sc, "_BLOCK_ELEMENTS", block)
+                assert weyl_growth_check(a, N, eps, g) == want
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             weyl_growth_check(IDENTITY, 4, 1.0, 1.0)
