@@ -9,7 +9,10 @@ half-open boxes is attained in the limit at one of the two). The exact
 2-d kernel takes as corners the data's own distinct coordinates plus 1,
 where the open count is the closed one shifted by one corner, and reports
 error bound 0; the lattice kernel takes the m^k corners (i_1..i_k)/m, bins
-open and closed counts apart and reports the additive bound k/m.
+open and closed counts apart in float histograms that run along the grid,
+so each prefix adds only its new points, sums each table along its first
+axis in permuted rows, where contiguous chunk adds replace a scalar scan,
+and reports the additive bound k/m.
 Non-finite points are refused.
 """
 
@@ -75,6 +78,15 @@ def _exact_2d_dstar(closed_idx: np.ndarray, x: np.ndarray, y: np.ndarray, N: int
     return dstar
 
 
+def _cumulate(src: np.ndarray, out: np.ndarray, first: int):
+    """out = src cumulated along its axes first, first + 1, ... (a copy of
+    src when there are none)."""
+    for axis in range(first, src.ndim):
+        src = np.cumsum(src, axis=axis, out=out)
+    if src is not out:
+        out[...] = src
+
+
 def _corner_dstar(closed_idx: np.ndarray, open_idx: np.ndarray,
                   corners: Sequence[np.ndarray], grid: Sequence[int]) -> List[float]:
     """D* of points[:N], for each N in the grid, over the anchored boxes
@@ -82,13 +94,23 @@ def _corner_dstar(closed_idx: np.ndarray, open_idx: np.ndarray,
 
     Row j of closed_idx and open_idx holds point j's bin on each axis: the
     point lies in the closed (open) box up to corner index i when every
-    closed (open) bin is <= i. Counts are binned, cumulated along each axis
-    and divided by N in blocks of rows of about CORNER_BLOCK cells, each
-    block started from the last row of the block before. Open counts never
-    exceed closed ones, so D* = max(closed - volume, volume - open): the
-    closed table is compared above the volumes and the open one below.
-    While open and closed bins agree on every point of a prefix, the closed
-    table serves as the open one."""
+    closed (open) bin is <= i. Tables are built in blocks of rows of about
+    CORNER_BLOCK cells. Per block and side, a float histogram runs along
+    the grid (each prefix adds its new points, also when its table is
+    skipped), and one over axes 1..k-1 holds the rows before the block;
+    cumulated, it is the carry. A table is its histogram cumulated along
+    axes 1..k-1, then along axis 0 in permuted rows: block row
+    b * width + c is stored at row (c, b) of a (width, chunks) grid, so
+    width - 1 adds of contiguous chunks, chunks - 1 adds that run the
+    chunk totals (the carry first) and one broadcast add finish it, where
+    np.cumsum along axis 0 would be a scalar loop over every cell. Padding
+    rows repeat the block's last corner, so each equals a real cell.
+    Counts are integers below 2^53: every sum is exact, and the max and
+    min do not depend on the cells' order. Open counts never exceed closed
+    ones, so D* = max(closed - volume, volume - open): the closed table is
+    compared above the volumes and the open one below. While open and
+    closed bins agree on every point of a prefix, the closed table serves
+    as the open one."""
     shape, last = tuple(len(c) for c in corners), np.subtract(grid, 1)
     rest = int(np.prod(shape[1:]))
     rows = max(1, CORNER_BLOCK // rest)
@@ -96,29 +118,43 @@ def _corner_dstar(closed_idx: np.ndarray, open_idx: np.ndarray,
     flats = [np.ravel_multi_index(tuple(idx.T), shape, mode="clip")
              for idx in (closed_idx, open_idx)]
     own_open = np.cumsum(flats[0] != flats[1])[last] > 0
+    bins = [np.divmod(flat, rest) for flat in flats]  # row, then cell within the row
     below, above = np.zeros(len(grid)), np.zeros(len(grid))
-    carry = np.zeros((2, len(grid)) + shape[1:], np.int64)
     for r0 in range(0, shape[0], rows):
-        vol = functools.reduce(np.multiply.outer, [corners[0][r0:r0 + rows], *corners[1:]])
-        lo, dev = r0 * rest, np.empty(vol.shape)
-        for side, flat in enumerate(flats):
-            inside = (flat >= lo) & (flat < lo + vol.size)
-            local, ends = flat[inside] - lo, np.cumsum(inside)[last]
+        n = min(rows, shape[0] - r0)
+        width = max(1, math.isqrt(n) // 2)
+        chunks = -(-n // width)
+        # storage row (c, b) holds block row b * width + c; padding repeats row n - 1
+        order = np.minimum(np.add.outer(np.arange(width), np.arange(chunks) * width), n - 1)
+        vol = functools.reduce(np.multiply.outer, [corners[0][r0 + order], *corners[1:]])
+        table, offsets = np.empty(vol.shape), np.empty((chunks,) + shape[1:])
+        totals = offsets.reshape(chunks, rest)  # a view, one row per chunk
+        for side, (row, col) in enumerate(bins):
+            inside, prior = (row >= r0) & (row < r0 + n), row < r0
+            local = row[inside] - r0
+            cells = ((local % width) * chunks + local // width) * rest + col[inside]
+            before = col[prior]
+            cut, cut_before = (np.append(0, np.cumsum(mask)[last]) for mask in (inside, prior))
+            hist, hist_before = np.zeros(vol.size), np.zeros(rest)
             for g, N in enumerate(grid):
+                np.add.at(hist, cells[cut[g]:cut[g + 1]], 1.0)
+                np.add.at(hist_before, before[cut_before[g]:cut_before[g + 1]], 1.0)
                 if side and not own_open[g]:
                     continue
-                cum = np.bincount(local[:ends[g]], minlength=vol.size).reshape(vol.shape)
-                for axis in range(len(shape)):
-                    np.cumsum(cum, axis=axis, out=cum)
-                if r0:
-                    cum += carry[side, g]
-                np.divide(cum, N, out=dev)
-                carry[side, g] = cum[-1]
-                np.subtract(dev, vol, out=dev)
+                _cumulate(hist.reshape(vol.shape), table, 2)
+                for c in range(1, width):
+                    np.add(table[c - 1], table[c], out=table[c])
+                _cumulate(hist_before.reshape(offsets[:1].shape), offsets[:1], 1)
+                offsets[1:] = table[-1, :-1]
+                for b in range(1, chunks):
+                    np.add(totals[b - 1], totals[b], out=totals[b])
+                table += offsets
+                np.divide(table, N, out=table)
+                np.subtract(table, vol, out=table)
                 if not side:
-                    above[g] = max(above[g], float(np.max(dev)))
+                    above[g] = max(above[g], float(np.max(table)))
                 if side or not own_open[g]:
-                    below[g] = max(below[g], -float(np.min(dev)))
+                    below[g] = max(below[g], -float(np.min(table)))
     return np.maximum(above, below).tolist()
 
 

@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from udlab.discrepancy import (dstar_trend, star_discrepancy_1d,
                                star_discrepancy_kd, ud_trend)
 
 PHI = (1 + math.sqrt(5)) / 2
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 # coordinates in [0, 1), half of them atoms on the 1/7 grid, so that point
 # sets carry ties along both axes and repeated points
@@ -307,6 +311,57 @@ class TestTrend:
                 for N, value in zip(grid, rep.values):
                     assert value == lattice_oracle(points[:N], m)
                 assert rep.methods == [f"grid({m})"] * len(grid)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 10, 37, 64])
+    @pytest.mark.parametrize("block_rows", [1, 7, 19, None])
+    def test_lattice_trend_equals_oracle_in_every_block_layout(self, monkeypatch, k, m,
+                                                              block_rows):
+        # blocks of 1, 7 or 19 rows, or CORNER_BLOCK cells (None): small
+        # blocks carry from one block to the next; 19 rows (10 chunks of 2)
+        # and m = 37 in one block (13 chunks of 3) pad past the last row.
+        # The grid steps by one point, and no point lies on a lattice line
+        # before the fourth prefix, so the open table starts mid-grid.
+        if block_rows is not None:
+            monkeypatch.setattr(dc, "CORNER_BLOCK", block_rows * m ** (k - 1))
+        rng = np.random.default_rng(100 * m + 10 * k + (block_rows or 0))
+        grid = [1, 2, 3, 4, 5, 9, 10, 23, 24]
+        points = rng.random((grid[-1], k))
+        later = points[grid[2]:]
+        on_line = rng.random(later.shape) < 0.3
+        later[on_line] = rng.integers(0, m, on_line.sum()) / m
+        later[0, 0] = rng.integers(1, m) / m  # open bin one past the closed one
+        later[-2:] = later[0]
+        rep = dstar_trend(points, grid, "grid", m)
+        assert rep.values == [lattice_oracle(points[:N], m) for N in grid]
+
+    def test_lattice_memory_does_not_grow_with_the_grid(self, monkeypatch):
+        # 16 row blocks of 2 rows (k = 3, m = 32): a carry kept per prefix
+        # and side would add 2 * 40 * 32^2 * 8 bytes = 655 kB at 40 prefixes
+        monkeypatch.setattr(dc, "CORNER_BLOCK", 2 * 32 ** 2)
+        points = np.random.default_rng(3).random((2000, 3))
+        peaks = []
+        for grid in ([1000, 2000], list(range(50, 2001, 50))):
+            tracemalloc.start()
+            try:
+                dstar_trend(points, grid, "grid", 32)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 32 * 1024, peaks
+
+    def test_calibration_sample_lattice_values_frozen(self):
+        # every prefix of calibration sample 0, not only the final value
+        # that the calibration fixture pins
+        with open(os.path.join(FIXTURES, "calibration_sample0_lattice.json")) as fh:
+            frozen = json.load(fh)
+        with open(os.path.join(FIXTURES, "calibration.json")) as fh:
+            config = lab.ExperimentConfig.from_dict(json.load(fh)["config"])
+        grid = lab.parse_grid(config.n_grid)
+        assert lab.sample_x(config, frozen["sample"]) == frozen["x"]
+        assert grid == frozen["grid"] and len(grid) == 99
+        rep = ud_trend(lab.build_generator(config, frozen["x"]), grid, "grid", frozen["m"])
+        assert rep.values == frozen["values"]
 
     PLASTIC = "x=0.7548776662466927; prod:identity|x; prod:identity|x^2"
 
