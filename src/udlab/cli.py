@@ -8,6 +8,7 @@ experiment coverage).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -52,9 +53,7 @@ def _parse_radii(text: str):
 def _print_table(header, rows, csv_path) -> None:
     """Print the table as CSV after the # lines; also write it to csv_path
     when given."""
-    print(",".join(header))
-    for row in rows:
-        print(",".join(lab._fmt(v) for v in row))
+    csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
     if csv_path:
         lab.write_csv(csv_path, header, rows)
 

@@ -190,9 +190,11 @@ def check_method(method: str, k: int, n_max: int, m: Optional[int] = None
                  ) -> Tuple[str, Optional[int]]:
     """The method ("exact" or "grid") and lattice size m that dstar_trend
     runs on k-dimensional points up to N = n_max, "auto" resolved and m
-    defaulted. Refuses an unknown method, exact with k > 2 or a 2-d N past
-    EXACT_KD_MAX_N, and a lattice with a non-integral m, m < 2 or more
-    than LATTICE_CORNER_CAP corners, by arithmetic alone."""
+    defaulted. Refuses k < 1, an unknown method, exact with k > 2 or a 2-d
+    N past EXACT_KD_MAX_N, and a lattice with a non-integral m, m < 2 or
+    more than LATTICE_CORNER_CAP corners, by arithmetic alone."""
+    if k < 1:
+        raise ValueError(f"points need at least one coordinate, got k = {k}")
     if method == "auto":
         method = "exact" if k == 1 else "grid"
     if method == "exact":

@@ -10,7 +10,11 @@ Grammar (EBNF):
     func   in {exp, log, sin, cos, sqrt}
 
 "^" binds tighter than "*"/"/" which bind tighter than "+"/"-", and is
-right-associative. Numbers are decimals with an optional exponent.
+right-associative. The text is read as tokens (_TOKEN), whitespace
+between them skipped: a number is decimal digits with at most one "."
+and an optional exponent ("e" or "E", a sign, digits), so "2e" is the
+number 2 and then "e"; an identifier is a letter or "_" followed by
+letters, digits and "_"; any other character is a token of its own.
 Exponents of "^" must be constant subexpressions; integer values produce
 an integer-power node (valid for any base, with a zero-base check for
 negative powers), anything else a real-power node (base must be positive).
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence, Tuple
@@ -129,6 +134,9 @@ _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 _BINARY = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}
 _BY_SYMBOL = {symbol: (cls, prec) for cls, (symbol, prec) in _BINARY.items()}
 
+# A number, an identifier or any other single character; see the module docstring
+_TOKEN = re.compile(r"(?:\d+\.?\d*|\.\d*)(?:[eE][+-]?\d+)?|[^\W\d]\w*|\S")
+
 
 # ---------------------------------------------------------------------------
 # Parser
@@ -136,25 +144,21 @@ _BY_SYMBOL = {symbol: (cls, prec) for cls, (symbol, prec) in _BINARY.items()}
 
 class _Parser:
     def __init__(self, text: str, var: str):
-        self.text = text
         self.var = var
-        self.pos = 0  # 0-based cursor; errors report 1-based offsets
+        # (start, text) per token, then an end sentinel
+        self.tokens = [(m.start(), m.group()) for m in _TOKEN.finditer(text)] + [(len(text), "")]
+        self.i = 0
 
     def error(self, message: str, pos: Optional[int] = None):
-        raise ExprSyntaxError(message, (self.pos if pos is None else pos) + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        raise ExprSyntaxError(message, (self.tokens[self.i][0] if pos is None else pos) + 1)
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.tokens[self.i][1]
 
     def expect(self, ch: str):
         if self.peek() != ch:
             self.error(f"expected '{ch}'")
-        self.pos += 1
+        self.i += 1
 
     def parse(self) -> Node:
         node = self.parse_expr()
@@ -171,12 +175,12 @@ class _Parser:
             make, op_prec = _BY_SYMBOL.get(self.peek(), (None, 0))
             if op_prec != prec:
                 return node
-            self.pos += 1
+            self.i += 1
             node = make(node, operand())
 
     def parse_factor(self) -> Node:
         if self.peek() == "-":
-            self.pos += 1
+            self.i += 1
             inner = self.parse_power()
             if isinstance(inner, Const):
                 return Const(-inner.value)
@@ -186,72 +190,39 @@ class _Parser:
     def parse_power(self) -> Node:
         base = self.parse_atom()
         if self.peek() == "^":
-            self.pos += 1
-            exp_start = self.pos
+            exp_start = self.tokens[self.i][0] + 1  # just past the "^"
+            self.i += 1
             exponent = self.parse_power()  # right-associative
             return _make_power(base, exponent, self, exp_start)
         return base
 
     def parse_atom(self) -> Node:
-        ch = self.peek()
-        if ch == "":
+        start, token = self.tokens[self.i]
+        if token == "":
             self.error("unexpected end of input")
-        if ch == "(":
-            self.pos += 1
+        self.i += 1
+        if token == "(":
             node = self.parse_expr()
             self.expect(")")
             return node
-        if ch.isdigit() or ch == ".":
-            return self.parse_number()
-        if ch.isalpha() or ch == "_":
-            return self.parse_identifier()
-        self.error(f"unexpected character '{ch}'")
-
-    def parse_number(self) -> Node:
-        self.skip_ws()
-        start = self.pos
-        text = self.text
-        n = len(text)
-        while self.pos < n and text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < n and text[self.pos] == ".":
-            self.pos += 1
-            while self.pos < n and text[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < n and text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < n and text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < n and text[self.pos].isdigit():
-                while self.pos < n and text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # not an exponent, e.g. "2e" would be "2 * e"
-        token = text[start:self.pos]
-        try:
-            value = float(token)
-        except ValueError:
-            self.error(f"bad number '{token}'", start)
-        if not math.isfinite(value):
-            self.error(f"number '{token}' overflows a double", start)
-        return Const(value)
-
-    def parse_identifier(self) -> Node:
-        self.skip_ws()
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
-            self.pos += 1
-        name = text[start:self.pos]
-        if name == self.var:
+        if token[0].isdecimal() or token[0] == ".":
+            try:
+                value = float(token)
+            except ValueError:
+                self.error(f"bad number '{token}'", start)
+            if not math.isfinite(value):
+                self.error(f"number '{token}' overflows a double", start)
+            return Const(value)
+        if not (token[0].isalpha() or token[0] == "_"):
+            self.error(f"unexpected character '{token[0]}'", start)
+        if token == self.var:
             return Var()
-        if name in _FUNCS:
+        if token in _FUNCS:
             self.expect("(")
             arg = self.parse_expr()
             self.expect(")")
-            return Func(name, arg)
-        self.error(f"unknown identifier '{name}'", start)
+            return Func(token, arg)
+        self.error(f"unknown identifier '{token}'", start)
 
 
 def _make_power(base: Node, exponent: Node, parser: _Parser, exp_start: int) -> Node:

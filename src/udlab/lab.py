@@ -15,6 +15,7 @@ report is reproducible byte for byte from (config, seed).
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
 import json
@@ -415,17 +416,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
 # CSV / SVG emission (byte-stable for identical reports)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def scatter_csv_rows(report) -> Tuple[List[str], List[List]]:

@@ -165,7 +165,9 @@ def compose(spec: SequenceSpec, outer: Union[str, ex.Node]) -> SequenceSpec:
 
 def _as_index_array(n):
     arr = np.asarray(n)
-    if arr.dtype.kind not in "iu":
+    if arr.dtype.kind != "i":  # float, or unsigned that may pass int64's range
+        if not np.all(np.abs(arr) < 2.0 ** 63):  # also refuses inf and NaN
+            raise ValueError("sequence argument must be finite and below 2^63")
         if not np.all(arr == np.floor(arr)):
             raise ValueError("sequence argument must be integral")
         arr = arr.astype(np.int64)

@@ -262,6 +262,18 @@ class TestNonFinite:
                 call()
 
 
+class TestEmptyPoints:
+    @pytest.mark.parametrize("points, message", [
+        ([], "at least one coordinate, got k = 0"),
+        (np.empty((3, 0)), "at least one coordinate, got k = 0"),
+        (np.empty((0, 2)), "need at least one point"),
+    ], ids=["list", "3x0", "0x2"])
+    def test_refused(self, points, message):
+        # the first two failed inside numpy: "need at least one array to stack"
+        with pytest.raises(ValueError, match=message):
+            star_discrepancy_kd(points)
+
+
 class TestTrend:
     def test_golden_ratio_low_discrepancy(self):
         gen = wy.PointGenerator([wy.ProductCoord(sq.identity(),

@@ -81,6 +81,21 @@ class TestParsing:
             ex.parse_expr(text)
         assert info.value.offset == offset
 
+    @pytest.mark.parametrize("text, message", [
+        ("x^-2", "unexpected character '-' at offset 3"),
+        ("$", "unexpected character '$' at offset 1"),
+        (".", "bad number '.' at offset 1"),
+        ("2e", "unexpected trailing input at offset 2"),  # the number 2, then "e"
+        ("1.2.3", "unexpected trailing input at offset 4"),
+        ("sin x", "expected '(' at offset 5"),
+        ("x +", "unexpected end of input at offset 4"),
+        ("x^", "unexpected end of input at offset 3"),
+    ])
+    def test_refusal_message_and_offset(self, text, message):
+        with pytest.raises(ExprSyntaxError) as info:
+            ex.parse_expr(text)
+        assert str(info.value) == message
+
 
 class TestRoundTrip:
     CASES = ["x^2", "2*x^3", "-x + (x - 1)/(x + 2)", "exp(x)^2.5",
@@ -265,6 +280,13 @@ class TestIndependence:
         ratio = rep.null_direction / expected
         assert np.allclose(ratio, ratio[0], atol=1e-9)
         assert np.linalg.norm(rep.null_direction) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_function_is_dependent(self):
+        rep = ex.check_linear_independence(
+            [ex.parse_expr("0*x"), ex.parse_expr("x")], (0, 1))
+        assert rep.verdict == "dependent"
+        assert rep.sigma_min == 0.0
+        assert rep.null_direction.tolist() == [0.0, 1.0, 0.0]
 
     def test_pythagorean_identity(self):
         rep = ex.check_linear_independence(

@@ -119,6 +119,8 @@ class TestGridAndGeneratorSpecs:
             lab.parse_generator("prod:identity|x")  # missing x=
         with pytest.raises(ValueError):
             lab.parse_generator("x=1; frob:identity|x")
+        with pytest.raises(ValueError, match=r"'prod:identity' is not KIND:LEFT\|RIGHT"):
+            lab.parse_generator("x=0.3; prod:identity")
 
     def test_index_family_spec(self):
         assert sq.parse_index_family("prefixes") == sq.prefixes()
@@ -142,6 +144,8 @@ class TestConfig:
                                  tower_sequences=["identity"])
         with pytest.raises(ValueError, match="may not set x="):
             lab.ExperimentConfig(kind="custom", coordinates=["x=0.5", "prod:identity|x"])
+        with pytest.raises(ValueError, match="custom config has no coordinates"):
+            lab.ExperimentConfig(kind="custom")
 
     def test_from_dict_refuses_unknown_and_missing_keys(self):
         data = small_config().to_dict()
@@ -625,6 +629,14 @@ class TestCli:
         assert all(float(row[4]) > 0.0 and float(row[5]) > 0.0 for row in flagged.values())
         assert float(flagged[512.5][4]) == pytest.approx(3.3e-16, rel=0.05)
         assert float(flagged[512.5][5]) == pytest.approx(1.6e-13, rel=0.05)
+
+    def test_oscdecay_unreliable_cells_exit_3(self, capsys):
+        # the K31 rounding floor on [0, 10000.3] exceeds tol 1e-12: every cell
+        # ends unreliable at the bisection cap
+        assert cli.main(["oscdecay", "--f", "x", "--interval", "0,10000.3", "--radii",
+                         "1,2,3,4,5,6", "--dirs", "1", "--tol", "1e-12"]) == 3
+        rows = capsys.readouterr().out.splitlines()[-6:]
+        assert all(row.endswith(",unreliable") for row in rows)
 
     def test_oscdecay_runs(self, capsys):
         code = cli.main(["oscdecay", "--f", "x", "--interval", "0,1",

@@ -480,6 +480,10 @@ class TestDerivativeBounds:
     def test_vanishing_derivative_gives_inf(self):
         assert vdc_bound_first(X2, 3.0, (-1, 1)) == math.inf
 
+    def test_derivative_vanishing_at_an_end_gives_inf(self):
+        # phi' = 2*lam*x is 0 at the end x = 0 but changes no sign on [0, 1]
+        assert vdc_bound_first(X2, 1.0, (0, 1)) == math.inf
+
     def test_split_at_inflection(self):
         # phi = lam*(x^3 - 3x): phi' = 3*lam*(x^2 - 1) vanishes at 1, and
         # phi'' = 6*lam*x changes sign at 0

@@ -46,6 +46,20 @@ class TestFamilies:
         with pytest.raises(ValueError):
             sq.make_sequence(sq.identity())(2.5)
 
+    def test_whole_number_float_arguments(self):
+        a = sq.make_sequence(sq.power(0.5))
+        assert a(np.array([1.0, 4.0, 9.0])).tolist() == [1.0, 2.0, 3.0]
+        assert a(np.array([4, 9])).tolist() == [2.0, 3.0]
+        assert a(np.array([4, 9], dtype=np.uint64)).tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize("n", [np.inf, -np.inf, np.nan, 1e30, -1e30, 2.0 ** 63,
+                                   np.uint64(2 ** 63 + 5)])
+    def test_non_finite_or_huge_arguments_refused(self, n):
+        # the floats were cast to int64 with a RuntimeWarning, then refused
+        # as < 1; the unsigned one wrapped to a negative index unwarned
+        with pytest.raises(ValueError, match=r"must be finite and below 2\^63"):
+            sq.make_sequence(sq.power(0.5))(np.array([4, n], dtype=np.asarray(n).dtype))
+
     def test_custom_formula(self):
         a = sq.make_sequence(sq.custom("n + sin(n)/n"))
         assert a(3) == pytest.approx(3 + math.sin(3) / 3)

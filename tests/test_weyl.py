@@ -480,6 +480,10 @@ class TestPrecisionPolicy:
         with pytest.raises(ValueError, match="must be finite and exceed 1"):
             numerics.power_tower_fracs_fixed(g, [1, 2])
 
+    def test_power_tower_fracs_fixed_refuses_negative_exponent(self):
+        with pytest.raises(ValueError, match="exponents must be non-negative"):
+            numerics.power_tower_fracs_fixed(1.5, [2, -1, 3])
+
     def test_non_finite_exponent_and_product_name_n(self):
         with pytest.raises(ValueError, match="at n = 35 is inf"):
             wy.TowerCoord(X, sq.power(200.0), 1.5).fracs(np.arange(1, 100))
