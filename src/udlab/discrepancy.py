@@ -8,11 +8,13 @@ and the closed count at every corner, so atoms are handled (the sup over
 half-open boxes is attained in the limit at one of the two). The exact
 2-d kernel takes as corners the data's own distinct coordinates plus 1,
 where the open count is the closed one shifted by one corner, and reports
-error bound 0; the lattice kernel takes the m^k corners (i_1..i_k)/m, bins
-open and closed counts apart in float histograms that run along the grid,
-so each prefix adds only its new points, sums each table along its first
-axis in permuted rows, where contiguous chunk adds replace a scalar scan,
-and reports the additive bound k/m.
+error bound 0; the lattice kernel takes the m^k corners (i_1..i_k)/m and
+reports the additive bound k/m. A prefix whose points occupy few bins is
+tabulated on the blocks of corners between occupied bins, where counts
+are constant; past that, open and closed counts are binned apart in float
+histograms that run along the grid, so each prefix adds only its new
+points, and each table is summed along its first axis in permuted rows,
+where contiguous chunk adds replace a scalar scan.
 Non-finite points are refused.
 """
 
@@ -94,31 +96,78 @@ def _corner_dstar(closed_idx: np.ndarray, open_idx: np.ndarray,
 
     Row j of closed_idx and open_idx holds point j's bin on each axis: the
     point lies in the closed (open) box up to corner index i when every
-    closed (open) bin is <= i. Tables are built in blocks of rows of about
-    CORNER_BLOCK cells. Per block and side, a float histogram runs along
-    the grid (each prefix adds its new points, also when its table is
-    skipped), and one over axes 1..k-1 holds the rows before the block;
-    cumulated, it is the carry. A table is its histogram cumulated along
-    axes 1..k-1, then along axis 0 in permuted rows: block row
-    b * width + c is stored at row (c, b) of a (width, chunks) grid, so
-    width - 1 adds of contiguous chunks, chunks - 1 adds that run the
-    chunk totals (the carry first) and one broadcast add finish it, where
-    np.cumsum along axis 0 would be a scalar loop over every cell. Padding
-    rows repeat the block's last corner, so each equals a real cell.
-    Counts are integers below 2^53: every sum is exact, and the max and
-    min do not depend on the cells' order. Open counts never exceed closed
-    ones, so D* = max(closed - volume, volume - open): the closed table is
-    compared above the volumes and the open one below. While open and
-    closed bins agree on every point of a prefix, the closed table serves
-    as the open one."""
+    closed (open) bin is <= i; bins lie in 0..len(corners[a]) - 1 on axis
+    a. Open counts never exceed closed ones, so D* =
+    max(closed - volume, volume - open): the closed table is compared above
+    the volumes and the open one below. While open and closed bins agree on
+    every point of a prefix, the closed table serves as the open one.
+
+    Counts change only at a bin some point occupies, closed or open, so on
+    each axis the occupied bins (and bin 0) start blocks of corners on
+    which every count is constant. Volumes grow along each axis and
+    fl(C/N - v) never rises as v grows, so a block's extremes sit at its
+    lower corner (closed) and its upper corner, the next occupied bin - 1
+    (open). A prefix whose table of blocks has at most half the table's
+    corners and at most CORNER_BLOCK cells is tabulated on those blocks
+    alone; occupancy only grows, so the prefixes from the first one past
+    that limit go to _running_dstar."""
+    shape, bins = tuple(len(c) for c in corners), (closed_idx, open_idx)
+    own_open = np.cumsum(np.any(bins[0] != bins[1], axis=1))[np.subtract(grid, 1)] > 0
+    limit = min(CORNER_BLOCK, math.prod(shape) // 2)
+    occupied = [np.arange(n) == 0 for n in shape]  # bin 0 starts the first block
+    values, start = [], 0
+    for g, N in enumerate(grid):
+        for side in bins:
+            for mask, new in zip(occupied, side[start:N].T):
+                mask[new] = True
+        start = N
+        lows = [np.flatnonzero(mask) for mask in occupied]
+        sizes = tuple(len(low) for low in lows)
+        if math.prod(sizes) > limit:
+            return values + _running_dstar(*bins, corners, grid[g:], own_open[g:])
+        block = [np.cumsum(mask) - 1 for mask in occupied]  # bin -> block index
+        highs = [np.append(low[1:], n) - 1 for low, n in zip(lows, shape)]
+        lower, upper = (functools.reduce(np.multiply.outer,
+                                         [c[i] for c, i in zip(corners, ends)])
+                        for ends in (lows, highs))
+        value = 0.0
+        for side, idx in enumerate(bins[:1 + own_open[g]]):
+            flat = np.ravel_multi_index(tuple(b[i] for b, i in zip(block, idx[:N].T)), sizes)
+            table = np.bincount(flat, minlength=lower.size).reshape(sizes)
+            for axis in range(len(sizes)):
+                np.cumsum(table, axis=axis, out=table)
+            dev = table / N
+            if not side:
+                value = max(value, float(np.max(dev - lower)))
+            if side or not own_open[g]:
+                value = max(value, float(np.max(upper - dev)))
+        values.append(value)
+    return values
+
+
+def _running_dstar(closed_bins: np.ndarray, open_bins: np.ndarray,
+                   corners: Sequence[np.ndarray], grid: Sequence[int],
+                   own_open: np.ndarray) -> List[float]:
+    """_corner_dstar over the whole table, with own_open[g] set when some
+    point of prefix g has its open bin apart from its closed one.
+
+    Tables are built in blocks of rows of about CORNER_BLOCK cells. Per
+    block and side, a float histogram runs along the grid (each prefix adds
+    its new points, also when its table is skipped), and one over axes
+    1..k-1 holds the rows before the block; cumulated, it is the carry. A
+    table is its histogram cumulated along axes 1..k-1, then along axis 0
+    in permuted rows: block row b * width + c is stored at row (c, b) of a
+    (width, chunks) grid, so width - 1 adds of contiguous chunks, chunks - 1
+    adds that run the chunk totals (the carry first) and one broadcast add
+    finish it, where np.cumsum along axis 0 would be a scalar loop over
+    every cell. Padding rows repeat the block's last corner, so each equals
+    a real cell. Counts are integers below 2^53: every sum is exact, and
+    the max and min do not depend on the cells' order."""
     shape, last = tuple(len(c) for c in corners), np.subtract(grid, 1)
     rest = int(np.prod(shape[1:]))
     rows = max(1, CORNER_BLOCK // rest)
-    # clipped: a lattice bin -1 (x = 0) or m (m x rounded up to m) is 0 or m - 1
-    flats = [np.ravel_multi_index(tuple(idx.T), shape, mode="clip")
-             for idx in (closed_idx, open_idx)]
-    own_open = np.cumsum(flats[0] != flats[1])[last] > 0
-    bins = [np.divmod(flat, rest) for flat in flats]  # row, then cell within the row
+    bins = [np.divmod(np.ravel_multi_index(tuple(idx.T), shape), rest)  # row, cell in row
+            for idx in (closed_bins, open_bins)]
     below, above = np.zeros(len(grid)), np.zeros(len(grid))
     for r0 in range(0, shape[0], rows):
         n = min(rows, shape[0] - r0)
@@ -190,11 +239,13 @@ def check_method(method: str, k: int, n_max: int, m: Optional[int] = None
                  ) -> Tuple[str, Optional[int]]:
     """The method ("exact" or "grid") and lattice size m that dstar_trend
     runs on k-dimensional points up to N = n_max, "auto" resolved and m
-    defaulted. Refuses k < 1, an unknown method, exact with k > 2 or a 2-d
-    N past EXACT_KD_MAX_N, and a lattice with a non-integral m, m < 2 or
-    more than LATTICE_CORNER_CAP corners, by arithmetic alone."""
+    defaulted. Refuses k < 1, an unknown method, exact with an m, with
+    k > 2 or with a 2-d N past EXACT_KD_MAX_N, and a lattice with a
+    non-integral m, m < 2 or more than LATTICE_CORNER_CAP corners, by
+    arithmetic alone."""
     if k < 1:
         raise ValueError(f"points need at least one coordinate, got k = {k}")
+    asked = method
     if method == "auto":
         method = "exact" if k == 1 else "grid"
     if method == "exact":
@@ -202,6 +253,9 @@ def check_method(method: str, k: int, n_max: int, m: Optional[int] = None
             raise ValueError(f"exact method supports k <= 2 only, got k = {k}")
         if k == 2 and n_max > EXACT_KD_MAX_N:
             raise ValueError(f"exact 2-d method capped at N = {EXACT_KD_MAX_N}, got N = {n_max}")
+        if m is not None:
+            raise ValueError(f"grid size m = {m} needs --method grid; the {asked} method"
+                             f" is exact at k = {k} and takes no m")
         return method, None
     if method != "grid":
         raise ValueError(f"unknown method '{method}'")
@@ -246,8 +300,10 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
     method "exact" (k = 1; or k = 2 and N <= 4096) uses the sorted formula
     in one dimension; in two it runs the exact corner-count kernel on the
     critical corners, the prefix's distinct coordinates plus 1 on each
-    axis. method "grid" runs the lattice kernel on the m^k corners; a value
-    never exceeds the exact one and the error bound k/m is additive. "auto" is
+    axis. method "grid" runs the lattice kernel on the m^k corners (a
+    prefix whose points occupy few bins on the blocks between them, with
+    the same values); a value never exceeds the exact one and the error
+    bound k/m is additive. "auto" is
     "exact" in one dimension and "grid" elsewhere.
     """
     grid = [int(N) for N in grid]
@@ -263,7 +319,8 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
         err, label = 0.0, "exact-1d" if k == 1 else "exact-kd"
     else:
         scaled = points[:grid[-1]] * m
-        values = _corner_dstar((np.ceil(scaled) - 1).astype(np.int64),
+        # a closed bin -1 (x = 0) is bin 0; m x rounds below m for x < 1
+        values = _corner_dstar(np.maximum(np.ceil(scaled) - 1, 0).astype(np.int64),
                                np.floor(scaled).astype(np.int64),
                                [np.arange(1, m + 1) / m] * k, grid)
         err, label = k / m, f"grid({m})"

@@ -374,7 +374,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     workers > 1 runs the samples in that many processes (at most one per
     sample). Each sample draws from its own hashed seed, and each process
     has its own mpmath working precision, so the report is the same at
-    any worker count.
+    any worker count. The pool pays only when the samples carry far more
+    work than starting the processes: on 2 cores the calibration
+    experiment (20 samples, 1.0-1.6 s serial) took 0.56-0.79 s with 2
+    workers, while an 8-sample tower experiment of about 0.1 s took as
+    long with 2 workers as with 1.
     """
     grid = parse_grid(config.n_grid)
     indices = list(range(config.x_samples))

@@ -205,6 +205,11 @@ class TestTwoDimensional:
         ("bogus", 2, 100, None, "unknown method 'bogus'"),
         ("exact", 3, 100, None, "exact method supports k <= 2 only, got k = 3"),
         ("exact", 2, 5000, None, "exact 2-d method capped at N = 4096, got N = 5000"),
+        # m was ignored: these printed exact rows and exited 0
+        ("exact", 2, 100, 64, "grid size m = 64 needs --method grid; the exact method is"
+                              " exact at k = 2 and takes no m"),
+        ("auto", 1, 100, 64, "grid size m = 64 needs --method grid; the auto method is"
+                             " exact at k = 1 and takes no m"),
     ])
     def test_method_refused_before_any_point(self, method, dim, top, m, message, monkeypatch):
         # the lattice builds m^k corners per prefix: --m 20000 at k = 2 was
@@ -216,6 +221,15 @@ class TestTwoDimensional:
         monkeypatch.setattr(wy.PointGenerator, "fracs", no_points)
         with pytest.raises(ValueError, match=message):
             ud_trend(gen, [10, top], method, m)
+
+    def test_cli_refuses_m_with_exact(self, capsys):
+        argv = ["discrepancy", "--gen", "x=0.3; prod:identity|x", "--grid", "100,1000",
+                "--m", "64"]
+        for extra in ([], ["--method", "exact"]):
+            assert cli.main(argv + extra) == 2
+            captured = capsys.readouterr()
+            assert not captured.out
+            assert "needs --method grid" in captured.err
 
     def test_non_integral_lattice_size_is_refused(self):
         # m = 64.5 ran corners up to 65/64.5 > 1 and reported the bound 2/64.5
@@ -347,29 +361,82 @@ class TestTrend:
         rep = dstar_trend(points, grid, "grid", m)
         assert rep.values == [lattice_oracle(points[:N], m) for N in grid]
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 10, 37, 64])
+    def test_lattice_trend_crosses_from_occupied_bins_to_running_tables(self, monkeypatch,
+                                                                        k, m):
+        # on each axis the first 12 points lie in a quarter of the bins, so
+        # the first prefixes are tabulated on their occupied bins; the later
+        # points range over the lattice, and the running kernel takes the
+        # grid from the first prefix past the limit on. Points at x = 0
+        # (closed bin -1), on lattice lines (open bin one past the closed
+        # one) and at the largest double below 1 (bin m - 1: m x stays below
+        # m for an integer m) lie on both sides of the crossing
+        rng = np.random.default_rng(1000 + 10 * m + k)
+        grid = [1, 2, 3, 4, 5, 8, 12, 20, 30, 45, 80, 150]
+        points = rng.random((150, k))
+        for axis in range(k):
+            few = rng.choice(m, max(1, m // 4), replace=False)
+            points[:12, axis] = (rng.choice(few, 12) + rng.random(12)) / m
+        on_line = rng.random(points.shape) < 0.3
+        points[on_line] = np.floor(points[on_line] * m) / m
+        points[[0, 25], 0] = 0.0
+        points[[2, 40], -1] = np.nextafter(1.0, 0.0)
+        starts = []
+        running = dc._running_dstar
+
+        def spy(*args):
+            starts.append(args[3][0])
+            return running(*args)
+        monkeypatch.setattr(dc, "_running_dstar", spy)
+        rep = dstar_trend(points, grid, "grid", m)
+        assert rep.values == [lattice_oracle(points[:N], m) for N in grid]
+        assert len(starts) == 1 and grid[0] < starts[0] <= grid[-1], starts
+
+    def test_sparse_calibration_prefixes_skip_the_running_tables(self, monkeypatch):
+        # sample 0 (x = 0.3206...) occupies few of the 256 bins per axis:
+        # its prefixes up to N = 371 are tabulated on their occupied bins
+        # alone, those below 256 with the frozen values
+        frozen, config, grid = self.calibration_sample0()
+
+        def running(*args):
+            raise AssertionError("running-histogram kernel reached")
+        monkeypatch.setattr(dc, "_running_dstar", running)
+        small = [N for N in grid if N < 256]
+        rep = ud_trend(lab.build_generator(config, frozen["x"]), small, "grid", frozen["m"])
+        assert len(small) == 30 and rep.values == frozen["values"][:30]
+
     def test_lattice_memory_does_not_grow_with_the_grid(self, monkeypatch):
         # 16 row blocks of 2 rows (k = 3, m = 32): a carry kept per prefix
-        # and side would add 2 * 40 * 32^2 * 8 bytes = 655 kB at 40 prefixes
+        # and side would add 2 * 40 * 32^2 * 8 bytes = 655 kB at 40 prefixes.
+        # The prefixes up to 8 of the last grid are tabulated on their
+        # occupied bins, in tables of at most CORNER_BLOCK cells: half the
+        # lattice, 16,384 cells, would take 131 kB per table
         monkeypatch.setattr(dc, "CORNER_BLOCK", 2 * 32 ** 2)
         points = np.random.default_rng(3).random((2000, 3))
         peaks = []
-        for grid in ([1000, 2000], list(range(50, 2001, 50))):
+        later = list(range(50, 2001, 50))
+        for grid in ([1000, 2000], later, [1, 2, 4, 8, 16, 24, 32] + later):
             tracemalloc.start()
             try:
                 dstar_trend(points, grid, "grid", 32)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= peaks[0] + 32 * 1024, peaks
+        assert max(peaks[1:]) <= peaks[0] + 32 * 1024, peaks
 
-    def test_calibration_sample_lattice_values_frozen(self):
-        # every prefix of calibration sample 0, not only the final value
-        # that the calibration fixture pins
+    @staticmethod
+    def calibration_sample0():
         with open(os.path.join(FIXTURES, "calibration_sample0_lattice.json")) as fh:
             frozen = json.load(fh)
         with open(os.path.join(FIXTURES, "calibration.json")) as fh:
             config = lab.ExperimentConfig.from_dict(json.load(fh)["config"])
-        grid = lab.parse_grid(config.n_grid)
+        return frozen, config, lab.parse_grid(config.n_grid)
+
+    def test_calibration_sample_lattice_values_frozen(self):
+        # every prefix of calibration sample 0, not only the final value
+        # that the calibration fixture pins
+        frozen, config, grid = self.calibration_sample0()
         assert lab.sample_x(config, frozen["sample"]) == frozen["x"]
         assert grid == frozen["grid"] and len(grid) == 99
         rep = ud_trend(lab.build_generator(config, frozen["x"]), grid, "grid", frozen["m"])

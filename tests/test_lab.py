@@ -218,7 +218,7 @@ class TestRunExperiment:
     def test_tight_threshold_fails(self):
         # exact 2-d D* has bound 0; on the 128 lattice (bound 2/128) this
         # limit is refused at load
-        report = lab.run_experiment(small_config(discrepancy_method="exact",
+        report = lab.run_experiment(small_config(discrepancy_method="exact", grid_m=None,
                                                  dstar_final_max=1e-6))
         assert report.verdict == "fail"
         assert len(report.exceptional) > 0
@@ -471,6 +471,9 @@ class TestCli:
           "sequences": ["identity"] * 3}, "exact method supports k <= 2 only, got k = 3"),
         ({"discrepancy_method": "exact", "n_grid": "100,5000"},
          "exact 2-d method capped at N = 4096, got N = 5000"),
+        ({"discrepancy_method": "exact"}, "grid size m = 128 needs --method grid; the exact"),
+        ({"discrepancy_method": "auto", "functions": ["x"], "sequences": ["identity"]},
+         "grid size m = 128 needs --method grid; the auto method is exact at k = 1"),
         ({"x_samples": 0}, "x_samples must be >= 1, got 0"),
         ({"grid_m": 8, "dstar_final_max": 0.09},
          "the lattice bound k/m = 2/8 is at least dstar_final_max = 0.09"),
@@ -486,7 +489,8 @@ class TestCli:
         ({"min_pass_fraction": 1.5}, "min_pass_fraction 1.5 is not in [0, 1]"),
         ({"min_pass_fraction": "0.9"}, "min_pass_fraction '0.9' is not in [0, 1]"),
     ], ids=["index-cap", "no-frequencies", "frequency-box-cap", "m-below-2", "lattice-cap",
-            "unknown-method", "exact-3d", "exact-2d-past-4096", "no-samples",
+            "unknown-method", "exact-3d", "exact-2d-past-4096", "exact-with-m",
+            "auto-1d-with-m", "no-samples",
             "lattice-bound-past-limit", "fractional-m", "fractional-frequency-bound",
             "fractional-samples", "boolean-samples", "string-seed", "boolean-seed",
             "fractional-seed", "string-limit", "nan-limit",
@@ -494,7 +498,8 @@ class TestCli:
     def test_out_of_range_config_exits_2_at_load(self, change, message, tmp_path, capsys,
                                                  monkeypatch):
         # each used to fail on every sample and exit 3 with five outputs
-        # (x_samples 0: exit 0 with empty outputs)
+        # (x_samples 0: exit 0 with empty outputs; an m with exact: exact
+        # values, m ignored)
         def no_sample(self, coords):
             raise AssertionError("a sample was built before the config was checked")
         monkeypatch.setattr(wy.PointGenerator, "__init__", no_sample)
@@ -583,7 +588,8 @@ class TestCli:
         assert prov["constants"]["tower_guard_bits"] == 96
 
     def test_experiment_threshold_failure_exit(self, tmp_path, capsys):
-        config = small_config(discrepancy_method="exact", dstar_final_max=1e-6).to_dict()
+        config = small_config(discrepancy_method="exact", grid_m=None,
+                              dstar_final_max=1e-6).to_dict()
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         code = cli.main(["experiment", "--config", str(cfg_path),
