@@ -11,10 +11,11 @@ where the open count is the closed one shifted by one corner, and reports
 error bound 0; the lattice kernel takes the m^k corners (i_1..i_k)/m and
 reports the additive bound k/m. A prefix whose points occupy few bins is
 tabulated on the blocks of corners between occupied bins, where counts
-are constant; past that, open and closed counts are binned apart in float
-histograms that run along the grid, so each prefix adds only its new
-points, and each table is summed along its first axis in permuted rows,
-where contiguous chunk adds replace a scalar scan.
+are constant; past that, open and closed counts are kept apart in float
+arrays that run along the grid, already cumulated along the last axis:
+each table adds the step function of the points since the last one, and
+is summed along its first axis in permuted rows, where contiguous chunk
+adds replace a scalar scan.
 Non-finite points are refused.
 """
 
@@ -56,10 +57,10 @@ def _exact_2d_dstar(closed_idx: np.ndarray, x: np.ndarray, y: np.ndarray, N: int
     index on each axis is one more, so the open count table is the closed
     one shifted by one corner on each axis and is compared with the
     volumes one corner on (at a first corner the open count is 0). Counts
-    are binned and cumulated along y in blocks of rows of about
-    CORNER_BLOCK / 4 cells, whose float tables stay in a 2 MB cache, and
-    the rows are added down each block from the last row of the block
-    before."""
+    cumulated along y are written as step functions (_along_rows) in
+    blocks of rows of about CORNER_BLOCK / 4 cells, whose float tables
+    stay in a 2 MB cache, and the rows are added down each block from the
+    last row of the block before."""
     rest = len(y)
     rows = max(1, CORNER_BLOCK // 4 // rest)
     flat = np.sort(closed_idx[:, 0] * rest + closed_idx[:, 1])
@@ -68,8 +69,8 @@ def _exact_2d_dstar(closed_idx: np.ndarray, x: np.ndarray, y: np.ndarray, N: int
     dstar = float(max(x[0], y[0]))
     for b, r0 in enumerate(range(0, len(x), rows)):
         n = min(rows, len(x) - r0)
-        cum = np.cumsum(np.bincount(flat[ends[b]:ends[b + 1]] - r0 * rest, minlength=n * rest)
-                        .reshape(n, rest), axis=1, dtype=np.int32)
+        cum = _along_rows(flat[ends[b]:ends[b + 1]] - r0 * rest, n * rest, rest,
+                          np.int32).reshape(n, rest)
         cum[0] += carry
         for r in range(1, n):
             np.add(cum[r - 1], cum[r], out=cum[r])
@@ -78,6 +79,20 @@ def _exact_2d_dstar(closed_idx: np.ndarray, x: np.ndarray, y: np.ndarray, N: int
         shifted = vol[1:, 1:] - dev[:len(vol) - 1, :-1]  # empty past the last row
         dstar = max(dstar, float(np.max(dev - vol[:n])), float(np.max(shifted, initial=0.0)))
     return dstar
+
+
+def _along_rows(cells: np.ndarray, size: int, width: int, dtype) -> np.ndarray:
+    """The counts of the sorted flat cells, in 0..size - 1, cumulated along
+    rows of width cells: a step function, written by one np.repeat. Its
+    level steps up at each cell and drops to 0 at the end of each row that
+    holds a cell; where a cell starts the next row, the drop comes first."""
+    row_end = (cells // width + 1) * width
+    bounds = np.empty(2 * len(cells) + 2, np.int64)  # where each level starts, then size
+    bounds[0], bounds[1:-1:2], bounds[-1] = 0, cells, size
+    bounds[2:-1:2] = np.minimum(np.append(cells[1:], size), row_end)  # a cell's level ends
+    levels = np.zeros(len(bounds) - 1, dtype)
+    levels[1::2] = np.arange(1, len(cells) + 1) - np.searchsorted(cells, row_end - width)
+    return np.repeat(levels, np.diff(bounds))
 
 
 def _cumulate(src: np.ndarray, out: np.ndarray, first: int):
@@ -152,19 +167,23 @@ def _running_dstar(closed_bins: np.ndarray, open_bins: np.ndarray,
     point of prefix g has its open bin apart from its closed one.
 
     Tables are built in blocks of rows of about CORNER_BLOCK cells. Per
-    block and side, a float histogram runs along the grid (each prefix adds
-    its new points, also when its table is skipped), and one over axes
-    1..k-1 holds the rows before the block; cumulated, it is the carry. A
-    table is its histogram cumulated along axes 1..k-1, then along axis 0
-    in permuted rows: block row b * width + c is stored at row (c, b) of a
-    (width, chunks) grid, so width - 1 adds of contiguous chunks, chunks - 1
-    adds that run the chunk totals (the carry first) and one broadcast add
-    finish it, where np.cumsum along axis 0 would be a scalar loop over
-    every cell. Padding rows repeat the block's last corner, so each equals
-    a real cell. Counts are integers below 2^53: every sum is exact, and
-    the max and min do not depend on the cells' order."""
+    block and side, a float array `run` of counts cumulated along the last
+    axis runs along the grid: each table built adds the step function
+    (_along_rows) of the points since that side's last table, so the open
+    side adds nothing until its first. A histogram over axes 1..k-1 holds
+    the rows before the block; cumulated, it is the carry. A table is run
+    cumulated along the middle axes 1..k-2 (np.cumsum, at k >= 3), then
+    along axis 0 in permuted rows: block row b * width + c is stored at
+    row (c, b) of a (width, chunks) grid, so width - 1 adds of contiguous
+    chunks (reading run directly at k <= 2), chunks - 1 adds that run the
+    chunk totals (the carry first) and one broadcast add finish it, where
+    np.cumsum along an axis would be a scalar loop over every cell.
+    Padding rows repeat the block's last corner, so each equals a real
+    cell. Counts are integers below 2^53: every sum is exact, and the max
+    and min do not depend on the cells' order."""
     shape, last = tuple(len(c) for c in corners), np.subtract(grid, 1)
     rest = int(np.prod(shape[1:]))
+    line = shape[-1] if len(shape) > 1 else 1  # cells along the last axis of a block row
     rows = max(1, CORNER_BLOCK // rest)
     bins = [np.divmod(np.ravel_multi_index(tuple(idx.T), shape), rest)  # row, cell in row
             for idx in (closed_bins, open_bins)]
@@ -184,15 +203,20 @@ def _running_dstar(closed_bins: np.ndarray, open_bins: np.ndarray,
             cells = ((local % width) * chunks + local // width) * rest + col[inside]
             before = col[prior]
             cut, cut_before = (np.append(0, np.cumsum(mask)[last]) for mask in (inside, prior))
-            hist, hist_before = np.zeros(vol.size), np.zeros(rest)
+            run, hist_before, done = np.zeros(vol.size), np.zeros(rest), 0
             for g, N in enumerate(grid):
-                np.add.at(hist, cells[cut[g]:cut[g + 1]], 1.0)
                 np.add.at(hist_before, before[cut_before[g]:cut_before[g + 1]], 1.0)
                 if side and not own_open[g]:
                     continue
-                _cumulate(hist.reshape(vol.shape), table, 2)
+                if cut[g + 1] > done:
+                    run += _along_rows(np.sort(cells[done:cut[g + 1]]), run.size, line, float)
+                    done = cut[g + 1]
+                src = run.reshape(vol.shape)
+                for axis in range(2, table.ndim - 1):  # the middle axes, at k >= 3
+                    src = np.cumsum(src, axis=axis, out=table)
+                table[0] = src[0]
                 for c in range(1, width):
-                    np.add(table[c - 1], table[c], out=table[c])
+                    np.add(table[c - 1], src[c], out=table[c])
                 _cumulate(hist_before.reshape(offsets[:1].shape), offsets[:1], 1)
                 offsets[1:] = table[-1, :-1]
                 for b in range(1, chunks):
@@ -233,6 +257,15 @@ def star_discrepancy_kd(points, method: str = "exact",
         raise ValueError("need at least one point")
     rep = dstar_trend(points, [len(points)], method, m)
     return rep.values[0], rep.error_bounds[0]
+
+
+def _check_grid(grid: Sequence[int]) -> List[int]:
+    """The prefix lengths N of a grid as ints (see check_integer): nonempty,
+    positive and strictly increasing."""
+    grid = [check_integer(N, "prefix length") for N in grid]
+    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be nonempty, positive and strictly increasing")
+    return grid
 
 
 def check_method(method: str, k: int, n_max: int, m: Optional[int] = None
@@ -306,9 +339,10 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
     bound k/m is additive. "auto" is
     "exact" in one dimension and "grid" elsewhere.
     """
-    grid = [int(N) for N in grid]
-    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be nonempty, positive and strictly increasing")
+    points = np.asarray(points)
+    if points.ndim != 2:
+        raise ValueError(f"points must be an (N, k) array, got shape {points.shape}")
+    grid = _check_grid(grid)
     if grid[-1] > len(points):
         raise ValueError(f"grid reaches N = {grid[-1]} but only {len(points)} points given")
     k = points.shape[1]
@@ -334,7 +368,8 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
 def ud_trend(gen, grid: Sequence[int], method: str = "auto",
              m: Optional[int] = None) -> DiscrepancyReport:
     """D*_N along prefixes of a point generator; see dstar_trend. The
-    method is checked before any point is made."""
-    check_method(method, gen.dim, max(grid, default=1), m)
-    points = gen.fracs(index_range(max(grid, default=1)))
+    grid and method are checked before any point is made."""
+    grid = _check_grid(grid)
+    check_method(method, gen.dim, grid[-1], m)
+    points = gen.fracs(index_range(grid[-1]))
     return dstar_trend(points, grid, method, m, gen.describe())

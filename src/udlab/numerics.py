@@ -77,8 +77,9 @@ def prefix_means(values: np.ndarray, grid: Sequence[int]) -> np.ndarray:
 
 
 def check_prefix_lengths(grid: Sequence[int], n: int) -> np.ndarray:
-    """Prefix lengths as an int64 array, each in [1, n]."""
-    grid = np.asarray(grid, dtype=np.int64)
+    """Prefix lengths as an int64 array, each an integer (see check_integer)
+    in [1, n]."""
+    grid = np.array([check_integer(N, "prefix length") for N in grid], dtype=np.int64)
     if np.any((grid < 1) | (grid > n)):
         raise ValueError(f"prefix lengths must lie in [1, {n}]")
     return grid

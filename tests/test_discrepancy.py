@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udlab import cli
@@ -54,12 +55,50 @@ def lattice_oracle(points, m):
     corners = np.arange(1, m + 1)
     closed = [(np.ceil(scaled[:, j, None]) <= corners).astype(np.int64) for j in range(k)]
     opened = [(np.floor(scaled[:, j, None]) < corners).astype(np.int64) for j in range(k)]
-    spec = ",".join("n" + "abc"[j] for j in range(k)) + "->" + "abc"[:k]
+    spec = ",".join("n" + "abcd"[j] for j in range(k)) + "->" + "abcd"[:k]
     vol = np.ones((m,) * k)
     for j in range(k):
         vol = vol * (corners / m).reshape((m,) + (1,) * (k - 1 - j))
     return max(np.max(np.einsum(spec, *closed) / n - vol),
                np.max(vol - np.einsum(spec, *opened) / n))
+
+
+def running_kernel_starts(monkeypatch):
+    """The first prefix of each _running_dstar call, appended as it runs."""
+    starts = []
+    running = dc._running_dstar
+
+    def spy(*args):
+        starts.append(args[3][0])
+        return running(*args)
+    monkeypatch.setattr(dc, "_running_dstar", spy)
+    return starts
+
+
+@st.composite
+def row_cells(draw):
+    """(sorted flat cells, size, width): rows of up to 9 cells, with the
+    first and last cell of every row drawn often, and repeated cells."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    ends = sorted({r * width for r in range(rows)} | {r * width + width - 1 for r in range(rows)})
+    cells = draw(st.lists(st.one_of(st.integers(0, rows * width - 1), st.sampled_from(ends)),
+                          max_size=3 * rows * width))
+    return np.sort(np.array(cells, dtype=np.int64)), rows * width, width
+
+
+class TestAlongRows:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(row_cells(), st.sampled_from([float, np.int32]))
+    @example((np.zeros(0, np.int64), 6, 3), float)  # no cells
+    @example((np.array([0, 0, 2, 3]), 4, 1), np.int32)  # width 1
+    @example((np.array([1, 1, 4]), 5, 5), float)  # a single row
+    @example((np.array([2, 3, 3, 5, 6, 8]), 9, 3), np.int32)  # both ends of neighbouring rows
+    def test_equals_cumsum_of_bincount(self, case, dtype):
+        cells, size, width = case
+        got = dc._along_rows(cells, size, width, dtype)
+        assert got.dtype == dtype and got.shape == (size,)
+        expected = np.cumsum(np.bincount(cells, minlength=size).reshape(-1, width), axis=1)
+        assert np.array_equal(got.reshape(-1, width), expected)
 
 
 class TestOneDimensional:
@@ -318,6 +357,42 @@ class TestTrend:
         with pytest.raises(ValueError):
             ud_trend(gen, [100, 100])
 
+    @pytest.mark.parametrize("method", ["exact", "grid"])
+    @pytest.mark.parametrize("bad", [2.9, 10.7, True])
+    def test_non_integral_prefix_lengths_are_refused(self, monkeypatch, method, bad):
+        # they were truncated: [2.9, 10] reported the grid [2, 10], and
+        # [True, 5] the prefix N = 1
+        points = np.random.default_rng(11).random((20, 2))
+        message = f"prefix length must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            dstar_trend(points, [bad, 11], method)
+        gen = wy.PointGenerator([wy.ProductCoord(sq.identity(), ex.parse_expr("x"), 0.3)] * 2)
+
+        def no_points(self, indices):
+            raise AssertionError("points made before the grid was checked")
+        monkeypatch.setattr(wy.PointGenerator, "fracs", no_points)
+        with pytest.raises(ValueError, match=message):
+            ud_trend(gen, [bad, 11], method)
+
+    def test_integral_float_prefix_lengths_read_as_integers(self):
+        points = np.random.default_rng(11).random((20, 2))
+        rep = dstar_trend(points, [2.0, np.float64(10.0), np.int64(20)], "exact")
+        assert rep.grid == [2, 10, 20] and all(type(N) is int for N in rep.grid)
+        assert rep == dstar_trend(points, [2, 10, 20], "exact")
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+    def test_points_not_n_by_k_are_refused(self, shape):
+        # a 1-d array failed in numpy: "tuple index out of range". The shape
+        # is checked first, so a grid past the points is not what is named
+        points = np.full(shape, 0.25)
+        with pytest.raises(ValueError, match=rf"points must be an \(N, k\) array, got shape "
+                                             rf"{re.escape(str(shape))}"):
+            dstar_trend(points, [10 ** 6])
+
+    def test_kd_reads_one_row_as_one_point(self):
+        assert star_discrepancy_kd([0.1, 0.2, 0.7], "grid", 16) == \
+            star_discrepancy_kd([[0.1, 0.2, 0.7]], "grid", 16)
+
     def test_lattice_trend_equals_value_of_each_prefix(self):
         # the trend and the one-prefix value agree bit for bit,
         # also with atoms on the lattice lines (multiples of 1/m, and 0)
@@ -361,6 +436,58 @@ class TestTrend:
         rep = dstar_trend(points, grid, "grid", m)
         assert rep.values == [lattice_oracle(points[:N], m) for N in grid]
 
+    @pytest.mark.parametrize("k, m", [(1, 2), (1, 10), (1, 37), (1, 64), (2, 2), (2, 10),
+                                      (2, 37), (2, 64), (3, 2), (3, 10), (3, 37)])
+    @pytest.mark.parametrize("block_rows", [1, 7, 19, None])
+    def test_lattice_grid_step_adds_many_points_in_every_block_layout(self, monkeypatch, k, m,
+                                                                      block_rows):
+        # the first 200 points fill the lattice, so the running tables take
+        # over by N = 200; then one grid step adds 12 + 4 m points: 12
+        # repeats of one point (one cell), and for every bin of the first
+        # axis points in the first two and last two bins of the last axis,
+        # half of them on lattice lines, so that one step fills the last
+        # cell of a row and the first of the next. No point before that
+        # step lies on a line, so the open side's first table adds every
+        # point up to it. (k = 3 stops at m = 37: at m = 64 the oracle
+        # takes 0.5 s per prefix.)
+        if block_rows is not None:
+            monkeypatch.setattr(dc, "CORNER_BLOCK", block_rows * m ** (k - 1))
+        rng = np.random.default_rng(2000 + 100 * m + 10 * k + (block_rows or 0))
+        top = 201 + 12 + 4 * m
+        grid = [1, 2, 200, 201, top, top + 1, top + 40]
+        points = rng.random((grid[-1], k))
+        step = points[201:top]
+        step[:12] = step[0]
+        step[12:, 0] = (np.arange(4 * m) // 4 + 0.5) / m
+        if k > 1:
+            step[12:, -1] = np.tile([0.5, 1, m - 1, m - 0.5], m) / m
+        later = points[top:]
+        on_line = rng.random(later.shape) < 0.3
+        later[on_line] = rng.integers(0, m, on_line.sum()) / m
+        starts = running_kernel_starts(monkeypatch)
+        rep = dstar_trend(points, grid, "grid", m)
+        assert rep.values == [lattice_oracle(points[:N], m) for N in grid]
+        assert len(starts) == 1 and starts[0] <= 200, starts
+
+    @pytest.mark.parametrize("m", [3, 6])
+    @pytest.mark.parametrize("block_rows", [1, 2, None])
+    def test_four_dimensional_lattice_trend_equals_oracle(self, monkeypatch, m, block_rows):
+        # k = 4 has two middle axes, cumulated between the last axis's rows
+        # and the first axis's chunk scan
+        if block_rows is not None:
+            monkeypatch.setattr(dc, "CORNER_BLOCK", block_rows * m ** 3)
+        rng = np.random.default_rng(40 + 10 * m + (block_rows or 0))
+        grid = [1, 2, 5, 30, 31, 100, 240]
+        points = rng.random((grid[-1], 4))
+        later = points[grid[3]:]
+        on_line = rng.random(later.shape) < 0.3
+        later[on_line] = rng.integers(0, m, on_line.sum()) / m
+        later[-20:] = later[0]
+        starts = running_kernel_starts(monkeypatch)
+        rep = dstar_trend(points, grid, "grid", m)
+        assert rep.values == [lattice_oracle(points[:N], m) for N in grid]
+        assert len(starts) == 1 and starts[0] <= grid[-2], starts
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("m", [2, 10, 37, 64])
     def test_lattice_trend_crosses_from_occupied_bins_to_running_tables(self, monkeypatch,
@@ -382,13 +509,7 @@ class TestTrend:
         points[on_line] = np.floor(points[on_line] * m) / m
         points[[0, 25], 0] = 0.0
         points[[2, 40], -1] = np.nextafter(1.0, 0.0)
-        starts = []
-        running = dc._running_dstar
-
-        def spy(*args):
-            starts.append(args[3][0])
-            return running(*args)
-        monkeypatch.setattr(dc, "_running_dstar", spy)
+        starts = running_kernel_starts(monkeypatch)
         rep = dstar_trend(points, grid, "grid", m)
         assert rep.values == [lattice_oracle(points[:N], m) for N in grid]
         assert len(starts) == 1 and grid[0] < starts[0] <= grid[-1], starts

@@ -539,6 +539,23 @@ class TestPrecisionPolicy:
         with pytest.raises(ValueError):
             prefix_means(vals, [0])
 
+    @pytest.mark.parametrize("bad", [2.5, 10.7, True])
+    def test_non_integral_prefix_lengths_are_refused(self, bad):
+        # they were truncated: [10.7, 20] gave F_10, and [2.5] the mean of 2 values
+        points = curve_gen(0.3).fracs(np.arange(1, 21))
+        message = f"prefix length must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            wy.prefix_weyl_series(points, [1, -1], [bad, 20])
+        with pytest.raises(ValueError, match=message):
+            prefix_means(np.ones(20), [bad])
+
+    def test_integral_float_prefix_lengths_read_as_integers(self):
+        points = curve_gen(0.3).fracs(np.arange(1, 21))
+        assert wy.prefix_weyl_series(points, [1, -1], [10.0, np.float64(20)]) == \
+            wy.prefix_weyl_series(points, [1, -1], [10, 20])
+        vals = np.arange(20.0)
+        assert np.array_equal(prefix_means(vals, [3.0, 20.0]), prefix_means(vals, [3, 20]))
+
     def test_prefix_means_within_recursive_summation_bound(self):
         # a running sum of N unit phases errs by at most (N-1) 2^-53 N per
         # component, so each mean is within N 2^-52 of the exact mean
