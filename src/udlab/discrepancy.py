@@ -3,20 +3,14 @@
 
 Anchored boxes rather than all boxes: the two notions differ by at most a
 factor 2^k. One dimension has an exact sorted formula. Every other value
-compares cumulative bin counts with the corner volumes, with both the open
-and the closed count at every corner, so atoms are handled (the sup over
-half-open boxes is attained in the limit at one of the two). The exact
-2-d kernel takes as corners the data's own distinct coordinates plus 1,
-where the open count is the closed one shifted by one corner, and reports
-error bound 0; the lattice kernel takes the m^k corners (i_1..i_k)/m and
-reports the additive bound k/m. A prefix whose points occupy few bins is
-tabulated on the blocks of corners between occupied bins, where counts
-are constant; past that, open and closed counts are kept apart in float
-arrays that run along the grid, already cumulated along the last axis:
-each table adds the step function of the points since the last one, and
-is summed along its first axis in permuted rows, where contiguous chunk
-adds replace a scalar scan.
-Non-finite points are refused.
+comes from one corner-count kernel, which compares the closed and the
+open count below each corner with its volume, so atoms are handled (the
+sup over half-open boxes is attained in the limit at one of the two).
+Exact 2-d D* takes as corners the prefix's distinct coordinates plus 1,
+with error bound 0; the lattice takes the m^k corners (i_1..i_k)/m, with
+the additive bound k/m. Where every point's open bin is its closed bin
++ 1, as on exact corners, the open count is the closed one a corner
+back, and one table serves both. Non-finite points are refused.
 """
 
 from __future__ import annotations
@@ -34,7 +28,8 @@ from .sequences import index_range
 EXACT_KD_MAX_N = 4096
 GRID_M_DEFAULT_2D = 256
 GRID_M_DEFAULT_3D = 64
-CORNER_BLOCK = 2 ** 17  # cells per row block of a corner count table
+CORNER_BLOCK = 2 ** 16  # cells per row block of a corner count table
+PERMUTED_ROWS = 64  # row blocks this tall (at least 4) are scanned in permuted rows
 LATTICE_CORNER_CAP = 2 ** 24  # m^k corners per prefix: 4096^2, the largest exact 2-d table
 
 
@@ -47,38 +42,6 @@ def star_discrepancy_1d(points) -> float:
     """Exact D*_N from the sorted formula
     max_i max(i/N - x_(i), x_(i) - (i-1)/N)."""
     return star_discrepancy_kd(np.asarray(points, dtype=float)[:, None])[0]
-
-
-def _exact_2d_dstar(closed_idx: np.ndarray, x: np.ndarray, y: np.ndarray, N: int) -> float:
-    """Exact D* of N points in 2-d over the anchored boxes with corners in
-    x by y, the points' distinct coordinates plus 1 (see _exact_dstar).
-
-    Row j of closed_idx holds point j's index in x and in y; its open
-    index on each axis is one more, so the open count table is the closed
-    one shifted by one corner on each axis and is compared with the
-    volumes one corner on (at a first corner the open count is 0). Counts
-    cumulated along y are written as step functions (_along_rows) in
-    blocks of rows of about CORNER_BLOCK / 4 cells, whose float tables
-    stay in a 2 MB cache, and the rows are added down each block from the
-    last row of the block before."""
-    rest = len(y)
-    rows = max(1, CORNER_BLOCK // 4 // rest)
-    flat = np.sort(closed_idx[:, 0] * rest + closed_idx[:, 1])
-    ends = np.searchsorted(flat, np.arange(0, len(x) + rows, rows) * rest)  # each block's points
-    carry = np.zeros(rest, np.int32)  # counts <= EXACT_KD_MAX_N
-    dstar = float(max(x[0], y[0]))
-    for b, r0 in enumerate(range(0, len(x), rows)):
-        n = min(rows, len(x) - r0)
-        cum = _along_rows(flat[ends[b]:ends[b + 1]] - r0 * rest, n * rest, rest,
-                          np.int32).reshape(n, rest)
-        cum[0] += carry
-        for r in range(1, n):
-            np.add(cum[r - 1], cum[r], out=cum[r])
-        carry, dev = cum[-1], cum / N
-        vol = np.multiply.outer(x[r0:r0 + rows + 1], y)  # one row past the block
-        shifted = vol[1:, 1:] - dev[:len(vol) - 1, :-1]  # empty past the last row
-        dstar = max(dstar, float(np.max(dev - vol[:n])), float(np.max(shifted, initial=0.0)))
-    return dstar
 
 
 def _along_rows(cells: np.ndarray, size: int, width: int, dtype) -> np.ndarray:
@@ -95,15 +58,6 @@ def _along_rows(cells: np.ndarray, size: int, width: int, dtype) -> np.ndarray:
     return np.repeat(levels, np.diff(bounds))
 
 
-def _cumulate(src: np.ndarray, out: np.ndarray, first: int):
-    """out = src cumulated along its axes first, first + 1, ... (a copy of
-    src when there are none)."""
-    for axis in range(first, src.ndim):
-        src = np.cumsum(src, axis=axis, out=out)
-    if src is not out:
-        out[...] = src
-
-
 def _corner_dstar(closed_idx: np.ndarray, open_idx: np.ndarray,
                   corners: Sequence[np.ndarray], grid: Sequence[int]) -> List[float]:
     """D* of points[:N], for each N in the grid, over the anchored boxes
@@ -112,10 +66,10 @@ def _corner_dstar(closed_idx: np.ndarray, open_idx: np.ndarray,
     Row j of closed_idx and open_idx holds point j's bin on each axis: the
     point lies in the closed (open) box up to corner index i when every
     closed (open) bin is <= i; bins lie in 0..len(corners[a]) - 1 on axis
-    a. Open counts never exceed closed ones, so D* =
-    max(closed - volume, volume - open): the closed table is compared above
-    the volumes and the open one below. While open and closed bins agree on
-    every point of a prefix, the closed table serves as the open one.
+    a. Open counts never exceed closed ones, so D* = max(closed - volume,
+    volume - open), the closed table compared above the volumes and the
+    open one below; the closed one serves as both while the bins agree on
+    every point, and a corner back when every open bin is the closed + 1.
 
     Counts change only at a bin some point occupies, closed or open, so on
     each axis the occupied bins (and bin 0) start blocks of corners on
@@ -166,85 +120,112 @@ def _running_dstar(closed_bins: np.ndarray, open_bins: np.ndarray,
     """_corner_dstar over the whole table, with own_open[g] set when some
     point of prefix g has its open bin apart from its closed one.
 
-    Tables are built in blocks of rows of about CORNER_BLOCK cells. Per
-    block and side, a float array `run` of counts cumulated along the last
-    axis runs along the grid: each table built adds the step function
-    (_along_rows) of the points since that side's last table, so the open
-    side adds nothing until its first. A histogram over axes 1..k-1 holds
-    the rows before the block; cumulated, it is the carry. A table is run
-    cumulated along the middle axes 1..k-2 (np.cumsum, at k >= 3), then
-    along axis 0 in permuted rows: block row b * width + c is stored at
-    row (c, b) of a (width, chunks) grid, so width - 1 adds of contiguous
-    chunks (reading run directly at k <= 2), chunks - 1 adds that run the
-    chunk totals (the carry first) and one broadcast add finish it, where
-    np.cumsum along an axis would be a scalar loop over every cell.
-    Padding rows repeat the block's last corner, so each equals a real
-    cell. Counts are integers below 2^53: every sum is exact, and the max
-    and min do not depend on the cells' order."""
+    Tables are built in blocks of equal rows, about CORNER_BLOCK cells (the
+    last block repeats the table's last row), of counts of the smallest
+    signed type holding N, whose sums are exact. Per block and side, `run`
+    holds counts cumulated along the last axis: each table adds the step
+    function (_along_rows) of the points since that side's last table,
+    those of earlier blocks in its first row, over the carry, the block
+    before's last row at the side's first table. A table is then
+    cumulated along the middle axes (np.cumsum, k >= 3) and along axis 0,
+    row by row or, in blocks of PERMUTED_ROWS rows or more, in permuted
+    rows: block row b * width + c at (c, b) of a (width, chunks) grid,
+    where one reduction and chunks - 1 adds give the chunk offsets and
+    width adds of contiguous chunks the table (np.cumsum along an axis is
+    a scalar loop).
+
+    When every open bin is the closed bin + 1 on every axis, the open count
+    at a corner is the closed count one corner back, 0 at a first corner.
+    Only the closed table is then built and compared below `nxt`, the
+    volumes one corner on (each block's volume rows run one row past it);
+    the first corners add max_a corners[a][0], as every corner list ends
+    at 1. Compares with nxt 0, past an axis's last corner, are left out:
+    like the last row's against its own volume row, they cannot exceed
+    the top corner's 1 - 1 = 0."""
     shape, last = tuple(len(c) for c in corners), np.subtract(grid, 1)
-    rest = int(np.prod(shape[1:]))
-    line = shape[-1] if len(shape) > 1 else 1  # cells along the last axis of a block row
-    rows = max(1, CORNER_BLOCK // rest)
-    bins = [np.divmod(np.ravel_multi_index(tuple(idx.T), shape), rest)  # row, cell in row
-            for idx in (closed_bins, open_bins)]
-    below, above = np.zeros(len(grid)), np.zeros(len(grid))
-    for r0 in range(0, shape[0], rows):
-        n = min(rows, shape[0] - r0)
-        width = max(1, math.isqrt(n) // 2)
-        chunks = -(-n // width)
-        # storage row (c, b) holds block row b * width + c; padding repeats row n - 1
-        order = np.minimum(np.add.outer(np.arange(width), np.arange(chunks) * width), n - 1)
-        vol = functools.reduce(np.multiply.outer, [corners[0][r0 + order], *corners[1:]])
-        table, offsets = np.empty(vol.shape), np.empty((chunks,) + shape[1:])
-        totals = offsets.reshape(chunks, rest)  # a view, one row per chunk
-        for side, (row, col) in enumerate(bins):
-            inside, prior = (row >= r0) & (row < r0 + n), row < r0
-            local = row[inside] - r0
-            cells = ((local % width) * chunks + local // width) * rest + col[inside]
-            before = col[prior]
-            cut, cut_before = (np.append(0, np.cumsum(mask)[last]) for mask in (inside, prior))
-            run, hist_before, done = np.zeros(vol.size), np.zeros(rest), 0
+    shifted = np.array_equal(open_bins, closed_bins + 1)
+    count = np.min_scalar_type(-grid[-1] - 1)  # signed, so it holds N too
+    rest, line = math.prod(shape[1:]), (shape[-1] if len(shape) > 1 else 1)
+    rows = -(-shape[0] // -(-shape[0] * rest // CORNER_BLOCK))
+    width = math.isqrt(rows) // 2 if rows >= PERMUTED_ROWS else rows
+    chunks = -(-rows // width)
+    rows, reach = width * chunks, np.arange(-1, len(grid))
+    blocks = -(-shape[0] // rows)
+    # storage row (c, b) of block i is row i * rows + b * width + c; (width, b) is one on
+    starts = corners[0][np.minimum(np.add.outer(np.arange(blocks) * rows, np.add.outer(
+        np.arange(width + 1), np.arange(chunks) * width)), shape[0] - 1)]
+    one_on, one_back = ((Ellipsis,) + (s,) * (len(shape) - 1)
+                        for s in (slice(1, None), slice(None, -1)))
+    sides = []
+    for idx in (closed_bins, open_bins)[:2 - shifted]:
+        row, col = np.divmod(np.ravel_multi_index(tuple(idx.T), shape), rest)
+        block, local = np.divmod(row, rows)
+        window = np.searchsorted(last, np.arange(len(row)))  # the first prefix it is in
+        by_block = np.argsort(block, kind="stable")  # in prefix order within a block
+        by_window = np.argsort(window * blocks + block, kind="stable")
+        cells = ((local % width) * chunks + local // width) * rest + col
+        sides.append(((block * len(grid) + window)[by_block], cells[by_block],
+                      (window * blocks + block)[by_window], col[by_window],
+                      np.zeros(shape[1:], count)))
+    value = np.full(len(grid), max(c[0] for c in corners) if shifted else 0.0)
+    volumes = np.empty((width + 1, chunks) + shape[1:])
+    table, offsets = (np.empty(n + shape[1:], count) for n in ((width, chunks), (chunks,)))
+    totals = offsets.reshape(chunks, rest)  # a view, one row per chunk
+    dev = np.empty(table.shape)
+    spare = np.empty(table.shape) if shifted else dev
+    for b in range(blocks):
+        ext = functools.reduce(np.multiply.outer, [starts[b], *corners[1:-1]])
+        if len(shape) > 1:
+            ext = np.multiply.outer(ext, corners[-1], out=volumes)
+        vol, nxt = ext[:width], ext[1:][one_on]
+        for side, (block_key, cells, window_key, window_col, carry) in enumerate(sides):
+            ends = np.searchsorted(block_key, b * len(grid) + reach, "right")
+            run, base = None, carry.copy()
             for g, N in enumerate(grid):
-                np.add.at(hist_before, before[cut_before[g]:cut_before[g + 1]], 1.0)
                 if side and not own_open[g]:
                     continue
-                if cut[g + 1] > done:
-                    run += _along_rows(np.sort(cells[done:cut[g + 1]]), run.size, line, float)
-                    done = cut[g + 1]
-                src = run.reshape(vol.shape)
+                fresh, new = run is None, cells[ends[0 if run is None else g]:ends[g + 1]]
+                if not fresh:  # prefix g's points in the blocks before count in the first row
+                    lo, hi = np.searchsorted(window_key, [g * blocks, g * blocks + b])
+                    new = np.append(new, window_col[lo:hi])
+                new = _along_rows(np.sort(new), rows * rest, line, count)
+                run = new if fresh else np.add(run, new, out=run)
+                src = run.reshape(table.shape)
                 for axis in range(2, table.ndim - 1):  # the middle axes, at k >= 3
                     src = np.cumsum(src, axis=axis, out=table)
-                table[0] = src[0]
+                offsets[0] = base
+                np.add.reduce(src[:, :-1], axis=0, out=offsets[1:])
+                for c in range(1, chunks):
+                    np.add(totals[c - 1], totals[c], out=totals[c])
+                np.add(src[0], offsets, out=table[0])
                 for c in range(1, width):
                     np.add(table[c - 1], src[c], out=table[c])
-                _cumulate(hist_before.reshape(offsets[:1].shape), offsets[:1], 1)
-                offsets[1:] = table[-1, :-1]
-                for b in range(1, chunks):
-                    np.add(totals[b - 1], totals[b], out=totals[b])
-                table += offsets
-                np.divide(table, N, out=table)
-                np.subtract(table, vol, out=table)
+                if fresh:  # the block's last row: the carry of the next block
+                    carry[...] = table[-1, -1]
+                np.divide(table, N, out=dev)
+                np.subtract(dev, vol, out=spare)
                 if not side:
-                    above[g] = max(above[g], float(np.max(table)))
-                if side or not own_open[g]:
-                    below[g] = max(below[g], -float(np.min(table)))
-    return np.maximum(above, below).tolist()
+                    value[g] = max(value[g], float(np.max(spare)))
+                if side or not (own_open[g] or shifted):
+                    value[g] = max(value[g], -float(np.min(spare)))
+                if shifted:
+                    back = dev[one_back]
+                    value[g] = max(value[g], float(np.max(np.subtract(nxt, back, out=back))))
+    return value.tolist()
 
 
 def _exact_dstar(points: np.ndarray, grid: Sequence[int]) -> List[float]:
     """Exact D* of points[:N] for each N in the grid (see dstar_trend)."""
-    points = np.asarray(points, dtype=float)
-    k = points.shape[1]
     values = []
     for N in grid:
-        if k == 1:
-            x, i = np.sort(points[:N, 0]), np.arange(1, N + 1)
+        prefix = np.asarray(points[:N], dtype=float).T
+        if len(prefix) == 1:
+            x, i = np.sort(prefix[0]), np.arange(1, N + 1)
             values.append(float(np.max(np.maximum(i / N - x, x - (i - 1) / N))))
         else:
-            prefix = points[:N].T
             corners = [np.unique(np.append(c, 1.0)) for c in prefix]
             closed = np.stack([np.searchsorted(u, c) for u, c in zip(corners, prefix)], 1)
-            values.append(_exact_2d_dstar(closed, *corners, N))
+            values.append(_corner_dstar(closed, closed + 1, corners, [N])[0])
     return values
 
 
@@ -331,13 +312,12 @@ def dstar_trend(points: np.ndarray, grid: Sequence[int], method: str = "auto",
     error bound; with fewer than MIN_FIT_CELLS of them it is NaN.
 
     method "exact" (k = 1; or k = 2 and N <= 4096) uses the sorted formula
-    in one dimension; in two it runs the exact corner-count kernel on the
-    critical corners, the prefix's distinct coordinates plus 1 on each
-    axis. method "grid" runs the lattice kernel on the m^k corners (a
-    prefix whose points occupy few bins on the blocks between them, with
-    the same values); a value never exceeds the exact one and the error
-    bound k/m is additive. "auto" is
-    "exact" in one dimension and "grid" elsewhere.
+    in one dimension; in two, the corner-count kernel (_corner_dstar) on
+    the critical corners, the prefix's distinct coordinates plus 1, where
+    every open bin is the closed one + 1. method "grid" runs the same
+    kernel on the m^k lattice corners; a value never exceeds the exact one
+    and the error bound k/m is additive. "auto" is "exact" in one
+    dimension and "grid" elsewhere.
     """
     points = np.asarray(points)
     if points.ndim != 2:

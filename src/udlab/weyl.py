@@ -167,7 +167,8 @@ class PointGenerator:
 
 
 def _check_frequency(v, dim: int) -> np.ndarray:
-    v = np.array([check_integer(c, "frequency entry") for c in np.ravel(v).tolist()],
+    # an object array keeps each entry as given: a bool in a list stays a bool
+    v = np.array([check_integer(c, "frequency entry") for c in np.ravel(np.array(v, object))],
                  dtype=np.int64)
     if len(v) != dim:
         raise ValueError(f"frequency vector has length {len(v)}, points have dimension {dim}")

@@ -219,7 +219,7 @@ class TestTwoDimensional:
 
     def test_analysis_curve_trend_pinned(self):
         # (0.3 n, 0.3 n^2): the exact trend, frozen bit for bit; at N = 1024
-        # and 4096 the count tables take 8 and 119 row blocks
+        # and 4096 the count tables take 15 and 231 row blocks
         gen = wy.PointGenerator([wy.ProductCoord(sq.identity(), ex.parse_expr("x"), 0.3),
                                  wy.ProductCoord(sq.identity(), ex.parse_expr("x^2"), 0.3)])
         rep = ud_trend(gen, [16, 64, 256, 1024, 4096], "exact")
@@ -396,7 +396,7 @@ class TestTrend:
     def test_lattice_trend_equals_value_of_each_prefix(self):
         # the trend and the one-prefix value agree bit for bit,
         # also with atoms on the lattice lines (multiples of 1/m, and 0)
-        # (3-d, m = 64 has two row blocks of count tables)
+        # (3-d, m = 64 has four row blocks of count tables)
         rng = np.random.default_rng(10)
         grid_700 = [1, 2, 5, 40, 300, 649, 650, 700]
         for k, ms, grid in ((1, (16, 10), grid_700), (2, (64, 24), grid_700),
@@ -418,11 +418,13 @@ class TestTrend:
     @pytest.mark.parametrize("block_rows", [1, 7, 19, None])
     def test_lattice_trend_equals_oracle_in_every_block_layout(self, monkeypatch, k, m,
                                                               block_rows):
-        # blocks of 1, 7 or 19 rows, or CORNER_BLOCK cells (None): small
-        # blocks carry from one block to the next; 19 rows (10 chunks of 2)
-        # and m = 37 in one block (13 chunks of 3) pad past the last row.
-        # The grid steps by one point, and no point lies on a lattice line
-        # before the fourth prefix, so the open table starts mid-grid.
+        # blocks of 1, 7 or 19 rows, or CORNER_BLOCK cells (None), stored
+        # in permuted rows from 4 rows up: small blocks carry from one block
+        # to the next; 19 rows (10 chunks of 2, so blocks of 20) and m = 37
+        # in one block (13 chunks of 3) pad past the last row. The grid
+        # steps by one point, and no point lies on a lattice line before
+        # the fourth prefix, so the open table starts mid-grid.
+        monkeypatch.setattr(dc, "PERMUTED_ROWS", 4)
         if block_rows is not None:
             monkeypatch.setattr(dc, "CORNER_BLOCK", block_rows * m ** (k - 1))
         rng = np.random.default_rng(100 * m + 10 * k + (block_rows or 0))
@@ -435,6 +437,49 @@ class TestTrend:
         later[-2:] = later[0]
         rep = dstar_trend(points, grid, "grid", m)
         assert rep.values == [lattice_oracle(points[:N], m) for N in grid]
+
+    @pytest.mark.parametrize("k, m", [(1, 2), (1, 10), (1, 37), (1, 64), (2, 2), (2, 10),
+                                      (2, 37), (2, 64), (3, 2), (3, 10), (3, 37)])
+    @pytest.mark.parametrize("block_rows", [1, 7, 19, None])
+    def test_lattice_points_on_interior_lines_in_every_block_layout(self, monkeypatch, k, m,
+                                                                    block_rows):
+        # every coordinate is j/m with 1 <= j <= m - 1, so every open bin is
+        # the closed bin + 1: the running kernel builds the closed table
+        # alone and compares it below the volumes one corner on. The first
+        # two points sit on the top line (m - 1)/m, near 1, where D* is the
+        # volume below them; points 11 to top put a point on every line of
+        # every axis, so the running kernel takes over by N = top. (k = 3
+        # stops at m = 37, as the oracle grows with m^3.)
+        if block_rows is not None:
+            monkeypatch.setattr(dc, "CORNER_BLOCK", block_rows * m ** (k - 1))
+        rng = np.random.default_rng(3000 + 100 * m + 10 * k + (block_rows or 0))
+        top = 11 + m - 1
+        grid = [1, 2, 3, 10, 11, top, top + 1, top + 9]
+        lines = rng.integers(1, m, (grid[-1], k))
+        lines[:2] = m - 1
+        lines[11:top] = np.stack([rng.permutation(np.arange(1, m)) for _ in range(k)], 1)
+        lines[-3:] = lines[3]
+        points = lines / m
+        assert np.array_equal(points * m, lines)  # on the lines exactly
+        starts = running_kernel_starts(monkeypatch)
+        rep = dstar_trend(points, grid, "grid", m)
+        assert rep.values == [lattice_oracle(points[:N], m) for N in grid]
+        assert len(starts) == 1 and starts[0] <= top, starts
+
+    def test_dstar_at_the_first_corners_below_a_cluster_near_one(self):
+        # no point lies below the smallest coordinate on an axis: exact D* is
+        # then the largest first corner's volume, which the shifted compare
+        # adds as a constant; on the lattice, whose first corner is 1/m, the
+        # same box is the corner one below the points, met by the compare
+        # one corner on
+        assert star_discrepancy_kd([[0.9, 0.9]], "exact") == (0.9, 0.0)
+        cluster = np.array([[0.9, 0.95], [0.9, 0.9], [0.95, 0.9]])
+        assert star_discrepancy_kd(cluster, "exact")[0] == 0.9 == brute_force_2d(cluster)
+        for points, m in (([[0.9, 0.9]], 10), ([[0.75, 0.5], [0.5, 0.75]], 4),
+                          ([[0.875, 0.75, 0.875]], 8)):
+            points = np.array(points)
+            assert star_discrepancy_kd(points, "grid", m)[0] == lattice_oracle(points, m)
+        assert star_discrepancy_kd([[0.9, 0.9]], "grid", 10)[0] == 0.9
 
     @pytest.mark.parametrize("k, m", [(1, 2), (1, 10), (1, 37), (1, 64), (2, 2), (2, 10),
                                       (2, 37), (2, 64), (3, 2), (3, 10), (3, 37)])

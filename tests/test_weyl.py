@@ -71,6 +71,11 @@ class TestWeylSum:
                 wy.weyl_sum(gen, v, 10)
         assert wy.weyl_sum(gen, [2.0], 10) == wy.weyl_sum(gen, [2], 10)
         points = gen.fracs(sq.index_range(50))
+        # True is no frequency in any form; a list's bools once became ints
+        pairs = np.stack([points[:, 0], points[:, 0]], 1)
+        for v in ([True, -1], (-1, np.True_), np.array([True, False]), [[1], [False]]):
+            with pytest.raises(ValueError, match="frequency entry must be an integer, got "):
+                wy.prefix_weyl_series(pairs, v, [10])
         with pytest.raises(ValueError, match="frequency bound V must be an integer, got 2.5"):
             wy.max_weyl_series(points, 2.5, [50])
         assert wy.max_weyl_series(points, 2.0, [50]) == wy.max_weyl_series(points, 2, [50])
