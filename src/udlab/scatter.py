@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import sequences as sq
-from .numerics import UNIT_ROUNDOFF, derive_seed, fit_line, unit_directions
+from .numerics import UNIT_ROUNDOFF, check_integer, derive_seed, fit_line, unit_directions
 
 EXACT_CUTOFF = 1 << 13  # beyond this many terms, auto mode switches to buckets
 BUCKET_ETA_DEFAULT = 0.01
@@ -49,26 +49,51 @@ def _pair_diffs(a, lo: int, N: int):
     return rule, vals
 
 
+def _monotone(vals: np.ndarray) -> int:
+    """1 if vals never decrease, else -1 if they never increase, else 0; a
+    step that overflows keeps its sign."""
+    with np.errstate(over="ignore"):
+        steps = np.diff(vals)
+    return 1 if np.all(steps >= 0) else -1 if np.all(steps <= 0) else 0
+
+
+def _row_blocks(top: int):
+    """Row blocks (lo, end, width) of m < n <= top: rows lo..end-1 and
+    columns 1..width, set by lo alone; the nominal rows width + 1 - lo
+    times width stay within _BLOCK_ELEMENTS, and columns past top are
+    masked."""
+    lo = 2
+    while lo <= top:
+        hi = lo + max(1, (math.isqrt(lo * lo + 4 * _BLOCK_ELEMENTS) - lo) // 2)
+        yield lo, min(hi, top + 1), hi - 1
+        lo = hi
+
+
 def _exact_sums(a, Ns: Sequence[int], delta: float) -> List[float]:
     """Direct pair sums S(N), N in Ns, in one pass over the lower triangle
     m < n <= max(Ns); a NaN difference raises. Row blocks have bounds and
     widths set by the row index alone, so S(N) = fsum(row sums to N) / N^2
-    does not depend on max(Ns). An inf difference d >= 2^1024 costs
-    d^-delta <= 2^(-1024*delta), not negligible for small delta: it is
-    priced from the hook's log2_abs_diff; without one it is priced 0 when
-    delta >= 53/1024 (at most 2^-53) and refused below that."""
-    top = max(Ns, default=1)
-    diff = _pair_diffs(a, 1, top)[0]
+    does not depend on max(Ns). Values of finite span fl(max - min) have
+    no inf difference (rounding is monotone) and go to _price_rows. Else
+    an inf difference d >= 2^1024 costs d^-delta <= 2^(-1024*delta), not
+    negligible for small delta: it is priced from the hook's log2_abs_diff;
+    without one it is priced 0 when delta >= 53/1024 (at most 2^-53) and
+    refused below that."""
+    if not Ns:
+        return []
+    top = max(Ns)
+    diff, vals = _pair_diffs(a, 1, top)
     row_sums = np.zeros(top + 1)
-    lo = 2
-    while lo <= top:
-        # rows * (lo - 1 + rows) <= _BLOCK_ELEMENTS; columns past top are masked
-        hi = lo + max(1, (math.isqrt(lo * lo + 4 * _BLOCK_ELEMENTS) - lo) // 2)
-        ns, cols = np.arange(lo, min(hi, top + 1))[:, None], np.arange(1, hi)
+    if vals is not None and math.isfinite(float(vals.max()) - float(vals.min())):
+        _price_rows(vals, delta, row_sums)
+        return [math.fsum(row_sums[:N + 1]) / (N * N) for N in Ns]
+    for lo, end, width in _row_blocks(top):
+        ns, cols = np.arange(lo, end)[:, None], np.arange(1, width + 1)
         ms = np.minimum(cols, top)[None, :]
-        d = diff(ns, ms)
-        big = np.isinf(d)
-        with np.errstate(divide="ignore", over="ignore"):  # d == 0 gives 1, inf 0
+        # a difference may overflow to inf; d == 0 prices 1, inf 0
+        with np.errstate(divide="ignore", over="ignore"):
+            d = diff(ns, ms)
+            big = np.isinf(d)
             c = np.minimum(np.power(d, -delta, out=d), 1.0, out=d)
         if np.any(big):
             ns_b, ms_b = (idx[big] for idx in np.broadcast_arrays(ns, ms))
@@ -78,11 +103,41 @@ def _exact_sums(a, Ns: Sequence[int], delta: float) -> List[float]:
                 raise ValueError("pair differences overflow a double; "
                                  "their price is not negligible at delta < 53/1024")
         c[:, lo - 1:] = np.where(cols[lo - 1:] < ns, c[:, lo - 1:], 0.0)
-        row_sums[lo:lo + len(ns)] = np.sum(c, axis=1)
-        lo = hi
+        row_sums[lo:end] = np.sum(c, axis=1)
     if np.isnan(row_sums).any():
         raise ValueError("sequence differences must not be NaN")
     return [math.fsum(row_sums[:N + 1]) / (N * N) for N in Ns]
+
+
+def _price_rows(vals: np.ndarray, delta: float, row_sums: np.ndarray) -> None:
+    """Row sums of min(|a(n) - a(m)|^-delta, 1), m < n, into row_sums[n]
+    for vals = a(1..) of finite span, on the blocks of _row_blocks and bit
+    for bit as their direct formula. Each block is one buffer's
+    subtraction, absolute value, clamp, price max(d, 1)^-delta (equal to
+    min(d^-delta, 1); a reciprocal at delta = 1) of the whole contiguous
+    block, zeros from the diagonal on, and row sums. Values in order (read
+    negated, exactly, if they never increase) skip the absolute value,
+    as d = a(n) - a(m) >= 0 for m < n, and clamp only from the first
+    column where the block's first row has d <= 1: left of it that row has
+    d > 1, so every later row has d >= 1 (rounding is monotone)."""
+    sign = _monotone(vals)
+    if sign < 0:
+        vals = -vals  # exact, and never decreasing
+    blocks = list(_row_blocks(len(vals)))
+    buf = np.empty(max((end - lo) * width for lo, end, width in blocks))
+    upper = np.triu(np.ones((blocks[0][2], blocks[0][2]), dtype=bool))  # m >= n
+    cols = np.pad(vals, (0, blocks[-1][2] - len(vals)), mode="edge")  # a(m) for m past top: a(top)
+    for lo, end, width in blocks:
+        d = buf[:(end - lo) * width].reshape(end - lo, width)
+        np.subtract(vals[lo - 1:end - 1, None], cols[:width], out=d)
+        band = d[:, np.count_nonzero(d[0] > 1.0):] if sign else np.abs(d, out=d)
+        np.maximum(band, 1.0, out=band)
+        if delta == 1.0:
+            np.reciprocal(d, out=d)
+        else:
+            np.power(d, -delta, out=d)
+        np.copyto(d[:, lo - 1:], 0.0, where=upper[:end - lo, :width + 1 - lo])
+        np.sum(d, axis=1, out=row_sums[lo:end])
 
 
 def _edge_ratio(delta: float, eta: float) -> float:
@@ -151,7 +206,9 @@ def _bucketed_sum(a, N: int, delta: float, eta: float) -> ScatterValue:
     bracket's ends and, at edge 1 where the price min(d^-delta, 1) bends,
     costs a pair at most delta eps_1."""
     vals = np.sort(sq.finite_values(a, sq.index_range(N)))
-    span = float(vals[-1] - vals[0])
+    span = float(vals[-1]) - float(vals[0])  # a Python float: inf without a warning
+    if not math.isfinite(span):
+        raise ValueError(f"bucketed mode needs values of finite span, got max - min = {span}")
     r = _edge_ratio(delta, eta)
     # edges 1, r, .. past r * span: a pair of difference <= 1 may still be
     # counted beyond the rounded needle at 1, and a bucket above must take it
@@ -204,16 +261,20 @@ def scatter_sum(a, N: int, delta: float, mode: str = "auto",
     """The normalized pair sum S_delta(N) for an evaluator a.
 
     Exact mode is the direct O(N^2) sum over the lower triangle in
-    cache-sized row blocks. Bucketed mode sorts the values and takes one
-    linear merge per coarse edge r^k, which gives the count and the sums
-    of d and d^2 of the pairs beyond it; each bucket between edges is
-    priced inside its convexity bracket, r being the widest ratio whose
-    bracket meets the relative bound (1 + eta)^(delta/2) - 1 on the far
-    pairs. Pairs with difference <= 1 are counted exactly, and the
-    reported bound adds the rounding of the sums. Auto picks exact up to
-    N = 2^13.
+    cache-sized row blocks of one buffer, priced as max(d, 1)^-delta
+    (a reciprocal at delta = 1); values in order skip the absolute value
+    and clamp only near the diagonal (see _price_rows).
+
+    Bucketed mode sorts the values and takes one linear merge per coarse
+    edge r^k, which gives the count and the sums of d and d^2 of the pairs
+    beyond it; each bucket between edges is priced inside its convexity
+    bracket, r being the widest ratio whose bracket meets the relative
+    bound (1 + eta)^(delta/2) - 1 on the far pairs. Pairs with difference
+    <= 1 are counted exactly, and the reported bound adds the rounding of
+    the sums. Auto picks exact up to N = 2^13. N is an integer (10.0
+    reads as 10).
     """
-    return _scatter_values(a, [N], delta, mode, eta)[0]
+    return _scatter_values(a, [check_integer(N, "N")], delta, mode, eta)[0]
 
 
 @dataclass
@@ -243,7 +304,7 @@ class ScatterReport:
 
 def fit_scatter(a, delta: float, grid: Sequence[int], mode: str = "auto",
                 eta: float = BUCKET_ETA_DEFAULT) -> ScatterReport:
-    grid = [int(N) for N in grid]
+    grid = [check_integer(N, "grid point N") for N in grid]
     if len(grid) < 4:
         raise ValueError("need at least 4 grid points")
     if grid[0] < 8:
@@ -303,6 +364,8 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
     Values a(2..N) from an evaluator without the abs_diff hook must be
     finite, and a NaN difference raises.
     """
+    N, budget = check_integer(N, "N"), check_integer(budget, "budget")
+    seed = check_integer(seed, "seed")  # hashed as str(seed): 1.0 must read as 1
     if N < 8:
         raise ValueError("need N >= 8")
     if not (0 < eps < math.inf and 0 < g < math.inf):
@@ -316,7 +379,8 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
     diff, vals = _pair_diffs(a, 2, N)
 
     def scan(ns: np.ndarray, ms: np.ndarray, mask=True) -> Optional[Tuple[int, int]]:
-        diffs = diff(ns, ms)
+        with np.errstate(over="ignore"):  # an inf difference exceeds g
+            diffs = diff(ns, ms)
         # ~(d > g) also flags NaN, so a NaN difference costs no extra pass
         hits = np.flatnonzero(~(diffs > g) & mask)
         if not len(hits):
@@ -330,7 +394,7 @@ def weyl_growth_check(a, N: int, eps: float, g: float, budget: int = 10 ** 7,
     sel = m0 <= N  # boundary pairs (n, m0(n)); an inf m0 fails
     ns_b, ms_b = ns_all[sel], m0[sel].astype(np.int64)
     if total <= budget:
-        if vals is not None and (np.all((steps := np.diff(vals)) >= 0) or np.all(steps <= 0)):
+        if vals is not None and _monotone(vals):
             wit = scan(ns_b, ms_b)  # monotone: a row's boundary pair decides it
         else:
             # row blocks of about _BLOCK_ELEMENTS pairs from the smallest m0 on
@@ -386,6 +450,7 @@ def joint_scatter_check(specs: Sequence[sq.SequenceSpec], delta: float,
     """Scatteredness of v . (a_1, ..., a_k) at the k axis directions plus
     seeded uniform unit directions."""
     k = len(specs)
+    directions, seed = check_integer(directions, "directions"), check_integer(seed, "seed")
     if k < 2:
         raise ValueError("need at least two sequences")
     if directions < k:

@@ -29,6 +29,14 @@ class TestScatterSum:
         expect = (1 + 0.5 + 1 / 3 + 1 + 0.5 + 1) / 16
         assert scatter_sum(IDENTITY, 4, 1.0).S == pytest.approx(expect, abs=1e-15)
 
+    def test_count_is_an_integer(self):
+        # 10.0 raised numpy's TypeError from an index range ending at 11.0
+        a = sq.make_sequence(sq.power(0.5))
+        assert scatter_sum(a, 10.0, 1.0) == scatter_sum(a, 10, 1.0)
+        for N in (10.7, True):
+            with pytest.raises(ValueError, match=re.escape(f"N must be an integer, got {N!r}")):
+                scatter_sum(a, N, 1.0)
+
     def test_affine_hand_enumeration(self):
         a = sq.make_sequence(sq.affine(2.0, 0.0))
         assert scatter_sum(a, 3, 1.0).S == pytest.approx((0.5 + 0.25 + 0.5) / 9,
@@ -129,6 +137,15 @@ class TestFitScatter:
         with pytest.raises(ValueError):
             fit_scatter(IDENTITY, 1.0, [8, 16, 16, 64])       # not increasing
 
+    def test_grid_points_are_integers(self):
+        # 8.9 was truncated to 8 and fitted there
+        rep = fit_scatter(IDENTITY, 1.0, [8.0, 16, 32.0, 64])
+        assert rep.grid == [8, 16, 32, 64] and all(type(N) is int for N in rep.grid)
+        assert rep.S == fit_scatter(IDENTITY, 1.0, [8, 16, 32, 64]).S
+        for bad in (8.9, True):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+                fit_scatter(IDENTITY, 1.0, [bad, 16, 32, 64])
+
     def test_methods_recorded_per_point(self):
         rep = fit_scatter(IDENTITY, 1.0, [8, 16, 32, 2 ** 14])
         assert rep.methods[0] == "exact"
@@ -149,6 +166,21 @@ class TestGrowthCheck:
         n, m = rep.witness
         assert m > n + n / math.log(n) ** 1.1
         assert abs(a(m) - a(n)) <= 0.5
+
+    def test_counts_and_seed_are_integers(self):
+        # N = 100.5 passed and printed N=100.5; budget = 1e3 raised numpy's
+        # TypeError in the sampled branch; seeds 1, 1.0 and True drew three
+        # streams (188877, 188889 and 188876 pairs checked)
+        a = sq.make_sequence(sq.power(0.5))
+        assert weyl_growth_check(a, 100.0, 0.1, 0.5) == weyl_growth_check(a, 100, 0.1, 0.5)
+        sampled = weyl_growth_check(a, 20000, 0.5, 0.5, budget=1000, seed=1)
+        assert sampled.coverage == "sampled"
+        assert weyl_growth_check(a, 20000.0, 0.5, 0.5, budget=1e3, seed=1.0) == sampled
+        for name, bad in [("N", 100.5), ("budget", 1000.5), ("seed", True), ("seed", 1.5)]:
+            args = {"N": 100, name: bad}
+            message = f"{name} must be an integer, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                weyl_growth_check(a, eps=0.1, g=0.5, **args)
 
     def test_spec_pair_4_9_is_a_violation(self):
         # the block structure puts 4 and 9 at value 0 with 9 beyond the
@@ -327,13 +359,28 @@ class TestPairsBeyondDoubleRange:
 
     def test_overflowing_plain_differences(self):
         # finite values whose differences overflow: refused where their
-        # price 2^(-1024 delta) is above 2^-53, priced 0 beyond that
+        # price 2^(-1024 delta) is above 2^-53, priced 0 beyond that, with
+        # no RuntimeWarning from the subtraction (pytest makes it an error)
         ev = array_evaluator(np.array([1e308, -1e308] * 32))
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="overflow"):
-                scatter_sum(ev, 64, 0.01, mode="exact")
-            assert scatter_sum(ev, 64, 1.0, mode="exact").S == pytest.approx(
-                32 * 31 / 64 ** 2, rel=1e-15)
+        with pytest.raises(ValueError, match="overflow"):
+            scatter_sum(ev, 64, 0.01, mode="exact")
+        assert scatter_sum(ev, 64, 1.0, mode="exact").S == pytest.approx(
+            32 * 31 / 64 ** 2, rel=1e-15)
+
+    def test_bucketed_refuses_an_infinite_span(self):
+        # this warned, then raised OverflowError from ceil(log(inf))
+        ev = array_evaluator(np.array([1e308, -1e308] * 32))
+        with pytest.raises(ValueError, match=re.escape("finite span, got max - min = inf")):
+            scatter_sum(ev, 64, 1.0, mode="bucketed")
+
+    @pytest.mark.parametrize("vals, witness", [
+        ([1e308, -1e308] * 32, (2, 6)),         # no order: the block scan
+        ([-1e308] * 32 + [1e308] * 32, (2, 6)),  # one step overflows: the monotone scan
+    ])
+    def test_growth_scan_with_overflowing_differences(self, vals, witness):
+        # an inf difference exceeds g; the ties decide, with no warning
+        rep = weyl_growth_check(array_evaluator(np.array(vals)), 64, 0.5, 0.5)
+        assert (rep.verdict, rep.witness, rep.coverage) == ("fail", witness, "exhaustive")
 
 
 class CountingEvaluator:
@@ -422,6 +469,18 @@ class TestJointScatter:
         assert rep.eps_hat > 0
         assert rep.evidence_scattered
 
+    def test_directions_and_seed_are_integers(self):
+        # directions = 2.5 ran 3 directions
+        specs, grid = [sq.identity(), sq.power(0.5)], [8, 16, 32, 64]
+        rep = joint_scatter_check(specs, 1.0, grid, directions=3.0, seed=2.0)
+        want = joint_scatter_check(specs, 1.0, grid, directions=3, seed=2)
+        assert [r.S for r in rep.reports] == [r.S for r in want.reports]
+        assert all(np.array_equal(u, v) for u, v in zip(rep.directions, want.directions))
+        for directions, seed, message in [(2.5, 0, "directions must be an integer, got 2.5"),
+                                          (3, True, "seed must be an integer, got True")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                joint_scatter_check(specs, 1.0, grid, directions, seed)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             joint_scatter_check([sq.identity()], 1.0, [8, 16, 32, 64], 3)
@@ -455,23 +514,72 @@ class RowPrices:
         return np.where(np.isin(hi, self.rows), d, np.inf)
 
 
+def ordered_values(rng, n: int):
+    """Values for each path of the exact kernel, by name: never decreasing
+    or never increasing with ties and gaps of exactly 1, and spans past
+    2^53 (where a gap of 1 rounds to 0 or 2) sorted, reversed and shuffled."""
+    steps = np.sort(rng.choice([0.0, 1.0, 1.0, 0.25, 3.0], size=n))
+    rising = np.cumsum(rng.permutation(steps)) - 0.5 * n
+    wide = np.concatenate((2.0 ** 53 + np.arange(n // 2) - n // 4,
+                           rng.uniform(-1, 1, n - n // 2) * 2.0 ** 60))
+    return {"rising": rising, "falling": rising[::-1].copy(), "wide rising": np.sort(wide),
+            "wide falling": np.sort(wide)[::-1].copy(), "wide": rng.permutation(wide)}
+
+
+def direct_block_sums(vals: np.ndarray, Ns, delta: float):
+    """S(N) by the exact kernel's direct formula, frozen: on the blocks of
+    _BLOCK_ELEMENTS pairs, min(|d|^-delta, 1) with zeros on and above the
+    diagonal, np.sum along each row, fsum of the row sums."""
+    top = max(Ns)
+    row_sums = np.zeros(top + 1)
+    lo = 2
+    while lo <= top:
+        hi = lo + max(1, (math.isqrt(lo * lo + 4 * sc._BLOCK_ELEMENTS) - lo) // 2)
+        ns, cols = np.arange(lo, min(hi, top + 1))[:, None], np.arange(1, hi)
+        d = np.abs(vals[ns - 1] - vals[np.minimum(cols, top)[None, :] - 1])
+        with np.errstate(divide="ignore"):
+            c = np.minimum(np.power(d, -delta), 1.0)
+        c[:, lo - 1:] = np.where(cols[lo - 1:] < ns, c[:, lo - 1:], 0.0)
+        row_sums[lo:lo + len(ns)] = np.sum(c, axis=1)
+        lo = hi
+    return [math.fsum(row_sums[:N + 1]) / (N * N) for N in Ns]
+
+
 class TestExactKernel:
     """The one-pass lower-triangle kernel against independent oracles."""
 
     @pytest.mark.parametrize("block", [16, 300, sc._BLOCK_ELEMENTS])
     def test_matches_fsum_oracle(self, monkeypatch, block):
-        # unsorted values with ties; small blocks put many block boundaries
-        # (and truncated last blocks) inside N <= 300
+        # unsorted values with ties, then values in order (no absolute value,
+        # a clamp from the first row's d <= 1 on); small blocks put many
+        # block boundaries (and truncated last blocks) inside N <= 300
         monkeypatch.setattr(sc, "_BLOCK_ELEMENTS", block)
         rng = np.random.default_rng(11)
         for n in [2, 3, 17, 64, 129, 300] + [int(k) for k in rng.integers(2, 301, 4)]:
             vals = np.round(rng.normal(size=n) * 10 ** rng.uniform(-1, 2), 1)
             vals[rng.integers(0, n, n // 3)] = vals[0]
-            ev = array_evaluator(vals)
+            cases = [vals] + (list(ordered_values(rng, n).values()) if n in (3, 64, 300) else [])
+            for vals in cases:
+                ev = array_evaluator(vals)
+                for delta in (0.25, 0.5, 1.0):
+                    want = fsum_pair_sum(vals, delta)
+                    got = scatter_sum(ev, n, delta, mode="exact").S
+                    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("block", [16, 300, 4000, sc._BLOCK_ELEMENTS])
+    def test_equals_direct_block_formula_bitwise(self, monkeypatch, block):
+        # the clamp max(d, 1) before the price, the reciprocal at delta = 1
+        # and the skipped absolute value and clamp of ordered values leave
+        # every price, and so every row sum and S, as the direct formula has it
+        monkeypatch.setattr(sc, "_BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(13)
+        Ns = [2, 3, 8, 63, 64, 65, 361, 362, 700]
+        mixed = np.round(rng.normal(size=700) * 30, 1)
+        mixed[rng.integers(0, 700, 200)] = mixed[0]
+        for name, vals in [("mixed", mixed), *ordered_values(rng, 700).items()]:
             for delta in (0.25, 0.5, 1.0):
-                want = fsum_pair_sum(vals, delta)
-                got = scatter_sum(ev, n, delta, mode="exact").S
-                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+                got = sc._exact_sums(array_evaluator(vals), Ns, delta)
+                assert got == direct_block_sums(vals, Ns, delta), (name, delta)
 
     @pytest.mark.parametrize("block", [300, 4000, sc._BLOCK_ELEMENTS])
     def test_fit_scatter_equals_scatter_sum_bitwise(self, monkeypatch, block):
