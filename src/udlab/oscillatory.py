@@ -47,8 +47,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .numerics import (MIN_FIT_CELLS, UNIT_ROUNDOFF, check_interval, dd_add, dd_mul, e_phase,
-                       fit_line, two_sum, unit_directions)
+from .numerics import (MIN_FIT_CELLS, UNIT_ROUNDOFF, check_integer, check_interval, dd_add,
+                       dd_mul, e_phase, fit_line, two_sum, unit_directions)
 
 PANEL_CAP = 1 << 20  # memory guard: about 51 bytes per panel at the peak, in the rule
 R_MAX = 1 << 16
@@ -393,6 +393,8 @@ def decay_fit(fs: Sequence[ex.Node], interval, radii: Sequence[float],
                          " 6 distinct values, all finite and positive")
     if radii[-1] > R_MAX:
         raise ValueError(f"max radius capped at {R_MAX}")
+    n_directions = check_integer(n_directions, "n_directions")
+    seed = check_integer(seed, "seed")  # hashed as str(seed): 1.0 must read as 1
     if n_directions < k:
         raise ValueError("need at least k directions")
     directions = unit_directions(seed, k, n_directions)

@@ -21,7 +21,7 @@ import numpy as np
 from . import sequences as sq
 from .numerics import UNIT_ROUNDOFF, check_integer, derive_seed, fit_line, unit_directions
 
-EXACT_CUTOFF = 1 << 13  # beyond this many terms, auto mode switches to buckets
+EXACT_CUTOFF = 1 << 13  # beyond this many terms, auto mode switches to buckets (not with the hook)
 BUCKET_ETA_DEFAULT = 0.01
 _BLOCK_ELEMENTS = 1 << 17  # pairs per block of the exact sum and the growth scan, cache-sized
 
@@ -73,71 +73,59 @@ def _exact_sums(a, Ns: Sequence[int], delta: float) -> List[float]:
     """Direct pair sums S(N), N in Ns, in one pass over the lower triangle
     m < n <= max(Ns); a NaN difference raises. Row blocks have bounds and
     widths set by the row index alone, so S(N) = fsum(row sums to N) / N^2
-    does not depend on max(Ns). Values of finite span fl(max - min) have
-    no inf difference (rounding is monotone) and go to _price_rows. Else
-    an inf difference d >= 2^1024 costs d^-delta <= 2^(-1024*delta), not
-    negligible for small delta: it is priced from the hook's log2_abs_diff;
-    without one it is priced 0 when delta >= 53/1024 (at most 2^-53) and
-    refused below that."""
+    does not depend on max(Ns). Each block is written into one buffer, by
+    the hook or one subtraction, priced as max(d, 1)^-delta (equal to
+    min(d^-delta, 1); a reciprocal at delta = 1), zeroed from the diagonal
+    on and summed along rows. Values in order (read negated, exactly, if
+    they never increase) skip the absolute value, as d = a(n) - a(m) >= 0
+    for m < n, and clamp only from the first column where the block's
+    first row has d <= 1: left of it that row has d > 1, so every later
+    row has d >= 1 (rounding is monotone). A difference is inf only with
+    the hook or values of infinite span fl(max - min); d >= 2^1024 costs
+    d^-delta <= 2^(-1024*delta), not negligible for small delta: it is
+    priced from the hook's log2_abs_diff; without one it is priced 0 when
+    delta >= 53/1024 (at most 2^-53) and refused below that."""
     if not Ns:
         return []
     top = max(Ns)
     diff, vals = _pair_diffs(a, 1, top)
-    row_sums = np.zeros(top + 1)
-    if vals is not None and math.isfinite(float(vals.max()) - float(vals.min())):
-        _price_rows(vals, delta, row_sums)
-        return [math.fsum(row_sums[:N + 1]) / (N * N) for N in Ns]
-    for lo, end, width in _row_blocks(top):
-        ns, cols = np.arange(lo, end)[:, None], np.arange(1, width + 1)
-        ms = np.minimum(cols, top)[None, :]
-        # a difference may overflow to inf; d == 0 prices 1, inf 0
-        with np.errstate(divide="ignore", over="ignore"):
-            d = diff(ns, ms)
-            big = np.isinf(d)
-            c = np.minimum(np.power(d, -delta, out=d), 1.0, out=d)
-        if np.any(big):
-            ns_b, ms_b = (idx[big] for idx in np.broadcast_arrays(ns, ms))
-            if hasattr(a, "log2_abs_diff"):
-                c[big] = np.exp2(-delta * a.log2_abs_diff(ns_b, ms_b))
-            elif delta < 53 / 1024:
-                raise ValueError("pair differences overflow a double; "
-                                 "their price is not negligible at delta < 53/1024")
-        c[:, lo - 1:] = np.where(cols[lo - 1:] < ns, c[:, lo - 1:], 0.0)
-        row_sums[lo:end] = np.sum(c, axis=1)
-    if np.isnan(row_sums).any():
-        raise ValueError("sequence differences must not be NaN")
-    return [math.fsum(row_sums[:N + 1]) / (N * N) for N in Ns]
-
-
-def _price_rows(vals: np.ndarray, delta: float, row_sums: np.ndarray) -> None:
-    """Row sums of min(|a(n) - a(m)|^-delta, 1), m < n, into row_sums[n]
-    for vals = a(1..) of finite span, on the blocks of _row_blocks and bit
-    for bit as their direct formula. Each block is one buffer's
-    subtraction, absolute value, clamp, price max(d, 1)^-delta (equal to
-    min(d^-delta, 1); a reciprocal at delta = 1) of the whole contiguous
-    block, zeros from the diagonal on, and row sums. Values in order (read
-    negated, exactly, if they never increase) skip the absolute value,
-    as d = a(n) - a(m) >= 0 for m < n, and clamp only from the first
-    column where the block's first row has d <= 1: left of it that row has
-    d > 1, so every later row has d >= 1 (rounding is monotone)."""
-    sign = _monotone(vals)
-    if sign < 0:
-        vals = -vals  # exact, and never decreasing
-    blocks = list(_row_blocks(len(vals)))
+    blocks = list(_row_blocks(top))
     buf = np.empty(max((end - lo) * width for lo, end, width in blocks))
     upper = np.triu(np.ones((blocks[0][2], blocks[0][2]), dtype=bool))  # m >= n
-    cols = np.pad(vals, (0, blocks[-1][2] - len(vals)), mode="edge")  # a(m) for m past top: a(top)
+    row_sums = np.zeros(top + 1)
+    sign, infs = 0, vals is None  # infs: a difference may be inf
+    if vals is not None:
+        infs = not math.isfinite(float(vals.max()) - float(vals.min()))
+        sign = _monotone(vals)
+        if sign < 0:
+            vals = -vals  # exact, and never decreasing
+        cols = np.pad(vals, (0, blocks[-1][2] - top), mode="edge")  # a(m) for m past top: a(top)
     for lo, end, width in blocks:
         d = buf[:(end - lo) * width].reshape(end - lo, width)
-        np.subtract(vals[lo - 1:end - 1, None], cols[:width], out=d)
+        with np.errstate(over="ignore"):
+            if vals is None:
+                d[...] = diff(np.arange(lo, end)[:, None], np.minimum(np.arange(1, width + 1), top))
+            else:
+                np.subtract(vals[lo - 1:end - 1, None], cols[:width], out=d)
+        big = np.isinf(d) if infs else None
         band = d[:, np.count_nonzero(d[0] > 1.0):] if sign else np.abs(d, out=d)
         np.maximum(band, 1.0, out=band)
         if delta == 1.0:
             np.reciprocal(d, out=d)
         else:
             np.power(d, -delta, out=d)
+        if infs and big.any():
+            if hasattr(a, "log2_abs_diff"):
+                i, j = np.nonzero(big)
+                d[big] = np.exp2(-delta * a.log2_abs_diff(lo + i, np.minimum(j + 1, top)))
+            elif delta < 53 / 1024:
+                raise ValueError("pair differences overflow a double; "
+                                 "their price is not negligible at delta < 53/1024")
         np.copyto(d[:, lo - 1:], 0.0, where=upper[:end - lo, :width + 1 - lo])
         np.sum(d, axis=1, out=row_sums[lo:end])
+    if np.isnan(row_sums).any():
+        raise ValueError("sequence differences must not be NaN")
+    return [math.fsum(row_sums[:N + 1]) / (N * N) for N in Ns]
 
 
 def _edge_ratio(delta: float, eta: float) -> float:
@@ -263,7 +251,7 @@ def scatter_sum(a, N: int, delta: float, mode: str = "auto",
     Exact mode is the direct O(N^2) sum over the lower triangle in
     cache-sized row blocks of one buffer, priced as max(d, 1)^-delta
     (a reciprocal at delta = 1); values in order skip the absolute value
-    and clamp only near the diagonal (see _price_rows).
+    and clamp only near the diagonal.
 
     Bucketed mode sorts the values and takes one linear merge per coarse
     edge r^k, which gives the count and the sums of d and d^2 of the pairs
@@ -271,8 +259,9 @@ def scatter_sum(a, N: int, delta: float, mode: str = "auto",
     bracket, r being the widest ratio whose bracket meets the relative
     bound (1 + eta)^(delta/2) - 1 on the far pairs. Pairs with difference
     <= 1 are counted exactly, and the reported bound adds the rounding of
-    the sums. Auto picks exact up to N = 2^13. N is an integer (10.0
-    reads as 10).
+    the sums. Auto picks exact up to N = 2^13, and at every N for an
+    evaluator with the abs_diff hook (iterexp), as buckets need values of
+    finite span. N is an integer (10.0 reads as 10).
     """
     return _scatter_values(a, [check_integer(N, "N")], delta, mode, eta)[0]
 

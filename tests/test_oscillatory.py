@@ -690,6 +690,19 @@ class TestDecayFit:
         with pytest.raises(ValueError, match="all finite and positive"):
             decay_fit([X], (1, 2), cli._parse_radii("geom:1:inf:6"), 1)
 
+    def test_directions_and_seed_are_integers(self):
+        # seed 1.0 drew other directions than seed 1, and 4.5 ran 5 directions
+        radii = cli._parse_radii("geom:2:64:6")
+        fit = decay_fit([X, X2], (1, 2), radii, 3.0, seed=1.0)
+        want = decay_fit([X, X2], (1, 2), radii, 3, seed=1)
+        assert np.array_equal(fit.directions, want.directions)
+        assert np.array_equal(fit.magnitudes, want.magnitudes)
+        for n_directions, seed, message in [(4.5, 0, "n_directions must be an integer, got 4.5"),
+                                            (True, 0, "n_directions must be an integer, got True"),
+                                            (3, True, "seed must be an integer, got True")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                decay_fit([X, X2], (1, 2), radii, n_directions, seed)
+
     def test_radii_forms(self):
         assert cli._parse_radii(" halfpow2:2..4 ") == [4.5, 8.5, 16.5]
         assert cli._parse_radii("halfpow2:1023..1023") == [2.0 ** 1023 + 0.5]

@@ -360,12 +360,15 @@ class TestPairsBeyondDoubleRange:
     def test_overflowing_plain_differences(self):
         # finite values whose differences overflow: refused where their
         # price 2^(-1024 delta) is above 2^-53, priced 0 beyond that, with
-        # no RuntimeWarning from the subtraction (pytest makes it an error)
-        ev = array_evaluator(np.array([1e308, -1e308] * 32))
-        with pytest.raises(ValueError, match="overflow"):
-            scatter_sum(ev, 64, 0.01, mode="exact")
-        assert scatter_sum(ev, 64, 1.0, mode="exact").S == pytest.approx(
-            32 * 31 / 64 ** 2, rel=1e-15)
+        # no RuntimeWarning from the subtraction (pytest makes it an error);
+        # unordered, then rising and falling (no absolute value)
+        for vals in ([1e308, -1e308] * 32, [-1e308] * 32 + [1e308] * 32,
+                     [1e308] * 32 + [-1e308] * 32):
+            ev = array_evaluator(np.array(vals))
+            with pytest.raises(ValueError, match="overflow"):
+                scatter_sum(ev, 64, 0.01, mode="exact")
+            assert scatter_sum(ev, 64, 1.0, mode="exact").S == pytest.approx(
+                32 * 31 / 64 ** 2, rel=1e-15)
 
     def test_bucketed_refuses_an_infinite_span(self):
         # this warned, then raised OverflowError from ceil(log(inf))
@@ -500,17 +503,19 @@ def fsum_pair_sum(vals, delta: float) -> float:
 class RowPrices:
     """Pair differences that are inf, priced 0 at delta >= 53/1024, except
     in the given rows: S(N) is then the sum of a few row sums, so a change
-    in how one of them is summed shows in the last bit of S."""
+    in how one of them is summed shows in the last bit of S. Differences
+    in those rows start at low; those below 1, and 0, price 1."""
 
-    def __init__(self, rows):
+    def __init__(self, rows, low=1.0):
         self.rows = np.asarray(rows)
+        self.low = low
 
     def __call__(self, n):
         return np.asarray(n, dtype=float)
 
     def abs_diff(self, n, m):
         hi, lo = np.maximum(n, m), np.minimum(n, m)
-        d = 1.0 + (hi * 7919 + lo * 104729) % 1013 / 7.3
+        d = self.low + (hi * 7919 + lo * 104729) % 1013 / 7.3
         return np.where(np.isin(hi, self.rows), d, np.inf)
 
 
@@ -526,19 +531,26 @@ def ordered_values(rng, n: int):
             "wide falling": np.sort(wide)[::-1].copy(), "wide": rng.permutation(wide)}
 
 
-def direct_block_sums(vals: np.ndarray, Ns, delta: float):
+def direct_block_sums(a, Ns, delta: float):
     """S(N) by the exact kernel's direct formula, frozen: on the blocks of
-    _BLOCK_ELEMENTS pairs, min(|d|^-delta, 1) with zeros on and above the
-    diagonal, np.sum along each row, fsum of the row sums."""
+    _BLOCK_ELEMENTS pairs, min(|d|^-delta, 1), an inf d priced
+    exp2(-delta * log2_abs_diff) where a has that hook, zeros on and above
+    the diagonal, np.sum along each row, fsum of the row sums. a is an
+    array of values a(1..) or an evaluator with the abs_diff hook."""
     top = max(Ns)
     row_sums = np.zeros(top + 1)
     lo = 2
     while lo <= top:
         hi = lo + max(1, (math.isqrt(lo * lo + 4 * sc._BLOCK_ELEMENTS) - lo) // 2)
         ns, cols = np.arange(lo, min(hi, top + 1))[:, None], np.arange(1, hi)
-        d = np.abs(vals[ns - 1] - vals[np.minimum(cols, top)[None, :] - 1])
-        with np.errstate(divide="ignore"):
+        ms = np.minimum(cols, top)[None, :]
+        with np.errstate(divide="ignore", over="ignore"):
+            d = a.abs_diff(ns, ms) if hasattr(a, "abs_diff") else np.abs(a[ns - 1] - a[ms - 1])
             c = np.minimum(np.power(d, -delta), 1.0)
+        big = np.isinf(d)
+        if hasattr(a, "log2_abs_diff") and np.any(big):
+            c[big] = np.exp2(-delta * a.log2_abs_diff(*(idx[big] for idx in
+                                                        np.broadcast_arrays(ns, ms))))
         c[:, lo - 1:] = np.where(cols[lo - 1:] < ns, c[:, lo - 1:], 0.0)
         row_sums[lo:lo + len(ns)] = np.sum(c, axis=1)
         lo = hi
@@ -570,16 +582,27 @@ class TestExactKernel:
     def test_equals_direct_block_formula_bitwise(self, monkeypatch, block):
         # the clamp max(d, 1) before the price, the reciprocal at delta = 1
         # and the skipped absolute value and clamp of ordered values leave
-        # every price, and so every row sum and S, as the direct formula has it
+        # every price, and so every row sum and S, as the direct formula has
+        # it; so do the hook's differences and the inf differences of values
+        # of infinite span (priced 0), unordered, rising and falling
         monkeypatch.setattr(sc, "_BLOCK_ELEMENTS", block)
         rng = np.random.default_rng(13)
         Ns = [2, 3, 8, 63, 64, 65, 361, 362, 700]
         mixed = np.round(rng.normal(size=700) * 30, 1)
         mixed[rng.integers(0, 700, 200)] = mixed[0]
-        for name, vals in [("mixed", mixed), *ordered_values(rng, 700).items()]:
+        huge = rng.choice([1e308, -1e308, 1.5e308], size=700)
+        huge[rng.integers(0, 700, 40)] = np.round(rng.normal(size=40) * 3, 1)
+        for name, a in [("mixed", mixed), *ordered_values(rng, 700).items(),
+                        ("huge", huge), ("huge rising", np.sort(huge)),
+                        ("huge falling", np.sort(huge)[::-1].copy()),
+                        ("row prices", RowPrices(Ns[2:], low=0.0))]:
+            ev = a if hasattr(a, "abs_diff") else array_evaluator(a)
             for delta in (0.25, 0.5, 1.0):
-                got = sc._exact_sums(array_evaluator(vals), Ns, delta)
-                assert got == direct_block_sums(vals, Ns, delta), (name, delta)
+                got = sc._exact_sums(ev, Ns, delta)
+                assert got == direct_block_sums(a, Ns, delta), (name, delta)
+        tower, grid = sq.make_sequence(sq.iterated_exp()), [8, 600, 1100, 1200]
+        for delta in (0.01, 1.0):  # blocks 0..6 finite, block 7 (n >= 1097) past 2^1024
+            assert sc._exact_sums(tower, grid, delta) == direct_block_sums(tower, grid, delta)
 
     @pytest.mark.parametrize("block", [300, 4000, sc._BLOCK_ELEMENTS])
     def test_fit_scatter_equals_scatter_sum_bitwise(self, monkeypatch, block):
